@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = ROOT / "demos" / "ideals"
-NAMES = ("x", "y", "z")
+NAMES = ("x", "y", "z", "w")
 
 # Hand-derived maximal-cone counts of the demo ideals in the generic corpus.
 HAND_COUNTS = {"fig1": 3, "linear": 3, "worked3": 6}
@@ -116,6 +116,8 @@ def _term_text(coeff: int, exp) -> str:
 
 def problem_text(n: int, prime, gens) -> str:
     """Problem-file text of an ideal in the format ``tfan`` reads."""
+    if n > len(NAMES):
+        raise ValueError(f"at most {len(NAMES)} x-variables have names")
     lines = [f"ring t; {', '.join(NAMES[:n])}"]
     if prime is not None:
         lines.append(f"prime {prime}")
