@@ -4,7 +4,7 @@ Usage (from the repository root, after a change that is meant to alter fans
 or with other corpus seeds)::
 
     python3 bench/make_reference.py [--prime-corpus-seed 2] [--scaling-seeds 4,5]
-                                    [--generic-corpus-seed 0] [--generic-count 50]
+                                    [--generic-corpus-seed 0]
 
 It computes every corpus fan once and stores, per case, the sorted cone keys
 (rays and lineality) and the ADJ pairs.  It also fixes corpus membership:
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
     excluded = {}
     ok = 0
     for k, ideal in enumerate(corpus.generic_ideals(args.generic_corpus_seed)):
-        if ok == args.generic_count:
+        if ok == corpus.GENERIC_COUNT:
             break
         text = corpus.problem_text(*ideal)
         fp, why = limited(mods, text)

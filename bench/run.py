@@ -24,6 +24,7 @@ one thread; nothing else is started.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -31,6 +32,7 @@ import os
 import platform
 import random
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -47,11 +49,13 @@ from tracer import METRICS as LAYER_METRICS, Tracer, median_metrics  # noqa: E40
 WORKLOADS = ("prime-fans", "generic-fans", "cone-queries")
 END_TO_END = (("setup_s", "s"), ("pass_s", "s"), ("op_gmean_ms", "ms"),
               ("op_p50_ms", "ms"), ("op_p90_ms", "ms"), ("peak_rss_mb", "MB"))
-SETUP_REPEATS = 5
+SETUP_REPEATS = 21
 QUERIES_PER_CONE = 3
-# Host speed is probed after every operation, for this share of its time
-# (at least twice); times are reported as if a probe took PROBE_REFERENCE_S.
-PROBE_SHARE = 0.05
+# Host speed is probed every PROBE_INTERVAL_S of wall time, inside operations
+# too; each operation's time is reported as if a probe took PROBE_REFERENCE_S,
+# going by the probes during it, or by the last PROBE_WINDOW if fewer.
+PROBE_INTERVAL_S = 0.02
+PROBE_WINDOW = 25
 PROBE_REFERENCE_S = 1e-3
 # One fan case in this many (at least one) is recomputed from a second,
 # seeded start weight in each run; the seed rotates which.
@@ -88,14 +92,14 @@ def corpus_params(args):
     return {"prime_corpus_seed": args.prime_corpus_seed,
             "scaling_seeds": args.scaling_seeds,
             "generic_corpus_seed": args.generic_corpus_seed,
-            "generic_count": args.generic_count}
+            "generic_count": corpus.GENERIC_COUNT}
 
 
 def fan_cases(workload, args, ref):
     if workload == "prime-fans":
         return corpus.prime_cases(args.prime_corpus_seed, args.scaling_seeds,
                                   ref["prime_keep"])
-    return corpus.generic_cases(args.generic_corpus_seed, args.generic_count,
+    return corpus.generic_cases(args.generic_corpus_seed,
                                 {int(k) for k in ref["generic_excluded"]})
 
 
@@ -150,16 +154,53 @@ def probe() -> float:
     return time.perf_counter() - start
 
 
-def probe_after(busy_s, out):
-    """Probe the host's speed for PROBE_SHARE of busy_s, at least twice."""
-    spent, n = 0.0, 0
-    while n < 2 or spent < PROBE_SHARE * busy_s:
-        out.append(probe())
-        spent += out[-1]
-        n += 1
+class Prober:
+    """Runs `probe` from a timer signal every PROBE_INTERVAL_S while entered.
+
+    Probes land inside long operations as well as between them, so they see
+    the host conditions the operations ran in.  `clock` is perf_counter less
+    the time spent probing, so no probe is counted in a timed operation.
+    """
+
+    def __init__(self):
+        self.probes: list[float] = []
+        self.spent = 0.0
+
+    def _tick(self, signum, frame):
+        self.probes.append(probe())
+        self.spent += self.probes[-1]
+
+    def clock(self) -> float:
+        while True:
+            spent = self.spent
+            now = time.perf_counter()
+            if spent == self.spent:  # no probe ran between the two reads
+                return now - spent
+
+    def mark(self) -> int:
+        return len(self.probes)
+
+    def median(self, start: int, end: int) -> float:
+        """Median of the probes from mark `start` to mark `end`, or of the
+        last PROBE_WINDOW before `end` if fewer fell in between."""
+        window = self.probes[max(0, min(start, end - PROBE_WINDOW)):end]
+        return statistics.median(window or [probe()])
+
+    def scale(self, start: int) -> float:
+        """Factor to reference speed for the work since mark `start`."""
+        return PROBE_REFERENCE_S / self.median(start, self.mark())
+
+    def __enter__(self):
+        signal.signal(signal.SIGALRM, self._tick)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
-def run_passes(ops, seconds, errors, tracer=None):
+def run_passes(ops, seconds, errors, prober, tracer=None):
     """Whole passes until `seconds` elapse; returns per-pass data.
 
     With a tracer, passes alternate untraced and traced, so both kinds see
@@ -167,40 +208,44 @@ def run_passes(ops, seconds, errors, tracer=None):
     """
     passes = []
     cones = 1
-    begin = time.perf_counter()
-    while len(passes) < (2 if tracer else 1) or time.perf_counter() - begin < seconds:
+    clock = prober.clock
+    begin = clock()
+    while len(passes) < (2 if tracer else 1) or clock() - begin < seconds:
         traced = tracer is not None and len(passes) % 2 == 1
         if traced:
             tracer.install()
-        times, results, probes, failed = [], [], [], 0
+        times, scales, results, failed = [], [], [], 0
+        pass_start = prober.mark()
         try:
             for _, _, op, _ in ops:
-                t0 = time.perf_counter()
+                op_start = prober.mark()
+                t0 = clock()
                 try:
                     result = op()
                 except errors.TfanError as exc:
                     result = exc
                     failed += 1
-                times.append(time.perf_counter() - t0)
+                times.append(clock() - t0)
+                scales.append(prober.scale(op_start))
                 # later passes keep only the rendered text, so memory does not
                 # grow with the number of passes
                 results.append(result if not passes or isinstance(result, Exception)
                                else hash(result[1]))
-                probe_after(times[-1], probes)
         finally:
             if traced:
                 tracer.uninstall()
+        scale = prober.scale(pass_start)
         if not passes:
             cones = max(1, sum(1 if not hasattr(r[0], "maximal_cones")
                                else len(r[0].maximal_cones)
                                for r in results if not isinstance(r, Exception)))
-        scale = PROBE_REFERENCE_S / statistics.median(probes)
         layer = None
         if traced:
             layer = {k: v * scale if k.endswith("_s") else v
                      for k, v in tracer.snapshot(cones).items()}
-        passes.append({"times": times, "results": results, "failed": failed,
-                       "scale": scale, "probe": statistics.median(probes), "layer": layer})
+        passes.append({"times": times, "scales": scales, "results": results,
+                       "failed": failed, "probe_ms": PROBE_REFERENCE_S / scale * 1000,
+                       "layer": layer})
     return passes
 
 
@@ -248,9 +293,11 @@ def second_start(mods, name, text, fan, rng):
     try:
         again = mods.fan.groebner_fan(problem.ideal(), tiebreak=problem.tiebreak,
                                       start_weight=w)
-    except mods.errors.InredDiverged:
-        print(f"NOTE {name}: start weight {w} ends in InredDiverged", file=sys.stderr)
-        return []
+    except mods.errors.TfanError as exc:
+        if name in corpus.KNOWN_DIVERGENT and isinstance(exc, mods.errors.InredDiverged):
+            print(f"NOTE {name}: start weight {w} ends in InredDiverged", file=sys.stderr)
+            return []
+        return [f"{name}: start weight {w} raises {type(exc).__name__}"]
     if [c.canonical_key() for c in again.maximal_cones] != \
             [c.canonical_key() for c in cones]:
         return [f"{name}: start weight {w} gives another cone set"]
@@ -265,12 +312,12 @@ def scaled_ms(ops, passes):
     """Each operation's median time over the passes, in ms at reference speed.
 
     Other tenants of a shared host slow it by up to 1.9x, in stretches of
-    seconds to minutes.  So each pass's times are scaled by
-    PROBE_REFERENCE_S over the median probe taken during that pass: the time
-    the operation would take on a host where the probe takes
+    seconds to minutes.  So each time is scaled by PROBE_REFERENCE_S over
+    the median probe taken during the operation (see `Prober.median`): the
+    time the operation would take on a host where the probe takes
     PROBE_REFERENCE_S.
     """
-    return [statistics.median(p["times"][i] * p["scale"] for p in passes) * 1000
+    return [statistics.median(p["times"][i] * p["scales"][i] for p in passes) * 1000
             for i in range(len(ops))]
 
 
@@ -317,30 +364,30 @@ def parse_args(argv):
                     default=[4, 5], help="n=3 scaling-corpus seeds, comma separated")
     ap.add_argument("--generic-corpus-seed", type=int, default=0,
                     help="seed of the generic-regime ideal stream")
-    ap.add_argument("--generic-count", type=int, default=50)
     return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    setup_times, setup_probes = [], []
-    for _ in range(SETUP_REPEATS):
-        rng = random.Random(args.seed)
-        t0 = time.perf_counter()
-        mods, ref, ops = build(args.workload, args, rng)
-        setup_times.append(time.perf_counter() - t0)
-        probe_after(setup_times[-1], setup_probes)
-
-    passes = run_passes(ops, args.seconds, mods.errors, Tracer() if args.trace else None)
+    setup_times = []
+    with Prober() as prober:
+        for _ in range(SETUP_REPEATS):
+            gc.collect()  # free the previous set-up's modules before timing the next
+            rng = random.Random(args.seed)
+            start = prober.mark()
+            t0 = prober.clock()
+            mods, ref, ops = build(args.workload, args, rng)
+            setup_times.append((prober.clock() - t0) * prober.scale(start))
+        setup_probe_ms = prober.median(0, prober.mark()) * 1000
+        passes = run_passes(ops, args.seconds, mods.errors, prober,
+                            Tracer(prober.clock) if args.trace else None)
     plain = [p for p in passes if p["layer"] is None]
     if not args.trace:
-        setup_s = (statistics.median(setup_times) * PROBE_REFERENCE_S
-                   / statistics.median(setup_probes))
-        metrics = end_to_end(setup_s, ops, passes)
+        metrics = end_to_end(statistics.median(setup_times), ops, passes)
     else:
         traced = [p for p in passes if p["layer"] is not None]
         layer = median_metrics([p["layer"] for p in traced])
-        busy = [sum(p["times"]) * p["scale"] for p in passes]
+        busy = [sum(t * s for t, s in zip(p["times"], p["scales"])) for p in passes]
         layer["trace.overhead_s"] = (
             statistics.median(b for b, p in zip(busy, passes) if p["layer"] is not None)
             - statistics.median(b for b, p in zip(busy, passes) if p["layer"] is None))
@@ -357,8 +404,8 @@ def main(argv=None) -> int:
                       "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
                       "passes": len(passes),
                       "pass_busy_s": [sum(p["times"]) for p in passes],
-                      "pass_probe_ms": [p["probe"] * 1000 for p in passes],
-                      "setup_probe_ms": statistics.median(setup_probes) * 1000,
+                      "pass_probe_ms": [p["probe_ms"] for p in passes],
+                      "setup_probe_ms": setup_probe_ms,
                       "check_s": check_s, **corpus_params(args)}))
     for row in case_rows(args.workload, ops, plain):
         print(json.dumps(row))

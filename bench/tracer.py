@@ -98,7 +98,8 @@ class TraceError(RuntimeError):
 class Tracer:
     """Wraps tfan entry points; accumulates calls and times while installed."""
 
-    def __init__(self):
+    def __init__(self, clock=time.perf_counter):
+        self.clock = clock
         self.calls: dict[str, int] = {}
         self.total: dict[str, float] = {}
         self.self_time: dict[str, float] = {}
@@ -109,7 +110,7 @@ class Tracer:
     def _span(self, name, fn):
         calls, total, self_time = self.calls, self.total, self.self_time
         children = self._children
-        clock = time.perf_counter
+        clock = self.clock
         calls[name] = total[name] = self_time[name] = 0
         is_head_reduce = name == "division.head_reduce"
 
