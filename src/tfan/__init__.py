@@ -54,6 +54,7 @@ from .inred import (
     InredContext,
     ensure_initially_reduced,
     generic_initial_reduce,
+    initially_reduce,
     initially_reduced_standard_basis,
     inred_all_at_once,
     inred_same_degree,

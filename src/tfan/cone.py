@@ -17,7 +17,7 @@ support give equation rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -40,6 +40,9 @@ class HCone:
     dim_ambient: int
     ineqs: tuple[Vec, ...] = ()
     eqs: tuple[Vec, ...] = ()
+    # V-description, filled in by the first dd_rays call on this instance.
+    _data: ConeData | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         for row in self.ineqs + self.eqs:
@@ -144,10 +147,18 @@ def _dd(ineq_rows, eq_rows, dim):
 
 
 def dd_rays(cone: HCone) -> ConeData:
-    """Exact V-description of an HCone (implicit halfspace included)."""
-    rays, lineality = _dd(list(cone.all_ineq_rows()), list(cone.eqs), cone.dim_ambient)
-    d = rank(list(rays) + list(lineality)) if (rays or lineality) else 0
-    return ConeData(rays, lineality, d)
+    """Exact V-description of an HCone (implicit halfspace included).
+
+    Computed once per instance and kept on it: an HCone is immutable, so
+    its V-description never goes stale, and it lives only as long as the
+    HCone does.
+    """
+    if cone._data is None:
+        rays, lineality = _dd(list(cone.all_ineq_rows()), list(cone.eqs),
+                              cone.dim_ambient)
+        d = rank(list(rays) + list(lineality)) if (rays or lineality) else 0
+        object.__setattr__(cone, "_data", ConeData(rays, lineality, d))
+    return cone._data
 
 
 def dim(cone: HCone) -> int:

@@ -10,9 +10,11 @@ initially reduced form of the lifted basis.  Facets whose relative interior
 already lies in a known cone are recorded as adjacencies and skipped, and
 facets inside the boundary hyperplane {0} x R^n are never crossed.
 
-The lift itself returns the witnessed standard basis as computed; initial
-re-reduction happens when the adjacent cone is constructed, which is where
-it is actually needed.
+The lift already is a standard basis of the full ideal for the new
+ordering, so the adjacent cone's constructor only initially reduces it
+(``inred.initially_reduce``); nothing is completed again after a flip.  The
+printed basis of a flipped-to cone is therefore the one this path produces,
+which is deterministic for a given start weight and tiebreak.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .division import (
     standard_basis,
 )
 from .errors import InvalidInput, NonGenericWeight, WitnessFailed
-from .inred import ensure_initially_reduced
+from .inred import ensure_initially_reduced, initially_reduce
 from .poly import (
     Ideal,
     MonomialOrdering,
@@ -88,8 +90,8 @@ def lift(H_new: Sequence[Polynomial], ord_new: MonomialOrdering,
 
     Every element of ``H_new`` is witnessed through the old basis; the
     witnesses form a standard basis w.r.t. ``ord_new`` with the same leading
-    terms as ``H_new``.  (Initial reduction is deliberately left to the cone
-    constructor.)
+    terms as ``H_new``.  It is initially reduced, without a new completion,
+    by the cone constructor.
     """
     lifted = tuple(witness(h, H, G.elements, ord_, step_cap) for h in H_new)
     return StandardBasis(lifted, ord_new)
@@ -135,12 +137,13 @@ def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
                         prime: int | None, step_cap: int) -> GroebnerCone:
     """Build the maximal cone on the far side of a flip.
 
-    The lifted basis is initially reduced under the new ordering, the cone
-    is read off with the leading terms as initial forms, and the ordering is
-    re-anchored to a single interior weight so chains do not accumulate
-    across many flips.
+    The lifted basis is already a standard basis under the new ordering, so
+    it is only initially reduced, not completed again (the ideal, and with
+    it p - t, is unchanged by the flip).  The cone is read off with the
+    leading terms as initial forms, and the ordering is re-anchored to a
+    single interior weight so chains do not accumulate across many flips.
     """
-    basis = ensure_initially_reduced(ord_new, G_new.elements, prime, step_cap)
+    basis = initially_reduce(ord_new, G_new, prime, step_cap)
     lts = tuple(Polynomial.term(*leading_term(ord_new, g)) for g in basis.elements)
     hc = cone_from_basis(ord_new, basis.elements, lts)
     assert not hc.eqs, "leading terms cannot produce equations"

@@ -10,8 +10,8 @@ power series, initial reduction keeps everything polynomial.
 Two regimes:
 
 * prime regime: the ideal contains p - t for a declared prime p.  Then
-  ``initially_reduced_standard_basis`` terminates unconditionally.  The
-  pipeline is (p - t)-reduction of single elements, mutual reduction of an
+  initial reduction terminates unconditionally.  The pipeline is
+  (p - t)-reduction of single elements, mutual reduction of an
   equal-x-degree block (two triangular passes), lazy cross-degree reduction
   against lower strata via a working list, and a driver that walks x-degrees
   bottom up.
@@ -21,6 +21,12 @@ Two regimes:
   divergence into ``InredDiverged``.  Dividing out Z[[t]]-unit content after
   each elimination resolves the common benign loops (for example a pair like
   {x + t*y, y + t*x} reduces to {x, y} instead of cycling).
+
+``initially_reduce`` is the one path from a known standard basis to an
+initially reduced one, in either regime; it never completes again.  The fan
+traversal calls it on lifted bases.  ``initially_reduced_standard_basis``
+and ``ensure_initially_reduced`` start from generators: they complete first,
+then call it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .division import (
     StandardBasis,
     minimize,
     mora_weak_nf,
+    normalize_element,
     standard_basis,
 )
 from .errors import InredDiverged, InvalidInput, RegimeError
@@ -303,29 +310,32 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
     return h
 
 
-def initially_reduced_standard_basis(ctx: InredContext, F: Sequence[Polynomial],
-                                     step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
-    """Minimal initially reduced standard basis of <F>, prime regime.
+def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
+                     prime: int | None = None,
+                     step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+    """Minimal initially reduced standard basis from a known standard basis.
 
-    Computes a strong standard basis, drops elements whose leading
+    ``basis`` must already be a standard basis w.r.t. ``ord_``; nothing is
+    completed again.  With a declared prime the ideal must contain p - t,
+    which is not checked here.  Elements are first normalised as
+    ``standard_basis`` leaves them (unit t-content stripped, positive
+    leading coefficient), so a lifted basis and a fresh completion go
+    through the same steps.  Prime regime: drops elements whose leading
     coefficient the prime divides (p - t covers them), normalises the
-    remaining leading coefficients to 1 via a Bezout combination with p - t,
-    minimises, then reduces the x-degree strata bottom up against everything
-    already finished.  The result always contains p - t.
+    remaining leading coefficients to 1 via a Bezout combination with
+    p - t, minimises, then reduces the x-degree strata bottom up against
+    everything already finished; the result always contains p - t.
+    Generic regime: ``generic_initial_reduce``.
     """
-    ord_ = ctx.ord
-    gens = [f for f in F if not f.is_zero]
-    if not gens:
-        raise InvalidInput("empty generating set")
-    n = gens[0].nvars
-    pt = ctx.p_minus_t(n)
-    sb = standard_basis(ord_, gens, step_cap)
-    if not mora_weak_nf(ord_, pt, sb.elements, step_cap).remainder.is_zero:
-        raise RegimeError(
-            f"{ctx.p} - t does not lie in the ideal; use generic_initial_reduce"
-        )
+    if not basis.elements:
+        raise InvalidInput("empty standard basis")
+    basis = StandardBasis(tuple(normalize_element(ord_, g) for g in basis.elements), ord_)
+    if prime is None:
+        return generic_initial_reduce(ord_, basis, step_cap)
+    ctx = InredContext(prime, ord_)
+    pt = ctx.p_minus_t(basis.elements[0].nvars)
     monic: list[Polynomial] = []
-    for g in sb.elements:
+    for g in basis.elements:
         lc = leading_term(ord_, g).coeff
         if lc % ctx.p == 0:
             continue
@@ -343,6 +353,25 @@ def initially_reduced_standard_basis(ctx: InredContext, F: Sequence[Polynomial],
         remaining = [g for g in remaining if x_degree(g) > d]
         done.extend(inred_step_by_step(ctx, done, stratum))
     return StandardBasis(tuple(done) + (pt,), ord_)
+
+
+def initially_reduced_standard_basis(ctx: InredContext, F: Sequence[Polynomial],
+                                     step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+    """Minimal initially reduced standard basis of <F>, prime regime.
+
+    Computes a strong standard basis, checks that p - t lies in the ideal,
+    then hands the basis to ``initially_reduce``.
+    """
+    gens = [f for f in F if not f.is_zero]
+    if not gens:
+        raise InvalidInput("empty generating set")
+    sb = standard_basis(ctx.ord, gens, step_cap)
+    pt = ctx.p_minus_t(gens[0].nvars)
+    if not mora_weak_nf(ctx.ord, pt, sb.elements, step_cap).remainder.is_zero:
+        raise RegimeError(
+            f"{ctx.p} - t does not lie in the ideal; use generic_initial_reduce"
+        )
+    return initially_reduce(ctx.ord, sb, ctx.p, step_cap)
 
 
 def _eliminate_tail(ord_, g, lt_g, term, h, lt_h):
@@ -370,6 +399,15 @@ def _eliminate_tail(ord_, g, lt_g, term, h, lt_h):
         return out
     m = term_div(term, lt_h)
     return g - h.term_mul(m.coeff, m.exp)
+
+
+def _fmt_vector(v) -> str:
+    return "(" + ", ".join(str(c) for c in v) + ")"
+
+
+def _fmt_term(term) -> str:
+    """A term as c*t^b*x^(a1, ..., an)."""
+    return f"{term.coeff}*t^{term.exp[0]}*x^{_fmt_vector(term.exp[1:])}"
 
 
 def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis,
@@ -416,10 +454,15 @@ def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis,
                         steps += 1
                         if steps > step_cap or \
                                 max(t.exp[0] for t in g.terms) > degree_limit:
+                            weight = _fmt_vector(ord_.weights[0]) \
+                                if ord_.weights else "(none)"
                             raise InredDiverged(
-                                "generic initial reduction diverged (no p - t in "
-                                "the ideal guarantees termination); declare a "
-                                "prime or raise the step cap"
+                                "generic initial reduction diverged at weight "
+                                f"{weight}: eliminating skeleton term "
+                                f"{_fmt_term(term)} from the element with leading "
+                                f"term {_fmt_term(lt_g)} (no p - t in the ideal "
+                                "guarantees termination); declare a prime or "
+                                "raise the step cap"
                             )
                         break
                     if reduced_one:
@@ -449,9 +492,8 @@ def is_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial])
 def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial],
                              prime: int | None = None,
                              step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
-    """Regime dispatch: produce an initially reduced standard basis of
-    <elements> w.r.t. ord_, using the prime pipeline when one is declared."""
+    """Regime dispatch: complete <elements> to a standard basis w.r.t. ord_,
+    then initially reduce it, using the prime pipeline when one is declared."""
     if prime is not None:
         return initially_reduced_standard_basis(InredContext(prime, ord_), elements, step_cap)
-    sb = standard_basis(ord_, elements, step_cap)
-    return generic_initial_reduce(ord_, sb, step_cap)
+    return initially_reduce(ord_, standard_basis(ord_, elements, step_cap), None, step_cap)

@@ -1,6 +1,8 @@
 """Shared test helpers: polynomial building and seeded random ideals."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 from tfan import Ideal, Polynomial
 from tfan.cli import parse_poly
@@ -42,3 +44,19 @@ def random_prime_ideal(rng: random.Random) -> Ideal:
             g = Polynomial.term(1, (0, 1) + (0,) * (n - 1))
         gens.append(g)
     return Ideal(tuple(gens), n, prime=p)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the enclosed block with TimeoutError after ``seconds`` of wall
+    time, so a regression to a hang fails instead of stalling the suite."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

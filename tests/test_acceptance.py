@@ -40,7 +40,7 @@ from tfan import (
     weighted_ordering,
 )
 
-from helpers import P, XY, XYZ, polys, random_prime_ideal
+from helpers import P, XY, XYZ, polys, random_prime_ideal, time_limit
 
 X123 = ["x1", "x2", "x3"]
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,6 +74,19 @@ def random_fans():
         ideal = random_prime_ideal(rng)
         fans.append(groebner_fan(ideal, step_cap=500000))
     return fans
+
+
+@pytest.fixture(scope="module")
+def generic_recompletion_fan():
+    """A generic-regime fan whose lifted bases, once completed again after
+    each flip, kept the pair loop busy for minutes."""
+    ideal = Ideal(polys(XYZ, "2*t*y + 3*t*z + 3*t^2*z", "2*t*x^2 + 2*t*z^2"), 3)
+    with time_limit(30):
+        return groebner_fan(ideal)
+
+
+def test_generic_fan_that_recompletion_could_not_finish(generic_recompletion_fan):
+    assert len(generic_recompletion_fan.maximal_cones) == 6
 
 
 def test_criterion_1_fig1_reproduction(fig1_fan):
@@ -208,8 +221,9 @@ def _sample_weights(rng, n, count):
                *[Fraction(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(n)])
 
 
-def test_criterion_9_coverage_and_faces(fig1_fan, linear_fan, flip_ideal_fan, random_fans):
-    fans = [fig1_fan, linear_fan, flip_ideal_fan] + list(random_fans)
+def test_criterion_9_coverage_and_faces(fig1_fan, linear_fan, flip_ideal_fan, random_fans,
+                                        generic_recompletion_fan):
+    fans = [fig1_fan, linear_fan, flip_ideal_fan, generic_recompletion_fan] + list(random_fans)
     rng = random.Random(0)
     for fan_res in fans:
         cones = fan_res.maximal_cones

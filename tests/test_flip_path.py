@@ -1,0 +1,82 @@
+"""The flip path: cones reached by flipping equal the cones computed from
+scratch at their interior weights, and lifted bases are initially reduced
+without a second completion."""
+
+import os
+import random
+
+import pytest
+
+import tfan.inred
+from tfan import (
+    MonomialOrdering,
+    groebner_cone_at,
+    groebner_fan,
+    is_initially_reduced,
+    leading_term,
+)
+from tfan.cli import parse_problem
+
+from helpers import random_prime_ideal
+
+DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "demos", "ideals")
+
+
+def demo_case(name):
+    with open(os.path.join(DEMO_IDEALS, name + ".ideal"), encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
+    return problem.ideal(), problem.tiebreak
+
+
+def random_case(k):
+    """Member k (from 0) of the stream random_prime_ideal(Random(2))."""
+    rng = random.Random(2)
+    for _ in range(k):
+        random_prime_ideal(rng)
+    ideal = random_prime_ideal(rng)
+    return ideal, tuple(range(ideal.nvars))
+
+
+CASES = {
+    "rand1": lambda: random_case(1),
+    "rand2": lambda: random_case(2),
+    "flip": lambda: demo_case("flip"),
+    "fig1": lambda: demo_case("fig1"),
+    "linear": lambda: demo_case("linear"),
+    "worked3": lambda: demo_case("worked3"),
+}
+
+
+def sorted_leading_terms(basis):
+    return sorted(leading_term(basis.ordering, g) for g in basis.elements)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flipped_cones_match_cones_from_scratch(name):
+    ideal, tiebreak = CASES[name]()
+    fan = groebner_fan(ideal, tiebreak=tiebreak)
+    assert len(fan.maximal_cones) > 1
+    for cone in fan.maximal_cones:
+        ordering = MonomialOrdering((cone.interior_weight,), tiebreak)
+        fresh = groebner_cone_at(ordering, ideal.gens, ideal.prime)
+        assert fresh.canonical_key() == cone.canonical_key()
+        assert cone.basis.ordering == ordering
+        assert is_initially_reduced(ordering, cone.basis.elements)
+        assert sorted_leading_terms(cone.basis) == sorted_leading_terms(fresh.basis)
+
+
+def test_no_completion_after_a_flip(monkeypatch):
+    """Only the start cone's generators are completed inside inred."""
+    completions = []
+    original = tfan.inred.standard_basis
+
+    def counting(*args, **kwargs):
+        completions.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tfan.inred, "standard_basis", counting)
+    ideal, tiebreak = demo_case("flip")
+    fan = groebner_fan(ideal, tiebreak=tiebreak)
+    assert len(fan.maximal_cones) == 3
+    assert len(completions) == 1

@@ -252,6 +252,18 @@ class TestGenericReduce:
         with pytest.raises(InredDiverged, match="declare a prime"):
             generic_initial_reduce(o, sb)
 
+    def test_divergence_names_element_term_and_weight(self):
+        from tfan import InredDiverged, groebner_cone_at
+        from tfan.poly import MonomialOrdering
+        o = MonomialOrdering(((-1, 1, 1, 1),), (0, 1, 2))
+        gens = polys(XYZ, "-2*z + 2*t*z", "t^2*y + 2*t*z")
+        with pytest.raises(InredDiverged) as exc:
+            groebner_cone_at(o, gens)
+        message = str(exc.value)
+        assert "at weight (-1, 1, 1, 1)" in message
+        assert "from the element with leading term 1*t^2*x^(0, 1, 0)" in message
+        assert "eliminating skeleton term 2*t^48*x^(0, 0, 1)" in message
+
 
 class TestIsInitiallyReduced:
     def test_one_minus_t(self):
