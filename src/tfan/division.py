@@ -27,7 +27,9 @@ Three engines live here:
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import gcd as _int_gcd
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DivisionDiverged, InvalidInput
@@ -37,6 +39,7 @@ from .poly import (
     Polynomial,
     Term,
     exp_div,
+    exp_divides,
     exp_lcm,
     exp_x_degree,
     leading_term,
@@ -201,12 +204,17 @@ def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
 
 
 def _hom_key(ord_: MonomialOrdering):
-    """Sort key on homogenised exponents (sigma, beta, alpha...)."""
+    """Sort key on homogenised exponents (sigma, beta, alpha...): the total
+    degree, then ``ord_.key`` of the dehomogenised exponent.  Keys are
+    memoised in a dict owned by the returned function, so the memo lives as
+    long as the one completion that uses it."""
+    memo: dict[tuple, tuple] = {}
 
     def key(e):
-        rest = e[1:]
-        wpart, alpha, negbeta = ord_.key(rest)
-        return (e[0] + e[1] + sum(e[2:]), wpart, alpha, negbeta)
+        k = memo.get(e)
+        if k is None:
+            k = memo[e] = (sum(e),) + ord_.key(e[1:])
+        return k
 
     return key
 
@@ -222,23 +230,34 @@ def _dehomogenize(f: Polynomial) -> Polynomial:
 
 def _head_reduce(key, h: Polynomial, basis, step_cap) -> Polynomial:
     """Weak head reduction under a global order: stop at the first leading
-    term no basis leading term divides."""
+    term no basis leading term divides.
+
+    The running remainder is an ``exp -> coeff`` dict that each step updates
+    in place; the first basis element whose leading term divides the current
+    leading term is the reducer.  A Polynomial is built once, on return."""
+    acc = {e: c for c, e in h.terms}
     steps = 0
-    while h:
-        t = max(h.terms, key=lambda u: key(u.exp))
-        hit = None
+    while acc:
+        e = max(acc, key=key)
+        c = acc[e]
         for lt, g in basis:
-            if term_divides(lt, t):
-                hit = (lt, g)
+            if c % lt.coeff == 0 and exp_divides(lt.exp, e):
                 break
-        if hit is None:
-            return h
-        lt, g = hit
-        h = h - g.term_mul(t.coeff // lt.coeff, exp_div(t.exp, lt.exp))
+        else:
+            return Polynomial.from_terms((c, e) for e, c in acc.items())
+        q = c // lt.coeff
+        m = tuple(map(sub, e, lt.exp))
+        for gc, ge in g.terms:
+            ge = tuple(map(add, ge, m))
+            v = acc.get(ge, 0) - q * gc
+            if v:
+                acc[ge] = v
+            else:
+                del acc[ge]
         steps += 1
         if steps > step_cap:
             raise DivisionDiverged(f"head reduction exceeded {step_cap} steps")
-    return h
+    return Polynomial.zero()
 
 
 def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial],
@@ -247,10 +266,11 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial],
 
     The completion runs on the t-degree homogenisation with both S- and
     GCD-pairs (the strong pair set needed over Z, where leading ideals are
-    generated by terms rather than monomials); pairs are processed smallest
-    lcm first under the graded order.  The dehomogenised elements are
-    normalised by stripping Z[[t]]-unit content and fixing positive leading
-    coefficients.
+    generated by terms rather than monomials).  Pairs wait in a heap keyed
+    by (graded key of their lcm, i, j), computed once when the pair is
+    pushed, so they are processed smallest lcm first and, among equal lcms,
+    by index.  The dehomogenised elements are normalised by stripping
+    Z[[t]]-unit content and fixing positive leading coefficients.
     """
     first = [normalize_element(ord_, f) for f in gens if not f.is_zero]
     if not first:
@@ -262,19 +282,24 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial],
 
     G: list[Polynomial] = []
     lts: list[Term] = []
+    pending: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
+
+    def add(h):
+        G.append(h)
+        lts.append(hlt(h))
+        j = len(G) - 1
+        for i in range(j):
+            m = exp_lcm(lts[i].exp, lts[j].exp)
+            heappush(pending, (key(m), i, j, m))
+
     for f in first:
         h = _homogenize(f)
         if h not in G:
-            G.append(h)
-            lts.append(hlt(h))
-    pending = [(i, j) for j in range(len(G)) for i in range(j)]
+            add(h)
     guard = 0
     while pending:
-        pending.sort(key=lambda ij: (key(exp_lcm(lts[ij[0]].exp, lts[ij[1]].exp)),
-                                     ij[0], ij[1]))
-        i, j = pending.pop(0)
+        _, i, j, m = heappop(pending)
         a, b = lts[i].coeff, lts[j].coeff
-        m = exp_lcm(lts[i].exp, lts[j].exp)
         c = abs(a * b) // _gcd(a, b)
         candidates = [G[i].term_mul(c // a, exp_div(m, lts[i].exp))
                       - G[j].term_mul(c // b, exp_div(m, lts[j].exp))]
@@ -288,9 +313,7 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial],
             r = _head_reduce(key, h, list(zip(lts, G)), step_cap)
             if r.is_zero:
                 continue
-            G.append(r)
-            lts.append(hlt(r))
-            pending.extend((k, len(G) - 1) for k in range(len(G) - 1))
+            add(r)
         guard += 1
         if guard > step_cap:
             raise DivisionDiverged(f"pair processing exceeded {step_cap} pairs")

@@ -360,14 +360,18 @@ def initially_reduced_standard_basis(ctx: InredContext, F: Sequence[Polynomial],
     """Minimal initially reduced standard basis of <F>, prime regime.
 
     Computes a strong standard basis, checks that p - t lies in the ideal,
-    then hands the basis to ``initially_reduce``.
+    then hands the basis to ``initially_reduce``.  Membership is decided
+    exactly, with no normal form, when p - t is one of the generators (as
+    ``Ideal`` and the problem parser guarantee); otherwise the weak normal
+    form of p - t against the basis must vanish.
     """
     gens = [f for f in F if not f.is_zero]
     if not gens:
         raise InvalidInput("empty generating set")
     sb = standard_basis(ctx.ord, gens, step_cap)
     pt = ctx.p_minus_t(gens[0].nvars)
-    if not mora_weak_nf(ctx.ord, pt, sb.elements, step_cap).remainder.is_zero:
+    if (pt not in gens
+            and not mora_weak_nf(ctx.ord, pt, sb.elements, step_cap).remainder.is_zero):
         raise RegimeError(
             f"{ctx.p} - t does not lie in the ideal; use generic_initial_reduce"
         )

@@ -19,7 +19,10 @@ reduction code in this package relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import add, le, mul
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput
@@ -33,12 +36,12 @@ class Term(NamedTuple):
 
 
 def exp_mul(e1: Exp, e2: Exp) -> Exp:
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def exp_divides(e1: Exp, e2: Exp) -> bool:
     """Componentwise e1 <= e2."""
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def exp_div(e1: Exp, e2: Exp) -> Exp:
@@ -49,7 +52,7 @@ def exp_div(e1: Exp, e2: Exp) -> Exp:
 
 
 def exp_lcm(e1: Exp, e2: Exp) -> Exp:
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def exp_x_degree(e: Exp) -> int:
@@ -262,6 +265,11 @@ class MonomialOrdering:
     t-power wins.  The tiebreak alone is the ordering x_{p0} > x_{p1} > ... >
     1 > t; any weight chain refined by it is total and t-local as long as the
     first weight has nonpositive t-entry.
+
+    ``weights`` are kept as given, so equality and hashing see them
+    unchanged; comparisons use each vector scaled by the lcm of its
+    denominators to an integer vector, which orders monomials the same way
+    and keeps ``Fraction`` arithmetic out of ``key``.
     """
 
     weights: tuple[tuple, ...]
@@ -287,11 +295,21 @@ class MonomialOrdering:
     def nvars(self) -> int:
         return len(self.tiebreak)
 
+    @cached_property
+    def _int_weights(self) -> tuple[tuple[int, ...], ...]:
+        """Each weight vector times the lcm of its entries' denominators."""
+        out = []
+        for w in self.weights:
+            w = [Fraction(c) for c in w]
+            d = lcm(*(c.denominator for c in w))
+            out.append(tuple(int(c * d) for c in w))
+        return tuple(out)
+
     def key(self, e: Exp):
         """Sort key realising the ordering: bigger key = greater monomial."""
         if len(e) != 1 + self.nvars:
             raise InvalidInput("exponent vector has wrong length")
-        wpart = tuple(sum(wc * ec for wc, ec in zip(w, e)) for w in self.weights)
+        wpart = tuple(sum(map(mul, w, e)) for w in self._int_weights)
         return (wpart, tuple(e[1 + i] for i in self.tiebreak), -e[0])
 
     def compare(self, e1: Exp, e2: Exp) -> int:

@@ -46,6 +46,15 @@ def random_prime_ideal(rng: random.Random) -> Ideal:
     return Ideal(tuple(gens), n, prime=p)
 
 
+def prime_stream_member(k: int) -> Ideal:
+    """Member k (from 0) of the stream random_prime_ideal(Random(2)); members
+    1 and 2 are the rand1 and rand2 of the tests and the benchmark."""
+    rng = random.Random(2)
+    for _ in range(k):
+        random_prime_ideal(rng)
+    return random_prime_ideal(rng)
+
+
 @contextmanager
 def time_limit(seconds):
     """Fail the enclosed block with TimeoutError after ``seconds`` of wall

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfan import (
+    MonomialOrdering,
     Polynomial,
     StandardBasis,
     gpair,
@@ -16,7 +19,9 @@ from tfan import (
     weighted_ordering,
 )
 
-from helpers import P, XY, XYZ, polys
+from tfan.cli import format_poly
+
+from helpers import P, XY, XYZ, polys, prime_stream_member
 
 
 def check_division_identity(ord_, f, G, res):
@@ -208,3 +213,121 @@ class TestMinimize:
         o = lex_ordering(2)
         sb = StandardBasis(polys(XY, "x", "y"), o)
         assert set(minimize(o, sb).elements) == set(sb.elements)
+
+
+# Printed standard bases of rand1 and rand2 (members 1 and 2 of the stream)
+# at the default start weight and at a flip's perturbed weight w + v/7, for
+# the flip with facet point w and normal v.  The elements and their order
+# depend on which pairs are processed in which order and on which reducer
+# each head-reduction step picks.
+FLIP_WEIGHTS = {
+    "rand1": tuple(a + Fraction(b, 7) for a, b in zip((-4, -1, 0, 0), (0, 0, 1, -1))),
+    "rand2": tuple(a + Fraction(b, 7) for a, b in zip((-3, -2, -1, 0), (0, 1, -2, 1))),
+}
+GOLDEN_BASES = {
+    ("rand1", "start"): (
+        't^3*x^3*y*z + t^3*y^5 + 5*t^3*y^3*z^2',
+        '2*t*x^3 - t*y^3 - 2*t*y*z^2 - t^2*y*z^2',
+        't*x^3 - t^2*x^3 + t*y^3 + 2*t*y*z^2 + t^2*y*z^2',
+        '2*t^2*x^3 - t^2*y^3 - 5*t^2*y*z^2',
+        '3 - t',
+        '2*t^3*y^2 + t^3*y*z',
+        't^3*y^2 - t^4*y^2 - t^3*y*z',
+    ),
+    ("rand1", "flip"): (
+        '3 - t',
+        '-2*t*x^3 + t*y^3 + 2*t*y*z^2 + t^2*y*z^2',
+        '-2*t^2*x^3 + t^2*y^3 + 5*t^2*y*z^2',
+        '2*t^3*y^2 + t^3*y*z',
+        't^3*y^2 - t^4*y^2 - t^3*y*z',
+        '4*t^3*x^3 + t^3*y^2*z - 10*t^3*y*z^2',
+        '-8*t^3*x^3 + 21*t^3*y*z^2',
+        '16*t^3*x^3*y + 8*t^3*x^3*z',
+        '8*t^3*x^3*y + 4*t^3*x^3*z',
+        '4*t^3*x^3*y + 2*t^3*x^3*z',
+        '8*t^3*x^3 - 7*t^4*y*z^2',
+        't^3*x^3 - 3*t^4*x^3 + 7*t^4*y*z^2',
+        '24*t^3*x^6 + t^3*x^3*y*z^2 + 32*t^3*x^3*z^3',
+        '128*t^3*x^6 + 168*t^3*x^3*z^3',
+        '64*t^3*x^6 + 84*t^3*x^3*z^3',
+        '32*t^3*x^6 + 42*t^3*x^3*z^3',
+    ),
+    ("rand2", "start"): (
+        'x^2*y - x^2*z - 2*x*y^2 + 3*x*z^2',
+        't^2*x^3*z - t^3*x^2*y*z + t*x^2*z^2 - t^2*x^2*z^2 - 4*t*x*y^2*z + 6*t*x*z^3',
+        '-t^2*x^3*z + t^3*x^2*y*z + 2*t*x^2*z^2 + 4*t*x*y^2*z - 6*t*x*z^3',
+        '-t^3*x^3*z + 3*t^3*x^2*y*z + 2*t^2*x^2*z^2 + 4*t^2*x*y^2*z - 6*t^2*x*z^3',
+        '-2*t^3*x^3*z + 6*t^3*x^2*y*z + t^2*x^2*z^2 + t^3*x^2*z^2 + 8*t^2*x*y^2*z - 12*t^2*x*z^3',
+        '5*t^3*x*y^2*z - 11*t^3*x*y*z^2 + 9*t^3*x*z^3',
+        't^3*x*y^2*z + 11*t^3*x*y*z^2 - 9*t^3*x*z^3 - 22*t^3*y^3*z',
+        '55*t^3*y^3*z - 121*t^3*y^2*z^2 + 99*t^3*y*z^3',
+        't^2*x*z + t*y*z - t^2*y*z - t^3*y*z',
+        '-t^2*x*z + 2*t*y*z + t^3*y*z',
+        '-t^3*x*z + 2*t^2*y*z + 3*t^3*y*z',
+        '-2*t^3*x*z + t^2*y*z + 7*t^3*y*z',
+        '3 - t',
+        '3*t^3*x*z - 11*t^3*y*z',
+    ),
+    ("rand2", "flip"): (
+        '3 - t',
+        'x^2*y - x^2*z - 2*x*y^2 + 3*x*z^2',
+        '-x^2*y + x^2*z + 2*x*y^2 - t*x*z^2',
+        't^2*x*z + t*y*z - t^2*y*z - t^3*y*z',
+        '-t^2*x*z + 2*t*y*z + t^3*y*z',
+        '-3*t^2*x*z + 2*t^2*y*z + 3*t^3*y*z',
+        '-6*t^2*x*z + t^2*y*z + 7*t^3*y*z',
+        't^2*x^3*z - 2*t*x^2*y^2 - t^3*x^2*y*z + 4*t*x*y^3 - 2*t^2*x*y*z^2',
+        't^2*x^3*z - 2*t*x^2*y^2 - t^3*x^2*y*z + t*x*y^3 + t^2*x*y^3 - 2*t^2*x*y*z^2',
+        '-3*t^3*x*z + 11*t^3*y*z',
+        't^3*x^3*z - 2*t^2*x^2*y^2 - 3*t^3*x^2*y*z + 4*t^2*x*y^3 - 2*t^3*x*y*z^2',
+        't^3*x^3*z - 2*t^2*x^2*y^2 - 3*t^3*x^2*y*z + t^2*x*y^3 + t^3*x*y^3 - 2*t^3*x*y*z^2',
+        '4*t^3*x^2*y^2 - 4*t^3*x^2*y*z + 3*t^3*x^2*z^2 - 8*t^3*x*y^3 + t^3*x*y*z^2',
+        '3*t^3*x^3*y - 17*t^3*x^2*y^2 + 22*t^3*x*y^3',
+    ),
+}
+
+
+@pytest.mark.parametrize("name,weight", sorted(GOLDEN_BASES))
+def test_standard_basis_golden(name, weight):
+    ideal = prime_stream_member(int(name[-1]))
+    w = (-1, 1, 1, 1) if weight == "start" else FLIP_WEIGHTS[name]
+    sb = standard_basis(MonomialOrdering((w,), (0, 1, 2)), ideal.gens)
+    assert tuple(format_poly(g, "xyz") for g in sb.elements) == GOLDEN_BASES[name, weight]
+
+
+# --- integer ordering keys ---------------------------------------------------
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+negative_fractions = st.fractions(min_value=-5, max_value=Fraction(-1, 7), max_denominator=7)
+scales = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+def rational_key(w, tiebreak, e):
+    """The ordering's definition with the weight as given: w-degree, then
+    alpha along the tiebreak, then the smaller t-power."""
+    return (sum(c * x for c, x in zip(w, e)), tuple(e[1 + i] for i in tiebreak), -e[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(member=st.integers(0, 4), t_entry=negative_fractions,
+       rest=st.lists(small_fractions, min_size=3, max_size=3), k=scales)
+def test_scaled_weight_orders_and_completes_alike(member, t_entry, rest, k):
+    ideal = prime_stream_member(member)
+    tb = tuple(range(ideal.nvars))
+    w = (t_entry,) + tuple(rest[:ideal.nvars])
+    kw = tuple(k * c for c in w)
+    sb = standard_basis(MonomialOrdering((w,), tb), ideal.gens)
+    sb_k = standard_basis(MonomialOrdering((kw,), tb), ideal.gens)
+    assert sb_k.elements == sb.elements
+    exps = sorted({e for g in ideal.gens + sb.elements for _, e in g.terms})
+    ranked = sorted(exps, key=lambda e: rational_key(w, tb, e))
+    assert sorted(exps, key=MonomialOrdering((kw,), tb).key) == ranked
+
+
+def test_ordering_equality_ignores_integer_weights():
+    a = MonomialOrdering(((Fraction(-1, 2), Fraction(1, 3), 1),), (0, 1))
+    b = MonomialOrdering(((Fraction(-1, 2), Fraction(1, 3), 1),), (0, 1))
+    a.key((0, 1, 1))  # fills a's integer weights, not b's
+    assert "_int_weights" in vars(a) and "_int_weights" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert a != MonomialOrdering(((-3, 2, 6),), (0, 1))

@@ -3,7 +3,6 @@ scratch at their interior weights, and lifted bases are initially reduced
 without a second completion."""
 
 import os
-import random
 
 import pytest
 
@@ -17,7 +16,7 @@ from tfan import (
 )
 from tfan.cli import parse_problem
 
-from helpers import random_prime_ideal
+from helpers import prime_stream_member
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "demos", "ideals")
@@ -30,11 +29,7 @@ def demo_case(name):
 
 
 def random_case(k):
-    """Member k (from 0) of the stream random_prime_ideal(Random(2))."""
-    rng = random.Random(2)
-    for _ in range(k):
-        random_prime_ideal(rng)
-    ideal = random_prime_ideal(rng)
+    ideal = prime_stream_member(k)
     return ideal, tuple(range(ideal.nvars))
 
 
@@ -80,3 +75,18 @@ def test_no_completion_after_a_flip(monkeypatch):
     fan = groebner_fan(ideal, tiebreak=tiebreak)
     assert len(fan.maximal_cones) == 3
     assert len(completions) == 1
+
+
+def test_p_minus_t_generator_needs_no_normal_form(monkeypatch):
+    """p - t is among the generators, so its membership is not re-decided."""
+    ideal, tiebreak = random_case(2)
+    ordering = MonomialOrdering(((-4, -3, -2, 0),), tiebreak)
+    expected = groebner_cone_at(ordering, ideal.gens, ideal.prime)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mora_weak_nf called for a generator p - t")
+
+    monkeypatch.setattr(tfan.inred, "mora_weak_nf", refuse)
+    cone = groebner_cone_at(ordering, ideal.gens, ideal.prime)
+    assert cone.canonical_key() == expected.canonical_key()
+    assert cone.basis.elements == expected.basis.elements

@@ -190,6 +190,13 @@ class TestDriver:
         with pytest.raises(RegimeError):
             initially_reduced_standard_basis(ctx, polys(XY, "x"))
 
+    def test_p_minus_t_found_by_normal_form_when_not_a_generator(self):
+        # (2 - t)(1 + t) generates the same ideal of Z[[t]][x] as 2 - t
+        ctx = InredContext(2, weighted_ordering((-1, 1, 1), 2))
+        F = polys(XY, "2 + t - t^2", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
+        basis = initially_reduced_standard_basis(ctx, F)
+        assert P("2 - t", XY) in basis.elements
+
     def test_leading_ideal_matches_unreduced_basis(self):
         ctx = InredContext(2, weighted_ordering((-1, 1, 1), 2))
         F = polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
