@@ -384,7 +384,8 @@ def parse_cone_block(text: str) -> HCone:
 # ---------------------------------------------------------------------------
 
 
-def _sampled_weights(rng: random.Random, n: int, count: int):
+def sampled_weights(rng: random.Random, n: int, count: int):
+    """``count`` random rational weights in R_{<0} x R^n, drawn from ``rng``."""
     for _ in range(count):
         w0 = -Fraction(rng.randint(1, 24), rng.randint(1, 4))
         rest = [Fraction(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(n)]
@@ -392,7 +393,7 @@ def _sampled_weights(rng: random.Random, n: int, count: int):
 
 
 def run_check(problem: ProblemFile, seed: int, samples: int, step_cap: int, out,
-              threads: int = 1) -> int:
+              start_weight=None) -> int:
     """Invariant suite for one ideal; one PASS/FAIL line per check."""
     failures = 0
 
@@ -407,13 +408,13 @@ def run_check(problem: ProblemFile, seed: int, samples: int, step_cap: int, out,
     ideal = problem.ideal()
     n = problem.nvars
     result = fan_mod.groebner_fan(ideal, tiebreak=problem.tiebreak,
-                                  threads=threads, step_cap=step_cap)
+                                  start_weight=start_weight, step_cap=step_cap)
     report("fan-computed", True)
     print(f"  maximal cones: {len(result.maximal_cones)}", file=out)
 
     rng = random.Random(seed)
     uncovered = 0
-    for w in _sampled_weights(rng, n, samples):
+    for w in sampled_weights(rng, n, samples):
         if not any(contains(c.hcone, w) for c in result.maximal_cones):
             uncovered += 1
     report("coverage", uncovered == 0, f"{uncovered} of {samples} weights uncovered")
@@ -441,13 +442,13 @@ def run_check(problem: ProblemFile, seed: int, samples: int, step_cap: int, out,
             w = fan_mod.relative_interior_point(facet)
             v = tuple(Fraction(x) - Fraction(y) for x, y in zip(cones[b].interior_weight, w))
             for g in cones[a].basis.elements:
-                if not _chain_initial_consistent(w, v, g):
+                if not chain_initial_consistent(w, v, g):
                     bad_chain += 1
     report("chain-initial", bad_chain == 0, f"{bad_chain} violations")
     return failures
 
 
-def _chain_initial_consistent(w, v, g: Polynomial) -> bool:
+def chain_initial_consistent(w, v, g: Polynomial) -> bool:
     """in_{w+eps v}(g) == in_v(in_w(g)) for an exactly computed small eps."""
     chain = max_weight_part(v, initial_form(w, g))
     top = {t.exp for t in initial_form(w, g).terms}
@@ -469,9 +470,15 @@ def _chain_initial_consistent(w, v, g: Polynomial) -> bool:
     return max_weight_part(wv, g) == chain
 
 
-def _weight_for(problem: ProblemFile, args) -> tuple:
-    if getattr(args, "weight", None):
+def _weight_arg(problem: ProblemFile, args):
+    if args.weight:
         return parse_weight_vector(args.weight, 1 + problem.nvars)
+    return None
+
+
+def _weight_for(problem: ProblemFile, args) -> tuple:
+    if args.weight:
+        return _weight_arg(problem, args)
     if problem.weights:
         return problem.weights[0]
     return (-1,) + (1,) * problem.nvars
@@ -504,15 +511,13 @@ def main(argv=None) -> int:
     add("inred", "initially reduced standard basis")
     add("initial", "initial forms of the reduced basis at a weight")
     add("cone", "Groebner cone at a weight (H-rows and V-data)")
-    p_fan = add("fan", "full Groebner fan with adjacency")
-    p_fan.add_argument("--threads", type=int, default=1)
+    add("fan", "full Groebner fan with adjacency")
     p_slice = add("slice", "affine slice of the cone at a weight")
     p_slice.add_argument("--fix", required=True,
                          help="fixed coordinates, e.g. \"t=-1\" or \"t=-1,z=1\"")
     p_check = add("check", "run the invariant suite for this ideal")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--samples", type=int, default=1000)
-    p_check.add_argument("--threads", type=int, default=1)
 
     args = parser.parse_args(argv)
     try:
@@ -532,13 +537,11 @@ def main(argv=None) -> int:
                 raise ParseError(str(exc))
         cap = args.max_steps
         if args.command == "stdbasis":
-            ord_ = problem.ordering(parse_weight_vector(args.weight, 1 + problem.nvars)
-                                    if args.weight else None)
+            ord_ = problem.ordering(_weight_arg(problem, args))
             sb = minimize(ord_, standard_basis(ord_, problem.gens, cap))
             print(render_sb(sb.elements, problem.names))
         elif args.command == "inred":
-            ord_ = problem.ordering(parse_weight_vector(args.weight, 1 + problem.nvars)
-                                    if args.weight else None)
+            ord_ = problem.ordering(_weight_arg(problem, args))
             basis = ensure_initially_reduced(ord_, problem.gens, problem.prime, cap)
             print(render_sb(basis.elements, problem.names))
         elif args.command == "initial":
@@ -551,10 +554,8 @@ def main(argv=None) -> int:
             print(render_cone(hc))
         elif args.command == "fan":
             result = fan_mod.groebner_fan(problem.ideal(), tiebreak=problem.tiebreak,
-                                          start_weight=parse_weight_vector(
-                                              args.weight, 1 + problem.nvars)
-                                          if args.weight else None,
-                                          threads=args.threads, step_cap=cap)
+                                          start_weight=_weight_arg(problem, args),
+                                          step_cap=cap)
             print(render_fan(result, problem.names))
         elif args.command == "slice":
             w = _weight_for(problem, args)
@@ -571,7 +572,7 @@ def main(argv=None) -> int:
             print(render_slice(affine_slice(hc, fixed)))
         elif args.command == "check":
             failures = run_check(problem, args.seed, args.samples, cap, sys.stdout,
-                                 threads=args.threads)
+                                 start_weight=_weight_arg(problem, args))
             return 1 if failures else 0
         return 0
     except ParseError as exc:

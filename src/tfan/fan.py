@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -179,15 +178,13 @@ def _perturbed(base, k):
     )
 
 
-def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None, threads: int = 1,
+def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None,
                  step_cap: int = DEFAULT_STEP_CAP) -> Fan:
     """All maximal Groebner cones of an x-homogeneous ideal, with adjacency.
 
     Breadth-first facet traversal with containment-based deduplication: a
-    facet is crossed only when its relative interior point is in no other
-    known cone.  ``threads > 1`` evaluates the flips of one cone's facets
-    concurrently; insertion stays sequential, so the resulting set of cones
-    and the serialised output are identical to a single-threaded run.
+    facet is crossed only when its relative interior point is in no known
+    cone; otherwise the containing cone is recorded as adjacent.
     """
     for g in ideal.gens:
         if not is_x_homogeneous(g):
@@ -211,47 +208,23 @@ def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None, threads: int = 
     cones: list[GroebnerCone] = [start]
     adjacency: dict[frozenset, HCone] = {}
     queue: deque[int] = deque([0])
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def expand(cone: GroebnerCone, facet):
-        wpt = relative_interior_point(facet.cone)
-        H = tuple(initial_form(wpt, g) for g in cone.basis.elements)
-        flipped, ord_new = flip(cone.basis, H, facet.outer_normal,
-                                cone.basis.ordering, wpt, step_cap)
-        return wpt, _cone_from_adjacent(flipped, ord_new, ideal.prime, step_cap)
-
-    try:
-        while queue:
-            idx = queue.popleft()
-            cone = cones[idx]
-            work = [f for f in facets(cone.hcone) if not f.in_boundary]
-            known = list(cones)
-            pending = []
-            for facet in work:
-                wpt = relative_interior_point(facet.cone)
-                neighbor = next((j for j, c in enumerate(known)
-                                 if j != idx and contains(c.hcone, wpt)), None)
-                if neighbor is not None:
-                    adjacency.setdefault(frozenset((idx, neighbor)), facet.cone)
-                else:
-                    pending.append(facet)
-            if executor is not None:
-                results = list(executor.map(lambda f: expand(cone, f), pending))
-            else:
-                results = [expand(cone, f) for f in pending]
-            for facet, (wpt, new_cone) in zip(pending, results):
-                dup = next((j for j, c in enumerate(cones)
-                            if j != idx and contains(c.hcone, wpt)), None)
-                if dup is not None:
-                    adjacency.setdefault(frozenset((idx, dup)), facet.cone)
-                    continue
-                cones.append(new_cone)
+    while queue:
+        idx = queue.popleft()
+        cone = cones[idx]
+        for facet in facets(cone.hcone):
+            if facet.in_boundary:
+                continue
+            wpt = relative_interior_point(facet.cone)
+            j = next((k for k, c in enumerate(cones)
+                      if k != idx and contains(c.hcone, wpt)), None)
+            if j is None:
+                H = tuple(initial_form(wpt, g) for g in cone.basis.elements)
+                flipped, ord_new = flip(cone.basis, H, facet.outer_normal,
+                                        cone.basis.ordering, wpt, step_cap)
+                cones.append(_cone_from_adjacent(flipped, ord_new, ideal.prime, step_cap))
                 j = len(cones) - 1
-                adjacency.setdefault(frozenset((idx, j)), facet.cone)
                 queue.append(j)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            adjacency.setdefault(frozenset((idx, j)), facet.cone)
 
     order = sorted(range(len(cones)), key=lambda i: cones[i].canonical_key())
     rename = {old: new for new, old in enumerate(order)}

@@ -32,7 +32,6 @@ then call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .division import (
@@ -221,40 +220,6 @@ def _check_cross(ord_, G, H):
 def _split_by_lm(ord_, combined, h_lms, e_lms):
     by_lm = {leading_term(ord_, f).exp: f for f in combined}
     return [by_lm[lm] for lm in h_lms], [by_lm[lm] for lm in e_lms]
-
-
-def inred_all_at_once(ctx: InredContext, G: Sequence[Polynomial],
-                      H: Sequence[Polynomial]) -> list[Polynomial]:
-    """Cross-degree reduction by brute force.
-
-    Every x-monomial of the block's degree that is reachable from a lower
-    leading term gets one minimal-t multiple of a lower element up front;
-    the enlarged block then goes through ``inred_same_degree`` once.
-    """
-    ord_ = ctx.ord
-    if not G:
-        return inred_same_degree(ctx, H)
-    d = _check_cross(ord_, G, H)
-    n = H[0].nvars
-    E = []
-    for combo in combinations_with_replacement(range(n), d):
-        alpha = [0] * n
-        for v in combo:
-            alpha[v] += 1
-        alpha = tuple(alpha)
-        best = None
-        for g in G:
-            lt = leading_term(ord_, g)
-            if exp_divides(lt.exp[1:], alpha) and (best is None or lt.exp[0] < best[0]):
-                best = (lt.exp[0], g, lt)
-        if best is not None:
-            _, g, lt = best
-            E.append(g.term_mul(1, (0,) + tuple(a - b for a, b in zip(alpha, lt.exp[1:]))))
-    h_lms = [leading_term(ord_, h).exp for h in H]
-    e_lms = [leading_term(ord_, e).exp for e in E]
-    combined = inred_same_degree(ctx, list(H) + E)
-    new_h, _ = _split_by_lm(ord_, combined, h_lms, e_lms)
-    return new_h
 
 
 def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],

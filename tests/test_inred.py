@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,7 +11,6 @@ from tfan import (
     StandardBasis,
     generic_initial_reduce,
     initially_reduced_standard_basis,
-    inred_all_at_once,
     inred_same_degree,
     inred_step_by_step,
     is_initially_reduced,
@@ -23,7 +23,8 @@ from tfan import (
     t_skeleton,
     weighted_ordering,
 )
-from tfan.poly import mul_tpoly, t_coefficient, tpoly_shift
+from tfan.inred import _check_cross, _split_by_lm
+from tfan.poly import exp_divides, mul_tpoly, t_coefficient, tpoly_shift
 
 from helpers import P, XY, XYZ, polys
 
@@ -121,6 +122,40 @@ def _replay_row_operations(g1, g2, g3):
     g1 = g1 - two_minus_t * Polynomial.from_terms([(-1, (2, 0, 0, 2)), (-1, (3, 0, 0, 2))])
     g1 = mul_tpoly(g1, ((0, 1), (2, -2), (4, -1), (5, -1))) + mul_tpoly(g3, t(1))
     return [g1, g2, g3]
+
+
+def inred_all_at_once(ctx, G, H):
+    """Cross-degree reduction by brute force: the oracle for
+    ``inred_step_by_step``.
+
+    Every x-monomial of the block's degree that is reachable from a lower
+    leading term gets one minimal-t multiple of a lower element up front;
+    the enlarged block then goes through ``inred_same_degree`` once.
+    """
+    ord_ = ctx.ord
+    if not G:
+        return inred_same_degree(ctx, H)
+    d = _check_cross(ord_, G, H)
+    n = H[0].nvars
+    E = []
+    for combo in combinations_with_replacement(range(n), d):
+        alpha = [0] * n
+        for v in combo:
+            alpha[v] += 1
+        alpha = tuple(alpha)
+        best = None
+        for g in G:
+            lt = leading_term(ord_, g)
+            if exp_divides(lt.exp[1:], alpha) and (best is None or lt.exp[0] < best[0]):
+                best = (lt.exp[0], g, lt)
+        if best is not None:
+            _, g, lt = best
+            E.append(g.term_mul(1, (0,) + tuple(a - b for a, b in zip(alpha, lt.exp[1:]))))
+    h_lms = [leading_term(ord_, h).exp for h in H]
+    e_lms = [leading_term(ord_, e).exp for e in E]
+    combined = inred_same_degree(ctx, list(H) + E)
+    new_h, _ = _split_by_lm(ord_, combined, h_lms, e_lms)
+    return new_h
 
 
 class TestCrossDegree:
