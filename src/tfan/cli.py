@@ -195,11 +195,24 @@ def parse_weight_vector(text: str, expected_len=None):
     parts = [p.strip() for p in body.split(",") if p.strip()]
     try:
         vec = tuple(Fraction(p) for p in parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weight vector {text!r}: {exc}")
     if expected_len is not None and len(vec) != expected_len:
         raise ParseError(f"weight vector has length {len(vec)}, expected {expected_len}")
     return vec
+
+
+def _parse_fix(part: str, name_to_coord):
+    """One ``name=value`` item of ``--fix`` as (coordinate, rational value)."""
+    nm, eq, val = (s.strip() for s in part.partition("="))
+    if nm not in name_to_coord:
+        raise ParseError(f"unknown coordinate {nm!r} in --fix")
+    if not eq or not val:
+        raise ParseError(f"--fix item {part!r} must look like 'name=value'")
+    try:
+        return name_to_coord[nm], Fraction(val)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad value {val!r} in --fix: {exc}")
 
 
 def _parse_tiebreak(text: str, names, line_no):
@@ -564,11 +577,7 @@ def main(argv=None) -> int:
             fixed = []
             name_to_coord = {"t": 0, **{nm: 1 + i for i, nm in enumerate(problem.names)}}
             for part in args.fix.split(","):
-                nm, _, val = part.partition("=")
-                nm = nm.strip()
-                if nm not in name_to_coord:
-                    raise ParseError(f"unknown coordinate {nm!r} in --fix")
-                fixed.append((name_to_coord[nm], Fraction(val.strip())))
+                fixed.append(_parse_fix(part, name_to_coord))
             print(render_slice(affine_slice(hc, fixed)))
         elif args.command == "check":
             failures = run_check(problem, args.seed, args.samples, cap, sys.stdout,

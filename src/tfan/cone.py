@@ -6,7 +6,10 @@ and never stored, so the A/B matrices read off a basis stay pure.  The
 V-side (``ConeData``) is produced by an exact double description sweep:
 rays are primitive integer vectors, the lineality basis is in reduced
 echelon form, and both are sorted, which makes ``ConeData`` a canonical form
-suitable for cone equality.
+suitable for cone equality.  The sweep runs on integer vectors only, and it
+tests adjacency on zero-set bitmasks, one per ray, instead of re-evaluating
+dot products (Fukuda and Prodon, "Double description method revisited",
+1996).
 
 ``cone_from_basis`` realises the inequality/equation extraction from an
 initially reduced standard basis: for each element the exponent vectors of
@@ -23,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .division import StandardBasis
 from .errors import InvalidInput
-from .exact import dot, kernel_basis, primitive, rank, rref, vadd, vneg, vscale, vsub
+from .exact import dot, integral, kernel_basis, primitive, rank, rref, vneg, vscale, vsub
 from .poly import MonomialOrdering, Polynomial, leading_term, t_skeleton
 
 Vec = tuple
@@ -86,18 +89,6 @@ def make_cone(dim_ambient: int, ineqs=(), eqs=()) -> HCone:
 # ---------------------------------------------------------------------------
 
 
-def _adjacent(r1, r2, rays, imposed):
-    """Combinatorial adjacency: no third ray is tight on every constraint
-    tight at both r1 and r2."""
-    z = [a for a in imposed if dot(a, r1) == 0 and dot(a, r2) == 0]
-    for r in rays:
-        if r is r1 or r is r2:
-            continue
-        if all(dot(a, r) == 0 for a in z):
-            return False
-    return True
-
-
 def _dd(ineq_rows, eq_rows, dim):
     """Core double description sweep; returns (rays, lineality_basis).
 
@@ -106,44 +97,61 @@ def _dd(ineq_rows, eq_rows, dim):
     lineality meeting a new halfspace, one lineality generator is traded for
     a ray; afterwards the classical plus/zero/minus split with adjacent-pair
     combination applies.
+
+    The sweep is integer-only (Fukuda and Prodon, "Double description method
+    revisited", 1996): kernel vectors and rational rows are scaled to
+    integers once, and the trade replaces each vector by a positive multiple
+    ``v0*l - (a.l)*l0`` of its rational projection, made primitive, so every
+    ray is primitive throughout.  Each ray carries its zero set, a bitmask
+    of the imposed rows it is tight on, so the adjacency test is the
+    combinatorial one on masks: two rays are adjacent iff no third ray's
+    zero set contains the meet of theirs.
     """
-    L = [tuple(v) for v in kernel_basis(eq_rows, dim)]
+    L = [primitive(v) for v in kernel_basis(eq_rows, dim)]
     R: list[Vec] = []
-    imposed: list[Vec] = []
-    for a in ineq_rows:
+    Z: list[int] = []  # Z[i]: bit k set iff the k-th imposed row is tight on R[i]
+    for k, a in enumerate(ineq_rows):
+        a = integral(a)
+        bit = 1 << k
         vals_l = [dot(a, l) for l in L]
-        if any(v != 0 for v in vals_l):
-            i0 = next(i for i, v in enumerate(vals_l) if v != 0)
+        i0 = next((i for i, v in enumerate(vals_l) if v != 0), None)
+        if i0 is not None:
             l0 = L[i0] if vals_l[i0] > 0 else vneg(L[i0])
             v0 = abs(vals_l[i0])
-            L = [vsub(l, vscale(Fraction(dot(a, l), 1) / v0, l0))
-                 for i, l in enumerate(L) if i != i0]
-            R = [vsub(r, vscale(Fraction(dot(a, r), 1) / v0, l0)) for r in R]
+            L = [primitive(vsub(vscale(v0, l), vscale(v, l0)))
+                 for i, (l, v) in enumerate(zip(L, vals_l)) if i != i0]
+            R = [primitive(vsub(vscale(v0, r), vscale(dot(a, r), l0))) for r in R]
             R.append(l0)
+            Z = [z | bit for z in Z]
+            Z.append(bit - 1)
         else:
             vals = [dot(a, r) for r in R]
             if any(v < 0 for v in vals):
-                plus = [(r, v) for r, v in zip(R, vals) if v > 0]
-                zero = [r for r, v in zip(R, vals) if v == 0]
-                minus = [(r, v) for r, v in zip(R, vals) if v < 0]
-                new = [r for r, _ in plus] + zero
-                for rp, vp in plus:
-                    for rm, vm in minus:
-                        if _adjacent(rp, rm, R, imposed):
-                            new.append(vadd(vscale(vp, rm), vscale(-vm, rp)))
-                R = []
+                plus = [i for i, v in enumerate(vals) if v > 0]
+                minus = [i for i, v in enumerate(vals) if v < 0]
+                new = [(R[i], Z[i]) for i in plus]
+                new += [(r, z | bit) for r, z, v in zip(R, Z, vals) if v == 0]
+                for p in plus:
+                    for m in minus:
+                        common = Z[p] & Z[m]
+                        if all(z & common != common
+                               for i, z in enumerate(Z) if i != p and i != m):
+                            new.append((vsub(vscale(vals[p], R[m]),
+                                             vscale(vals[m], R[p])), common | bit))
+                R, Z = [], []
                 seen = set()
-                for r in new:
-                    if any(x != 0 for x in r):
-                        p = primitive(r)
-                        if p not in seen:
-                            seen.add(p)
-                            R.append(p)
-        imposed.append(a)
-    rays = sorted({primitive(r) for r in R if any(x != 0 for x in r)})
+                for r, z in new:
+                    if any(r):
+                        r = primitive(r)
+                        if r not in seen:
+                            seen.add(r)
+                            R.append(r)
+                            Z.append(z)
+            else:
+                Z = [z | bit if v == 0 else z for z, v in zip(Z, vals)]
     lin_rows, _ = rref(L)
     lineality = tuple(primitive(row) for row in lin_rows)
-    return tuple(rays), lineality
+    return tuple(sorted(set(R))), lineality
 
 
 def dd_rays(cone: HCone) -> ConeData:

@@ -6,12 +6,17 @@ Integers are plain Python ints (arbitrary precision), rationals are
 are tuples of equal-length row tuples.  Everything here is pure and
 deterministic: Gaussian elimination always pivots on the first nonzero entry
 of a column.
+
+``integral``, ``primitive`` and ``rank`` are fraction-free: they clear a
+vector's denominators once, by a positive integer factor, and then work in
+integers only, so integer input never builds a ``Fraction``.  ``rref`` and
+``kernel_basis`` work over Q and return ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInput
 
@@ -110,7 +115,36 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    """Rank by fraction-free elimination.
+
+    Each row is made integral once; then the last remaining row is the
+    pivot, its first nonzero column is cleared from every other row by
+    integer cross-multiplication, and each changed row is divided by the gcd
+    of its entries so the numbers stay small.
+    """
+    m = [integral(row) for row in rows]
+    if m and any(len(row) != len(m[0]) for row in m):
+        raise InvalidInput("ragged matrix")
+    m = [row for row in m if any(row)]
+    r = 0
+    while m:
+        pivot = m.pop()
+        c = next(i for i, x in enumerate(pivot) if x)
+        pc = pivot[c]
+        rest = []
+        for row in m:
+            f = row[c]
+            if f:
+                row = [pc * x - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                if g != 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        m = rest
+        r += 1
+    return r
 
 
 def kernel_basis(rows, dim: int):
@@ -134,17 +168,19 @@ def kernel_basis(rows, dim: int):
     return basis
 
 
+def integral(v):
+    """v times the lcm of its entries' denominators, as an int tuple; an
+    all-int v comes back unscaled."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    m = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (m // x.denominator) for x in v)
+
+
 def primitive(v):
     """Smallest positive integer multiple of v with coprime entries."""
-    if all(x == 0 for x in v):
+    ints = integral(v)
+    g = gcd(*ints)
+    if g == 0:
         raise InvalidInput("primitive of the zero vector is undefined")
-    fracs = [Fraction(x) for x in v]
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return ints if g == 1 else tuple(x // g for x in ints)

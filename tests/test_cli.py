@@ -215,6 +215,26 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["cone", "--weight=-1,1/0,1"],
+        ["slice", "--weight=-1,1,1", "--fix=t=abc"],
+        ["slice", "--weight=-1,1,1", "--fix=t=1/0"],
+        ["slice", "--weight=-1,1,1", "--fix=t"],
+        ["slice", "--weight=-1,1,1", "--fix=t="],
+    ], ids=["weight-zero-denominator", "fix-not-a-number", "fix-zero-denominator",
+            "fix-without-equals", "fix-empty-value"])
+    def test_bad_rational_argument_is_parse_error(self, tmp_path, capsys, args):
+        f = tmp_path / "fig1.ideal"
+        f.write_text(FIG1_FILE)
+        assert main([args[0], str(f), *args[1:]]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_zero_denominator_in_order_weights_is_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "fig1.ideal"
+        f.write_text(FIG1_FILE.replace("(-1,1,1)", "(-1,1/0,1)"))
+        assert main(["cone", str(f)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
     def test_in_process_main(self, tmp_path, capsys):
         f = tmp_path / "fig1.ideal"
         f.write_text(FIG1_FILE)

@@ -1,6 +1,9 @@
+import hashlib
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfan import (
     InvalidInput,
@@ -13,6 +16,7 @@ from tfan import (
     dim,
     equal,
     facets,
+    groebner_fan,
     initial_form,
     intersect,
     is_face,
@@ -20,9 +24,15 @@ from tfan import (
     relative_interior_point,
     weighted_ordering,
 )
+from tfan import cone
+from tfan.cli import parse_problem, render_cone
 from tfan.cone import contains_strictly
+from tfan.exact import dot, kernel_basis, primitive, rref, vadd, vneg, vscale, vsub
 
-from helpers import P, XY, XYZ, polys
+from helpers import P, XY, XYZ, polys, prime_stream_member
+
+DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "demos", "ideals")
 
 
 def section3_cone():
@@ -290,3 +300,115 @@ def test_slice_empty_fix_out_of_range():
 def test_infeasible_slice_is_empty_not_an_error():
     sl = affine_slice(make_cone(2), [(0, 1)])  # t = 1 against t <= 0
     assert sl == ((), (), ())
+
+
+# ---------------------------------------------------------------------------
+# The rational double description sweep, kept as the oracle for cone._dd
+# ---------------------------------------------------------------------------
+
+
+def adjacent_oracle(r1, r2, rays, imposed):
+    """Combinatorial adjacency: no third ray is tight on every constraint
+    tight at both r1 and r2."""
+    z = [a for a in imposed if dot(a, r1) == 0 and dot(a, r2) == 0]
+    for r in rays:
+        if r is r1 or r is r2:
+            continue
+        if all(dot(a, r) == 0 for a in z):
+            return False
+    return True
+
+
+def dd_oracle(ineq_rows, eq_rows, dim):
+    """Double description over Q with adjacency from dot products; returns
+    (rays, lineality_basis)."""
+    L = [tuple(v) for v in kernel_basis(eq_rows, dim)]
+    R = []
+    imposed = []
+    for a in ineq_rows:
+        vals_l = [dot(a, l) for l in L]
+        if any(v != 0 for v in vals_l):
+            i0 = next(i for i, v in enumerate(vals_l) if v != 0)
+            l0 = L[i0] if vals_l[i0] > 0 else vneg(L[i0])
+            v0 = abs(vals_l[i0])
+            L = [vsub(l, vscale(Fraction(dot(a, l), 1) / v0, l0))
+                 for i, l in enumerate(L) if i != i0]
+            R = [vsub(r, vscale(Fraction(dot(a, r), 1) / v0, l0)) for r in R]
+            R.append(l0)
+        else:
+            vals = [dot(a, r) for r in R]
+            if any(v < 0 for v in vals):
+                plus = [(r, v) for r, v in zip(R, vals) if v > 0]
+                zero = [r for r, v in zip(R, vals) if v == 0]
+                minus = [(r, v) for r, v in zip(R, vals) if v < 0]
+                new = [r for r, _ in plus] + zero
+                for rp, vp in plus:
+                    for rm, vm in minus:
+                        if adjacent_oracle(rp, rm, R, imposed):
+                            new.append(vadd(vscale(vp, rm), vscale(-vm, rp)))
+                R = []
+                seen = set()
+                for r in new:
+                    if any(x != 0 for x in r):
+                        p = primitive(r)
+                        if p not in seen:
+                            seen.add(p)
+                            R.append(p)
+        imposed.append(a)
+    rays = sorted({primitive(r) for r in R if any(x != 0 for x in r)})
+    lin_rows, _ = rref(L)
+    lineality = tuple(primitive(row) for row in lin_rows)
+    return tuple(rays), lineality
+
+
+def demo_fan(name):
+    with open(os.path.join(DEMO_IDEALS, name + ".ideal"), encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
+    return groebner_fan(problem.ideal(), tiebreak=problem.tiebreak)
+
+
+def rand2_fan():
+    ideal = prime_stream_member(2)
+    return groebner_fan(ideal, tiebreak=tuple(range(ideal.nvars)))
+
+
+entries = st.integers(-4, 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5), scale=st.fractions(1, 5, max_denominator=4))
+def test_dd_matches_rational_oracle(data, d, scale):
+    rows = data.draw(st.lists(st.tuples(*[entries] * d), max_size=8))
+    eqs = data.draw(st.lists(st.tuples(*[entries] * d), max_size=2))
+    # equation rows may be rational, as affine_slice passes them
+    eqs = [tuple(scale * x for x in e) for e in eqs]
+    assert cone._dd(rows, eqs, d) == dd_oracle(rows, eqs, d)
+
+
+@pytest.mark.parametrize("name", ["fig1", "flip", "linear", "worked3"])
+def test_dd_matches_rational_oracle_on_demo_facets(name):
+    for mc in demo_fan(name).maximal_cones:
+        for hc in [mc.hcone] + [f.cone for f in facets(mc.hcone)]:
+            rows = list(hc.all_ineq_rows())
+            assert cone._dd(rows, list(hc.eqs), hc.dim_ambient) == \
+                dd_oracle(rows, list(hc.eqs), hc.dim_ambient)
+
+
+# sha256 of the render_cone texts of every maximal cone, joined by newlines,
+# in fan order; recorded from the rational sweep.  Any change of ray
+# scaling, sign or order shows here.
+GOLDEN_CONES = {
+    "fig1": (3, "c6d0e427ae29cfdb0502521d874c14b2166767ada239455e6da5f28360772525"),
+    "flip": (3, "a5bd13d2921de9bee0048cb3c65268824a409dbcbb5e39f6b99660523aeb3ccc"),
+    "linear": (3, "2e906f648acbf0b3a3451dbe2ea6df5983e547ee2c05ffcb6ac5b3bf9535b11b"),
+    "worked3": (6, "9a972ba9fac1faee72663ea8f2da06128670e3e58bcfb7277ead31da0c0f381f"),
+    "rand2": (20, "cc58a3fa44240e3de82bbd03d5ed399278256333962d74b2550a696b1c597e7c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONES))
+def test_golden_cone_blocks(name):
+    fan = rand2_fan() if name == "rand2" else demo_fan(name)
+    text = "\n".join(render_cone(c.hcone) for c in fan.maximal_cones)
+    assert (len(fan.maximal_cones), hashlib.sha256(text.encode()).hexdigest()) == \
+        GOLDEN_CONES[name]

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfan import InvalidInput, extended_gcd, kernel_basis, p_valuation, primitive, rank, rref
 
@@ -95,3 +97,58 @@ def test_primitive_scaling_invariant():
 def test_primitive_rejects_zero():
     with pytest.raises(InvalidInput):
         primitive((0, 0))
+
+
+def primitive_by_fractions(v):
+    """primitive() from its definition over Q: clear denominators, then
+    divide by the gcd."""
+    fracs = [Fraction(x) for x in v]
+    denom_lcm = 1
+    for f in fracs:
+        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
+    ints = [int(f * denom_lcm) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+small_ints = st.integers(-6, 6)
+small_fractions = st.fractions(-6, 6, max_denominator=5)
+
+
+def matrices(entries):
+    return st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(st.tuples(*[entries] * ncols), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=matrices(small_ints))
+def test_rank_matches_rref_on_integer_matrices(rows):
+    assert rank(rows) == len(rref(rows)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=matrices(st.one_of(small_ints, small_fractions)))
+def test_rank_matches_rref_on_rational_matrices(rows):
+    assert rank(rows) == len(rref(rows)[0])
+
+
+def test_rank_rejects_ragged_matrix():
+    with pytest.raises(InvalidInput):
+        rank([(1, 2), (1, 2, 3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.lists(small_ints, min_size=1, max_size=6).filter(any))
+def test_primitive_of_int_vectors_matches_definition(v):
+    assert primitive(tuple(v)) == primitive_by_fractions(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.lists(st.one_of(small_ints, small_fractions), min_size=1,
+                  max_size=6).filter(any))
+def test_primitive_of_mixed_vectors_matches_definition(v):
+    out = primitive(tuple(v))
+    assert out == primitive_by_fractions(v)
+    assert all(type(x) is int for x in out)
