@@ -13,8 +13,8 @@ from tfan import (
     InredContext,
     cone_from_basis,
     contains,
+    ensure_initially_reduced,
     initial_form,
-    initially_reduced_standard_basis,
     inred_same_degree,
     is_initially_reduced,
     p_reduce,
@@ -50,7 +50,7 @@ w = (-1, 2, 0, 1)
 naive = cone_from_basis(o, F, tuple(initial_form((-1, 1, 1, 1), f) for f in F))
 print(f"naive cone contains {w}?", contains(naive, w))
 
-basis = initially_reduced_standard_basis(InredContext(2, o), F)
+basis = ensure_initially_reduced(o, F, prime=2)
 print("initially reduced basis:")
 for f in basis.elements:
     print("  ", format_poly(f, names))

@@ -41,7 +41,7 @@ from .cone import (
     is_face,
     make_cone,
 )
-from .division import DEFAULT_STEP_CAP, minimize, standard_basis
+from .division import minimize, standard_basis
 from .errors import InvalidInput, ParseError, TfanError
 from .inred import ensure_initially_reduced
 from .poly import (
@@ -405,7 +405,7 @@ def sampled_weights(rng: random.Random, n: int, count: int):
         yield (w0, *rest)
 
 
-def run_check(problem: ProblemFile, seed: int, samples: int, step_cap: int, out,
+def run_check(problem: ProblemFile, seed: int, samples: int, out,
               start_weight=None) -> int:
     """Invariant suite for one ideal; one PASS/FAIL line per check."""
     failures = 0
@@ -421,7 +421,7 @@ def run_check(problem: ProblemFile, seed: int, samples: int, step_cap: int, out,
     ideal = problem.ideal()
     n = problem.nvars
     result = fan_mod.groebner_fan(ideal, tiebreak=problem.tiebreak,
-                                  start_weight=start_weight, step_cap=step_cap)
+                                  start_weight=start_weight)
     report("fan-computed", True)
     print(f"  maximal cones: {len(result.maximal_cones)}", file=out)
 
@@ -497,9 +497,9 @@ def _weight_for(problem: ProblemFile, args) -> tuple:
     return (-1,) + (1,) * problem.nvars
 
 
-def _basis_and_initials(problem: ProblemFile, weight, step_cap):
+def _basis_and_initials(problem: ProblemFile, weight):
     ord_w = MonomialOrdering((tuple(weight),), problem.tiebreak)
-    basis = ensure_initially_reduced(ord_w, problem.gens, problem.prime, step_cap)
+    basis = ensure_initially_reduced(ord_w, problem.gens, problem.prime)
     H = tuple(initial_form(weight, g) for g in basis.elements)
     return basis, H
 
@@ -517,7 +517,6 @@ def main(argv=None) -> int:
         p.add_argument("--weight", help="weight vector, e.g. \"-1,2,-1,1\"")
         p.add_argument("--tiebreak", help="variable priority, e.g. \"x>y>z\"")
         p.add_argument("--prime", type=int, help="declare the uniformising prime")
-        p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_CAP)
         return p
 
     add("stdbasis", "minimal standard basis for the file's ordering")
@@ -548,31 +547,29 @@ def main(argv=None) -> int:
                 problem.ideal()
             except InvalidInput as exc:
                 raise ParseError(str(exc))
-        cap = args.max_steps
         if args.command == "stdbasis":
             ord_ = problem.ordering(_weight_arg(problem, args))
-            sb = minimize(ord_, standard_basis(ord_, problem.gens, cap))
+            sb = minimize(ord_, standard_basis(ord_, problem.gens))
             print(render_sb(sb.elements, problem.names))
         elif args.command == "inred":
             ord_ = problem.ordering(_weight_arg(problem, args))
-            basis = ensure_initially_reduced(ord_, problem.gens, problem.prime, cap)
+            basis = ensure_initially_reduced(ord_, problem.gens, problem.prime)
             print(render_sb(basis.elements, problem.names))
         elif args.command == "initial":
-            _, H = _basis_and_initials(problem, _weight_for(problem, args), cap)
+            _, H = _basis_and_initials(problem, _weight_for(problem, args))
             print(render_polys("INITIAL", H, problem.names))
         elif args.command == "cone":
             w = _weight_for(problem, args)
-            basis, H = _basis_and_initials(problem, w, cap)
+            basis, H = _basis_and_initials(problem, w)
             hc = cone_from_basis(basis.ordering, basis.elements, H)
             print(render_cone(hc))
         elif args.command == "fan":
             result = fan_mod.groebner_fan(problem.ideal(), tiebreak=problem.tiebreak,
-                                          start_weight=_weight_arg(problem, args),
-                                          step_cap=cap)
+                                          start_weight=_weight_arg(problem, args))
             print(render_fan(result, problem.names))
         elif args.command == "slice":
             w = _weight_for(problem, args)
-            basis, H = _basis_and_initials(problem, w, cap)
+            basis, H = _basis_and_initials(problem, w)
             hc = cone_from_basis(basis.ordering, basis.elements, H)
             fixed = []
             name_to_coord = {"t": 0, **{nm: 1 + i for i, nm in enumerate(problem.names)}}
@@ -580,7 +577,7 @@ def main(argv=None) -> int:
                 fixed.append(_parse_fix(part, name_to_coord))
             print(render_slice(affine_slice(hc, fixed)))
         elif args.command == "check":
-            failures = run_check(problem, args.seed, args.samples, cap, sys.stdout,
+            failures = run_check(problem, args.seed, args.samples, sys.stdout,
                                  start_weight=_weight_arg(problem, args))
             return 1 if failures else 0
         return 0

@@ -336,9 +336,6 @@ class GroebnerCone:
     initial_forms: tuple[Polynomial, ...]
     interior_weight: Vec
 
-    def leading_ideal_generators(self) -> tuple[Polynomial, ...]:
-        return self.initial_forms
-
     def canonical_key(self):
         return (self.data.rays, self.data.lineality)
 

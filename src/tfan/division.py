@@ -8,8 +8,7 @@ Three engines live here:
   divisibility over Z: coefficient divides and exponents are componentwise
   <=).  Terms nobody divides move to the remainder.  Termination is
   guaranteed when dividend and divisors are x-homogeneous and weighted
-  homogeneous for one weight with negative t-entry; a step cap converts any
-  other use into a diagnosable error.
+  homogeneous for one weight with negative t-entry.
 
 * ``mora_weak_nf`` -- weak normal form with a unit multiplier u, lt(u) = 1.
   t-local orderings are not well-founded (1 > t > t^2 > ...), so plain tail
@@ -23,6 +22,13 @@ Three engines live here:
   are generated by terms, not monomials).  The output is strong: every
   leading term of an ideal element is term-divisible by some basis leading
   term, which is what makes single-divisor division above sufficient.
+
+Every loop here is bounded by the one module constant ``STEP_CAP``.  It
+guards against faults and is not a tuning value: the homogenised completion
+and determinate division terminate on their documented inputs, and the cap
+turns any other run into ``DivisionDiverged`` instead of a hang.  Loops read
+``division.STEP_CAP`` when they run, so lowering that one attribute (as the
+tests do) lowers every cap, the one in ``inred`` included.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .poly import (
     term_divides,
 )
 
-DEFAULT_STEP_CAP = 10**6
+STEP_CAP = 10**6
 
 
 class DivisionResult(NamedTuple):
@@ -72,8 +78,8 @@ def ecart(ord_: MonomialOrdering, f: Polynomial) -> int:
     return max(t.exp[0] for t in f.terms) - lt.exp[0]
 
 
-def hddwr(ord_: MonomialOrdering, f: Polynomial, divisors: Sequence[Polynomial],
-          step_cap: int = DEFAULT_STEP_CAP) -> DivisionResult:
+def hddwr(ord_: MonomialOrdering, f: Polynomial,
+          divisors: Sequence[Polynomial]) -> DivisionResult:
     """Determinate division f = sum q_i g_i + r, no term of r divisible."""
     lts = [leading_term(ord_, g) for g in divisors]
     quotients = [Polynomial.zero() for _ in divisors]
@@ -92,16 +98,16 @@ def hddwr(ord_: MonomialOrdering, f: Polynomial, divisors: Sequence[Polynomial],
             rem_parts.append((t.coeff, t.exp))
             h = Polynomial(tuple(u for u in h.terms if u.exp != t.exp))
         steps += 1
-        if steps > step_cap:
+        if steps > STEP_CAP:
             raise DivisionDiverged(
-                f"determinate division exceeded {step_cap} steps",
+                f"determinate division exceeded {STEP_CAP} steps",
                 trace=[str(t.exp) for t in h.terms[:4]],
             )
     return DivisionResult(tuple(quotients), Polynomial.from_terms(rem_parts))
 
 
-def mora_weak_nf(ord_: MonomialOrdering, f: Polynomial, divisors: Sequence[Polynomial],
-                 step_cap: int = DEFAULT_STEP_CAP) -> WeakNFResult:
+def mora_weak_nf(ord_: MonomialOrdering, f: Polynomial,
+                 divisors: Sequence[Polynomial]) -> WeakNFResult:
     """Weak normal form u*f = sum q_i g_i + r with lt(u) = 1.
 
     Reducer choice among the eligible: minimal t-ecart, then smallest
@@ -143,9 +149,9 @@ def mora_weak_nf(ord_: MonomialOrdering, f: Polynomial, divisors: Sequence[Polyn
             u = u - u_s.term_mul(m.coeff, m.exp)
             q = [qi - qs.term_mul(m.coeff, m.exp) for qi, qs in zip(q, q_s)]
         steps += 1
-        if steps > step_cap:
+        if steps > STEP_CAP:
             raise DivisionDiverged(
-                f"weak normal form exceeded {step_cap} steps",
+                f"weak normal form exceeded {STEP_CAP} steps",
                 trace=[str(t.exp) for t in h.terms[:4]],
             )
     return WeakNFResult(u, tuple(q), h)
@@ -228,7 +234,7 @@ def _dehomogenize(f: Polynomial) -> Polynomial:
     return Polynomial.from_terms([(c, e[1:]) for c, e in f.terms])
 
 
-def _head_reduce(key, h: Polynomial, basis, step_cap) -> Polynomial:
+def _head_reduce(key, h: Polynomial, basis) -> Polynomial:
     """Weak head reduction under a global order: stop at the first leading
     term no basis leading term divides.
 
@@ -255,13 +261,12 @@ def _head_reduce(key, h: Polynomial, basis, step_cap) -> Polynomial:
             else:
                 del acc[ge]
         steps += 1
-        if steps > step_cap:
-            raise DivisionDiverged(f"head reduction exceeded {step_cap} steps")
+        if steps > STEP_CAP:
+            raise DivisionDiverged(f"head reduction exceeded {STEP_CAP} steps")
     return Polynomial.zero()
 
 
-def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial],
-                   step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> StandardBasis:
     """Strong standard basis of <gens> w.r.t. a t-local ordering.
 
     The completion runs on the t-degree homogenisation with both S- and
@@ -310,13 +315,13 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial],
         for h in candidates:
             if h.is_zero:
                 continue
-            r = _head_reduce(key, h, list(zip(lts, G)), step_cap)
+            r = _head_reduce(key, h, list(zip(lts, G)))
             if r.is_zero:
                 continue
             add(r)
         guard += 1
-        if guard > step_cap:
-            raise DivisionDiverged(f"pair processing exceeded {step_cap} pairs")
+        if guard > STEP_CAP:
+            raise DivisionDiverged(f"pair processing exceeded {STEP_CAP} pairs")
     out: list[Polynomial] = []
     for h in G:
         f = normalize_element(ord_, _dehomogenize(h))

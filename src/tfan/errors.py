@@ -32,7 +32,7 @@ class ParseError(TfanError):
 
 
 class DivisionDiverged(TfanError):
-    """A division/normal-form loop exceeded its step cap.
+    """A division/normal-form loop exceeded the fixed ``division.STEP_CAP``.
 
     Carries a short trace of the last reduction states for diagnosis.
     """
@@ -43,7 +43,13 @@ class DivisionDiverged(TfanError):
 
 
 class InredDiverged(TfanError):
-    """Initial reduction exceeded its step cap (generic regime only)."""
+    """Generic-regime initial reduction diverged.
+
+    The message names the element, the skeleton term and the weight, and the
+    bound that tripped: the t-degree limit (on every known divergent input)
+    or the fixed ``division.STEP_CAP``.  Declaring a prime, with p - t in the
+    ideal, guarantees termination.
+    """
 
 
 class RegimeError(TfanError):

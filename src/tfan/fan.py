@@ -35,13 +35,7 @@ from .cone import (
     facets,
     relative_interior_point,
 )
-from .division import (
-    DEFAULT_STEP_CAP,
-    StandardBasis,
-    hddwr,
-    minimize,
-    standard_basis,
-)
+from .division import StandardBasis, hddwr, minimize, standard_basis
 from .errors import InvalidInput, NonGenericWeight, WitnessFailed
 from .inred import ensure_initially_reduced, initially_reduce
 from .poly import (
@@ -49,7 +43,6 @@ from .poly import (
     MonomialOrdering,
     Polynomial,
     initial_form,
-    is_x_homogeneous,
     leading_term,
 )
 
@@ -63,7 +56,7 @@ class Fan:
 
 
 def witness(h: Polynomial, H: Sequence[Polynomial], G: Sequence[Polynomial],
-            ord_: MonomialOrdering, step_cap: int = DEFAULT_STEP_CAP) -> Polynomial:
+            ord_: MonomialOrdering) -> Polynomial:
     """Element of the ideal whose initial form at the shared weight is h.
 
     h is divided determinately by the initial forms H; replaying the
@@ -73,7 +66,7 @@ def witness(h: Polynomial, H: Sequence[Polynomial], G: Sequence[Polynomial],
     """
     if len(H) != len(G):
         raise InvalidInput("initial forms and basis differ in length")
-    q, r = hddwr(ord_, h, H, step_cap)
+    q, r = hddwr(ord_, h, H)
     if not r.is_zero:
         raise WitnessFailed("division by the initial forms left a remainder")
     f = Polynomial.zero()
@@ -83,8 +76,7 @@ def witness(h: Polynomial, H: Sequence[Polynomial], G: Sequence[Polynomial],
 
 
 def lift(H_new: Sequence[Polynomial], ord_new: MonomialOrdering,
-         H: Sequence[Polynomial], G: StandardBasis, ord_: MonomialOrdering,
-         step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+         H: Sequence[Polynomial], G: StandardBasis, ord_: MonomialOrdering) -> StandardBasis:
     """Lift a standard basis of the initial ideal to one of the full ideal.
 
     Every element of ``H_new`` is witnessed through the old basis; the
@@ -92,12 +84,12 @@ def lift(H_new: Sequence[Polynomial], ord_new: MonomialOrdering,
     terms as ``H_new``.  It is initially reduced, without a new completion,
     by the cone constructor.
     """
-    lifted = tuple(witness(h, H, G.elements, ord_, step_cap) for h in H_new)
+    lifted = tuple(witness(h, H, G.elements, ord_) for h in H_new)
     return StandardBasis(lifted, ord_new)
 
 
 def flip(G: StandardBasis, H: Sequence[Polynomial], v, ord_: MonomialOrdering,
-         w, step_cap: int = DEFAULT_STEP_CAP) -> tuple[StandardBasis, MonomialOrdering]:
+         w) -> tuple[StandardBasis, MonomialOrdering]:
     """Cross the facet with relative interior point w and outer normal v.
 
     The weight-chain ordering (w, v) with the old tiebreak stands in for the
@@ -107,13 +99,12 @@ def flip(G: StandardBasis, H: Sequence[Polynomial], v, ord_: MonomialOrdering,
     if w[0] >= 0:
         raise InvalidInput("facet interior point must have negative t-entry")
     ord_new = MonomialOrdering((tuple(w), tuple(v)), ord_.tiebreak)
-    H_new = minimize(ord_new, standard_basis(ord_new, H, step_cap))
-    return lift(H_new.elements, ord_new, H, G, ord_, step_cap), ord_new
+    H_new = minimize(ord_new, standard_basis(ord_new, H))
+    return lift(H_new.elements, ord_new, H, G, ord_), ord_new
 
 
 def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
-                     prime: int | None = None,
-                     step_cap: int = DEFAULT_STEP_CAP) -> GroebnerCone:
+                     prime: int | None = None) -> GroebnerCone:
     """Maximal Groebner cone of the ordering's first weight.
 
     The weight must be generic, i.e. lie in the open equivalence class of a
@@ -124,7 +115,7 @@ def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
     if not ordering.weights or ordering.weights[0][0] >= 0:
         raise InvalidInput("need a weighted ordering with negative t-entry")
     w = ordering.weights[0]
-    basis = ensure_initially_reduced(ordering, gens, prime, step_cap)
+    basis = ensure_initially_reduced(ordering, gens, prime)
     H = tuple(initial_form(w, g) for g in basis.elements)
     hc = cone_from_basis(ordering, basis.elements, H)
     if hc.eqs:
@@ -133,7 +124,7 @@ def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
 
 
 def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
-                        prime: int | None, step_cap: int) -> GroebnerCone:
+                        prime: int | None) -> GroebnerCone:
     """Build the maximal cone on the far side of a flip.
 
     The lifted basis is already a standard basis under the new ordering, so
@@ -142,7 +133,7 @@ def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
     leading terms as initial forms, and the ordering is re-anchored to a
     single interior weight so chains do not accumulate across many flips.
     """
-    basis = initially_reduce(ord_new, G_new, prime, step_cap)
+    basis = initially_reduce(ord_new, G_new, prime)
     lts = tuple(Polynomial.term(*leading_term(ord_new, g)) for g in basis.elements)
     hc = cone_from_basis(ord_new, basis.elements, lts)
     assert not hc.eqs, "leading terms cannot produce equations"
@@ -178,17 +169,13 @@ def _perturbed(base, k):
     )
 
 
-def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None,
-                 step_cap: int = DEFAULT_STEP_CAP) -> Fan:
+def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None) -> Fan:
     """All maximal Groebner cones of an x-homogeneous ideal, with adjacency.
 
     Breadth-first facet traversal with containment-based deduplication: a
     facet is crossed only when its relative interior point is in no known
     cone; otherwise the containing cone is recorded as adjacent.
     """
-    for g in ideal.gens:
-        if not is_x_homogeneous(g):
-            raise InvalidInput("generators must be x-homogeneous")
     n = ideal.nvars
     perm = tuple(tiebreak) if tiebreak is not None else tuple(range(n))
     base_ord = _start_ordering(n, perm, start_weight)
@@ -198,7 +185,7 @@ def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None,
         try:
             w = base_w if k == 0 else _perturbed(base_w, k)
             start = groebner_cone_at(MonomialOrdering((w,), perm), ideal.gens,
-                                     ideal.prime, step_cap)
+                                     ideal.prime)
             break
         except NonGenericWeight:
             continue
@@ -220,8 +207,8 @@ def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None,
             if j is None:
                 H = tuple(initial_form(wpt, g) for g in cone.basis.elements)
                 flipped, ord_new = flip(cone.basis, H, facet.outer_normal,
-                                        cone.basis.ordering, wpt, step_cap)
-                cones.append(_cone_from_adjacent(flipped, ord_new, ideal.prime, step_cap))
+                                        cone.basis.ordering, wpt)
+                cones.append(_cone_from_adjacent(flipped, ord_new, ideal.prime))
                 j = len(cones) - 1
                 queue.append(j)
             adjacency.setdefault(frozenset((idx, j)), facet.cone)

@@ -17,16 +17,17 @@ Two regimes:
   bottom up.
 
 * generic regime: ``generic_initial_reduce`` chases skeleton tail terms
-  directly.  Termination is not guaranteed without p - t; a step cap turns
-  divergence into ``InredDiverged``.  Dividing out Z[[t]]-unit content after
-  each elimination resolves the common benign loops (for example a pair like
+  directly.  Termination is not guaranteed without p - t; a t-degree limit
+  (and, behind it, the fixed ``division.STEP_CAP``) turns divergence into
+  ``InredDiverged``.  Dividing out Z[[t]]-unit content after each
+  elimination resolves the common benign loops (for example a pair like
   {x + t*y, y + t*x} reduces to {x, y} instead of cycling).
 
 ``initially_reduce`` is the one path from a known standard basis to an
 initially reduced one, in either regime; it never completes again.  The fan
-traversal calls it on lifted bases.  ``initially_reduced_standard_basis``
-and ``ensure_initially_reduced`` start from generators: they complete first,
-then call it.
+traversal calls it on lifted bases.  ``ensure_initially_reduced`` is the one
+entry from generators: it completes, checks that p - t lies in the ideal
+when a prime is declared, then calls ``initially_reduce``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import division
 from .division import (
-    DEFAULT_STEP_CAP,
     StandardBasis,
     minimize,
     mora_weak_nf,
@@ -51,6 +52,7 @@ from .poly import (
     is_x_homogeneous,
     leading_term,
     mul_tpoly,
+    p_minus_t,
     strip_unit_t_content,
     t_coefficient,
     t_skeleton,
@@ -98,9 +100,7 @@ class InredContext:
             raise InvalidInput(f"{self.p} is not prime")
 
     def p_minus_t(self, nvars: int) -> Polynomial:
-        return Polynomial.from_terms(
-            [(self.p, (0,) * (1 + nvars)), (-1, (1,) + (0,) * nvars)]
-        )
+        return p_minus_t(self.p, nvars)
 
 
 def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
@@ -182,19 +182,26 @@ def inred_same_degree(ctx: InredContext, G: Sequence[Polynomial]) -> list[Polyno
                 continue
             ci = t_coefficient(g[i], alpha[i])
             assert tpoly_min_beta(cj) >= beta[i], "t-divisibility guaranteed by ordering"
-            g[j] = mul_tpoly(g[j], tpoly_shift(ci, -beta[i])) \
-                 - mul_tpoly(g[i], tpoly_shift(cj, -beta[i]))
-            g[j] = p_reduce(ctx, g[j])
+            g[j] = p_reduce(ctx, _cross_eliminate(g[j], cj, g[i], ci, beta[i]))
     for i in range(k):
         for j in range(i + 1, k):
             ci = t_coefficient(g[i], alpha[j])
             if not ci or tpoly_min_beta(ci) < beta[j]:
                 continue
             cj = t_coefficient(g[j], alpha[j])
-            g[i] = mul_tpoly(g[i], tpoly_shift(cj, -beta[j])) \
-                 - mul_tpoly(g[j], tpoly_shift(ci, -beta[j]))
-            g[i] = p_reduce(ctx, g[i])
+            g[i] = p_reduce(ctx, _cross_eliminate(g[i], ci, g[j], cj, beta[j]))
     return g
+
+
+def _cross_eliminate(g: Polynomial, c_g, h: Polynomial, c_h, beta: int) -> Polynomial:
+    """c_h(t)/t^beta * g - c_g(t)/t^beta * h.
+
+    c_g and c_h are the Z[t]-coefficients of g and h at the x-monomial being
+    cleared, h's leading term sits at t^beta there, and t^beta divides c_g;
+    the combination has no term at that x-monomial.  This is the one
+    cross-multiplication step of initial reduction.
+    """
+    return mul_tpoly(g, tpoly_shift(c_h, -beta)) - mul_tpoly(h, tpoly_shift(c_g, -beta))
 
 
 def _check_cross(ord_, G, H):
@@ -276,8 +283,7 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
 
 
 def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
-                     prime: int | None = None,
-                     step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+                     prime: int | None = None) -> StandardBasis:
     """Minimal initially reduced standard basis from a known standard basis.
 
     ``basis`` must already be a standard basis w.r.t. ``ord_``; nothing is
@@ -296,7 +302,7 @@ def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
         raise InvalidInput("empty standard basis")
     basis = StandardBasis(tuple(normalize_element(ord_, g) for g in basis.elements), ord_)
     if prime is None:
-        return generic_initial_reduce(ord_, basis, step_cap)
+        return generic_initial_reduce(ord_, basis)
     ctx = InredContext(prime, ord_)
     pt = ctx.p_minus_t(basis.elements[0].nvars)
     monic: list[Polynomial] = []
@@ -320,29 +326,6 @@ def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
     return StandardBasis(tuple(done) + (pt,), ord_)
 
 
-def initially_reduced_standard_basis(ctx: InredContext, F: Sequence[Polynomial],
-                                     step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
-    """Minimal initially reduced standard basis of <F>, prime regime.
-
-    Computes a strong standard basis, checks that p - t lies in the ideal,
-    then hands the basis to ``initially_reduce``.  Membership is decided
-    exactly, with no normal form, when p - t is one of the generators (as
-    ``Ideal`` and the problem parser guarantee); otherwise the weak normal
-    form of p - t against the basis must vanish.
-    """
-    gens = [f for f in F if not f.is_zero]
-    if not gens:
-        raise InvalidInput("empty generating set")
-    sb = standard_basis(ctx.ord, gens, step_cap)
-    pt = ctx.p_minus_t(gens[0].nvars)
-    if (pt not in gens
-            and not mora_weak_nf(ctx.ord, pt, sb.elements, step_cap).remainder.is_zero):
-        raise RegimeError(
-            f"{ctx.p} - t does not lie in the ideal; use generic_initial_reduce"
-        )
-    return initially_reduce(ctx.ord, sb, ctx.p, step_cap)
-
-
 def _eliminate_tail(ord_, g, lt_g, term, h, lt_h):
     """One elimination of a reducible skeleton tail term of g against h.
 
@@ -361,8 +344,7 @@ def _eliminate_tail(ord_, g, lt_g, term, h, lt_h):
         b = t_coefficient(h, lt_h.exp[1:])
         beta = lt_h.exp[0]
         shift = (0,) + tuple(x - y for x, y in zip(alpha, lt_h.exp[1:]))
-        out = mul_tpoly(g, tpoly_shift(b, -beta)) \
-            - mul_tpoly(h.term_mul(1, shift), tpoly_shift(a, -beta))
+        out = _cross_eliminate(g, a, h.term_mul(1, shift), b, beta)
         if lt_h.coeff < 0:
             out = -out
         return out
@@ -379,14 +361,25 @@ def _fmt_term(term) -> str:
     return f"{term.coeff}*t^{term.exp[0]}*x^{_fmt_vector(term.exp[1:])}"
 
 
-def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis,
-                           step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+def _diverged(ord_, term, lt_g, bound) -> InredDiverged:
+    weight = _fmt_vector(ord_.weights[0]) if ord_.weights else "(none)"
+    return InredDiverged(
+        f"generic initial reduction diverged at weight {weight}: eliminating "
+        f"skeleton term {_fmt_term(term)} from the element with leading term "
+        f"{_fmt_term(lt_g)}, {bound} (no p - t in the ideal guarantees "
+        "termination); declare a prime"
+    )
+
+
+def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis) -> StandardBasis:
     """Initially reduce a minimal standard basis without a declared prime.
 
     Repeatedly eliminates the compare-greatest reducible skeleton tail term
     (whole-coefficient elimination against monic reducers, single-term
     subtraction otherwise); unit t-content is stripped after every step.
-    Termination is not guaranteed in this regime, so the loop is capped.
+    Termination is not guaranteed in this regime, so the loop is bounded by
+    a t-degree limit and by ``division.STEP_CAP``; ``InredDiverged`` names
+    the bound that tripped.
     """
     elems = list(minimize(ord_, basis).elements)
     # Divergence in this regime shows up as unbounded t-degree growth (each
@@ -421,18 +414,15 @@ def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis,
                         reduced_one = True
                         progress = True
                         steps += 1
-                        if steps > step_cap or \
-                                max(t.exp[0] for t in g.terms) > degree_limit:
-                            weight = _fmt_vector(ord_.weights[0]) \
-                                if ord_.weights else "(none)"
-                            raise InredDiverged(
-                                "generic initial reduction diverged at weight "
-                                f"{weight}: eliminating skeleton term "
-                                f"{_fmt_term(term)} from the element with leading "
-                                f"term {_fmt_term(lt_g)} (no p - t in the ideal "
-                                "guarantees termination); declare a prime or "
-                                "raise the step cap"
-                            )
+                        degree = max(t.exp[0] for t in g.terms)
+                        if degree > degree_limit:
+                            raise _diverged(ord_, term, lt_g,
+                                            f"its t-degree reached {degree}, past the "
+                                            f"t-degree limit {degree_limit}")
+                        if steps > division.STEP_CAP:
+                            raise _diverged(ord_, term, lt_g,
+                                            f"the reduction passed {division.STEP_CAP} "
+                                            "elimination steps")
                         break
                     if reduced_one:
                         break
@@ -459,10 +449,24 @@ def is_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial])
 
 
 def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial],
-                             prime: int | None = None,
-                             step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
-    """Regime dispatch: complete <elements> to a standard basis w.r.t. ord_,
-    then initially reduce it, using the prime pipeline when one is declared."""
+                             prime: int | None = None) -> StandardBasis:
+    """Minimal initially reduced standard basis of <elements> w.r.t. ord_.
+
+    The one entry from generators: computes a strong standard basis, checks
+    that p - t lies in the ideal when a prime is declared, then hands the
+    basis to ``initially_reduce``.  Membership is decided exactly, with no
+    normal form, when p - t is one of the generators (as ``Ideal`` and the
+    problem parser guarantee); otherwise the weak normal form of p - t
+    against the basis must vanish.
+    """
+    gens = [f for f in elements if not f.is_zero]
+    if not gens:
+        raise InvalidInput("empty generating set")
+    sb = standard_basis(ord_, gens)
     if prime is not None:
-        return initially_reduced_standard_basis(InredContext(prime, ord_), elements, step_cap)
-    return initially_reduce(ord_, standard_basis(ord_, elements, step_cap), None, step_cap)
+        pt = InredContext(prime, ord_).p_minus_t(gens[0].nvars)
+        if pt not in gens and not mora_weak_nf(ord_, pt, sb.elements).remainder.is_zero:
+            raise RegimeError(
+                f"{prime} - t does not lie in the ideal; use generic_initial_reduce"
+            )
+    return initially_reduce(ord_, sb, prime)

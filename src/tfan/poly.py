@@ -341,14 +341,6 @@ def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
     return max(f.terms, key=lambda t: ord_.key(t.exp))
 
 
-def leading_monomial(ord_: MonomialOrdering, f: Polynomial) -> Exp:
-    return leading_term(ord_, f).exp
-
-
-def leading_coefficient(ord_: MonomialOrdering, f: Polynomial) -> int:
-    return leading_term(ord_, f).coeff
-
-
 def tail(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
     if f.is_zero:
         return f
@@ -501,6 +493,11 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def p_minus_t(p: int, nvars: int) -> Polynomial:
+    """The polynomial p - t in Z[t, x1..xn]."""
+    return Polynomial.from_terms([(p, (0,) * (1 + nvars)), (-1, (1,) + (0,) * nvars)])
+
+
 @dataclass(frozen=True)
 class Ideal:
     """Generators of an x-homogeneous ideal, with an optional declared prime.
@@ -525,16 +522,11 @@ class Ideal:
         if self.prime is not None:
             if self.prime < 2:
                 raise InvalidInput("prime must be >= 2")
-            pt = Polynomial.from_terms(
-                [(self.prime, (0,) * (1 + self.nvars)), (-1, (1,) + (0,) * self.nvars)]
-            )
-            if pt not in self.gens:
+            if p_minus_t(self.prime, self.nvars) not in self.gens:
                 raise InvalidInput("declared prime p requires p - t among the generators")
 
     @property
     def p_minus_t(self) -> Polynomial | None:
         if self.prime is None:
             return None
-        return Polynomial.from_terms(
-            [(self.prime, (0,) * (1 + self.nvars)), (-1, (1,) + (0,) * self.nvars)]
-        )
+        return p_minus_t(self.prime, self.nvars)

@@ -22,8 +22,8 @@ from tfan import (
     flip,
     gpair,
     groebner_fan,
+    ensure_initially_reduced,
     initial_form,
-    initially_reduced_standard_basis,
     inred_same_degree,
     intersect,
     is_face,
@@ -72,7 +72,7 @@ def random_fans():
     fans = []
     for _ in range(5):
         ideal = random_prime_ideal(rng)
-        fans.append(groebner_fan(ideal, step_cap=500000))
+        fans.append(groebner_fan(ideal))
     return fans
 
 
@@ -151,7 +151,7 @@ def test_criterion_4_initial_reduction_necessity():
     assert not is_initially_reduced(o, F)
     from tfan.cone import cone_from_basis
     naive = cone_from_basis(o, F, tuple(initial_form((-1, 1, 1, 1), g) for g in F))
-    basis = initially_reduced_standard_basis(InredContext(2, o), F)
+    basis = ensure_initially_reduced(o, F, 2)
     reduced = cone_from_basis(o, basis.elements,
                               tuple(initial_form((-1, 1, 1, 1), g) for g in basis.elements))
     w = (-1, 2, 0, 1)

@@ -146,11 +146,14 @@ class TestCommands:
         assert "parse error" in res.stderr
 
     def test_computation_error_exit_code(self, tmp_path):
-        f = tmp_path / "cycle.ideal"
-        f.write_text("ring t; x, y\nideal\n  x + t*y\n  y + t*x\nend\n")
-        res = run_cli(["inred", str(f), "--max-steps=1"])
+        # generic-stream member 17: initial reduction diverges without a prime
+        f = tmp_path / "diverges.ideal"
+        f.write_text("ring t; x, y, z\nideal\n  -x*y - x^2 + 3*t^2*z^2\n"
+                     "  -3*t^2*z + 3*t*z\nend\n")
+        res = run_cli(["inred", str(f)])
         assert res.returncode == 1
-        assert "error" in res.stderr
+        assert "error: InredDiverged" in res.stderr
+        assert "t-degree limit 48" in res.stderr
 
     def test_inred_command(self, tmp_path):
         f = tmp_path / "flip.ideal"
@@ -214,6 +217,14 @@ class TestCommands:
             main([command, str(f), "--threads=4"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_max_steps_flag_rejected(self, capsys):
+        # the step cap is the fixed division.STEP_CAP, not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["fan", os.path.join(REPO, "demos", "ideals", "flip.ideal"),
+                  "--max-steps=5"])
+        assert exc.value.code == 2
+        assert "--max-steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["cone", "--weight=-1,1/0,1"],

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tfan.division
 from tfan import (
+    DivisionDiverged,
     MonomialOrdering,
     Polynomial,
     StandardBasis,
@@ -213,6 +215,31 @@ class TestMinimize:
         o = lex_ordering(2)
         sb = StandardBasis(polys(XY, "x", "y"), o)
         assert set(minimize(o, sb).elements) == set(sb.elements)
+
+
+class TestStepCap:
+    """Every capped loop reads the one module attribute division.STEP_CAP
+    when it runs, so lowering it there reaches them all."""
+
+    def test_standard_basis_diverges_past_the_cap(self, monkeypatch):
+        o = weighted_ordering((-1, 1, 1), 2)
+        F = polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
+        standard_basis(o, F)
+        monkeypatch.setattr(tfan.division, "STEP_CAP", 2)
+        with pytest.raises(DivisionDiverged, match=r"exceeded 2 (steps|pairs)"):
+            standard_basis(o, F)
+
+    @pytest.mark.parametrize("divide, loop", [
+        (hddwr, "determinate division"),
+        (mora_weak_nf, "weak normal form"),
+    ], ids=["hddwr", "mora_weak_nf"])
+    def test_division_diverges_past_the_cap(self, monkeypatch, divide, loop):
+        o = lex_ordering(2)
+        f, G = P("x^2 + x*y + y^2", XY), polys(XY, "x", "y")
+        assert divide(o, f, G).remainder.is_zero
+        monkeypatch.setattr(tfan.division, "STEP_CAP", 2)
+        with pytest.raises(DivisionDiverged, match=f"{loop} exceeded 2 steps"):
+            divide(o, f, G)
 
 
 # Printed standard bases of rand1 and rand2 (members 1 and 2 of the stream)

@@ -9,8 +9,8 @@ from tfan import (
     Polynomial,
     RegimeError,
     StandardBasis,
+    ensure_initially_reduced,
     generic_initial_reduce,
-    initially_reduced_standard_basis,
     inred_same_degree,
     inred_step_by_step,
     is_initially_reduced,
@@ -201,44 +201,44 @@ class TestCrossDegree:
 
 class TestDriver:
     def test_p_minus_t_alone(self):
-        ctx = InredContext(2, weighted_ordering((-1, 1, 1), 2))
-        basis = initially_reduced_standard_basis(ctx, polys(XY, "2 - t"))
+        o = weighted_ordering((-1, 1, 1), 2)
+        basis = ensure_initially_reduced(o, polys(XY, "2 - t"), 2)
         assert basis.elements == (P("2 - t", XY),)
 
     def test_section3_driver(self):
-        ctx = InredContext(2, weighted_ordering((-1, 1, 1, 1), 3))
+        o = weighted_ordering((-1, 1, 1, 1), 3)
         F = polys(XYZ, "2 - t", "x + t^2*y + t^3*z", "y + t*x + t^2*z")
-        basis = initially_reduced_standard_basis(ctx, F)
+        basis = ensure_initially_reduced(o, F, 2)
         assert set(basis.elements) == set(polys(
             XYZ, "x - t^3*x + t^3*z - t^4*z", "y - t^3*y + t^2*z - t^4*z", "2 - t"))
-        assert is_initially_reduced(ctx.ord, basis.elements)
+        assert is_initially_reduced(o, basis.elements)
 
     def test_flip_example_driver(self):
-        ctx = InredContext(2, weighted_ordering((-1, 1, 1), 2))
+        o = weighted_ordering((-1, 1, 1), 2)
         F = polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
-        basis = initially_reduced_standard_basis(ctx, F)
+        basis = ensure_initially_reduced(o, F, 2)
         assert set(basis.elements) == set(polys(
             XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2", "t^3*y^4"))
 
     def test_regime_error_when_p_minus_t_missing(self):
-        ctx = InredContext(3, weighted_ordering((-1, 1, 1), 2))
+        o = weighted_ordering((-1, 1, 1), 2)
         with pytest.raises(RegimeError):
-            initially_reduced_standard_basis(ctx, polys(XY, "x"))
+            ensure_initially_reduced(o, polys(XY, "x"), 3)
 
     def test_p_minus_t_found_by_normal_form_when_not_a_generator(self):
         # (2 - t)(1 + t) generates the same ideal of Z[[t]][x] as 2 - t
-        ctx = InredContext(2, weighted_ordering((-1, 1, 1), 2))
+        o = weighted_ordering((-1, 1, 1), 2)
         F = polys(XY, "2 + t - t^2", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
-        basis = initially_reduced_standard_basis(ctx, F)
+        basis = ensure_initially_reduced(o, F, 2)
         assert P("2 - t", XY) in basis.elements
 
     def test_leading_ideal_matches_unreduced_basis(self):
-        ctx = InredContext(2, weighted_ordering((-1, 1, 1), 2))
+        o = weighted_ordering((-1, 1, 1), 2)
         F = polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
-        basis = initially_reduced_standard_basis(ctx, F)
-        raw = minimize(ctx.ord, standard_basis(ctx.ord, F))
-        assert {leading_term(ctx.ord, g) for g in basis.elements} == \
-               {leading_term(ctx.ord, g) for g in raw.elements}
+        basis = ensure_initially_reduced(o, F, 2)
+        raw = minimize(o, standard_basis(o, F))
+        assert {leading_term(o, g) for g in basis.elements} == \
+               {leading_term(o, g) for g in raw.elements}
 
 
 class TestGenericReduce:
@@ -266,6 +266,16 @@ class TestGenericReduce:
         sb = standard_basis(o, polys(XY, "x + t*y", "y + t*x"))
         red = generic_initial_reduce(o, minimize(o, sb))
         assert set(red.elements) == set(polys(XY, "x", "y"))
+
+    def test_lowered_cap_names_the_step_count(self, monkeypatch):
+        import tfan.division
+        from tfan import InredDiverged
+        o = weighted_ordering((-1, 1, 1), 2)
+        sb = minimize(o, standard_basis(o, polys(XY, "x + t*y", "y + t*x")))
+        monkeypatch.setattr(tfan.division, "STEP_CAP", 1)
+        with pytest.raises(InredDiverged, match="passed 1 elimination steps") as exc:
+            generic_initial_reduce(o, sb)
+        assert "t-degree limit" not in str(exc.value)
 
     def test_whole_coefficient_elimination_finds_unit_combination(self):
         # past the facet, lt of the y-element flips to t^2*z; clearing the
@@ -305,6 +315,9 @@ class TestGenericReduce:
         assert "at weight (-1, 1, 1, 1)" in message
         assert "from the element with leading term 1*t^2*x^(0, 1, 0)" in message
         assert "eliminating skeleton term 2*t^48*x^(0, 0, 1)" in message
+        assert "t-degree limit 48" in message
+        assert "declare a prime" in message
+        assert "step cap" not in message
 
 
 class TestIsInitiallyReduced:
