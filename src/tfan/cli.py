@@ -31,16 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fan as fan_mod
-from .cone import (
-    HCone,
-    affine_slice,
-    cone_from_basis,
-    contains,
-    dd_rays,
-    intersect,
-    is_face,
-    make_cone,
-)
+from .cone import HCone, affine_slice, cone_from_basis, dd_rays, make_cone
 from .division import minimize, standard_basis
 from .errors import InvalidInput, ParseError, TfanError
 from .inred import ensure_initially_reduced
@@ -50,7 +41,6 @@ from .poly import (
     Polynomial,
     initial_form,
     is_x_homogeneous,
-    max_weight_part,
 )
 
 # ---------------------------------------------------------------------------
@@ -183,9 +173,8 @@ class ProblemFile:
     def ordering(self, weight_override=None) -> MonomialOrdering:
         if weight_override is not None:
             return MonomialOrdering((tuple(weight_override),), self.tiebreak)
-        if self.weights:
-            return MonomialOrdering(self.weights, self.tiebreak)
-        return MonomialOrdering(((-1,) + (1,) * self.nvars,), self.tiebreak)
+        return MonomialOrdering(self.weights or (fan_mod.default_weight(self.nvars),),
+                                self.tiebreak)
 
 
 def parse_weight_vector(text: str, expected_len=None):
@@ -313,13 +302,6 @@ def _rows(label, rows, indent="  "):
     return out
 
 
-def render_sb(elements, names) -> str:
-    lines = [f"SB {len(elements)}"]
-    lines += ["  " + format_poly(g, names) for g in elements]
-    lines.append("END SB")
-    return "\n".join(lines)
-
-
 def render_polys(label, polys, names) -> str:
     lines = [f"{label} {len(polys)}"]
     lines += ["  " + format_poly(g, names) for g in polys]
@@ -343,7 +325,7 @@ def render_fan(result: fan_mod.Fan, names) -> str:
     for i, cone in enumerate(result.maximal_cones):
         lines.append(f"MAXCONE {i}")
         lines.append(render_polys("INITIAL", cone.initial_forms, names))
-        lines.append(render_sb(cone.basis.elements, names))
+        lines.append(render_polys("SB", cone.basis.elements, names))
         lines.append(render_cone(cone.hcone))
         lines.append("END MAXCONE")
     for i, j, _ in result.adjacency:
@@ -397,90 +379,27 @@ def parse_cone_block(text: str) -> HCone:
 # ---------------------------------------------------------------------------
 
 
-def sampled_weights(rng: random.Random, n: int, count: int):
-    """``count`` random rational weights in R_{<0} x R^n, drawn from ``rng``."""
-    for _ in range(count):
-        w0 = -Fraction(rng.randint(1, 24), rng.randint(1, 4))
-        rest = [Fraction(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(n)]
-        yield (w0, *rest)
-
-
 def run_check(problem: ProblemFile, seed: int, samples: int, out,
               start_weight=None) -> int:
     """Invariant suite for one ideal; one PASS/FAIL line per check."""
-    failures = 0
-
-    def report(name, ok, detail=""):
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}", file=out)
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}", file=out)
-
-    ideal = problem.ideal()
-    n = problem.nvars
-    result = fan_mod.groebner_fan(ideal, tiebreak=problem.tiebreak,
+    result = fan_mod.groebner_fan(problem.ideal(), tiebreak=problem.tiebreak,
                                   start_weight=start_weight)
-    report("fan-computed", True)
+    print("PASS fan-computed", file=out)
     print(f"  maximal cones: {len(result.maximal_cones)}", file=out)
+    hcones = [c.hcone for c in result.maximal_cones]
+    weights = fan_mod.sampled_weights(random.Random(seed), problem.nvars, samples)
 
-    rng = random.Random(seed)
-    uncovered = 0
-    for w in sampled_weights(rng, n, samples):
-        if not any(contains(c.hcone, w) for c in result.maximal_cones):
-            uncovered += 1
-    report("coverage", uncovered == 0, f"{uncovered} of {samples} weights uncovered")
+    def report(name, bad, what):
+        print(f"FAIL {name}: {len(bad)} {what}" if bad else f"PASS {name}", file=out)
+        return bool(bad)
 
-    bad_faces = 0
-    cones = result.maximal_cones
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            meet = intersect(cones[i].hcone, cones[j].hcone)
-            if not (is_face(meet, cones[i].hcone) and is_face(meet, cones[j].hcone)):
-                bad_faces += 1
-    report("face-to-face", bad_faces == 0, f"{bad_faces} bad intersections")
-
-    ones = (0,) + (1,) * n
-    bad_lin = sum(
-        1 for c in cones
-        if not all(sum(a * b for a, b in zip(row, ones)) == 0
-                   for row in c.hcone.all_ineq_rows() + c.hcone.eqs)
-    )
-    report("lineality-ones", bad_lin == 0, f"{bad_lin} cones miss (0,1,..,1)")
-
-    bad_chain = 0
-    for i, j, facet in result.adjacency:
-        for a, b in ((i, j), (j, i)):
-            w = fan_mod.relative_interior_point(facet)
-            v = tuple(Fraction(x) - Fraction(y) for x, y in zip(cones[b].interior_weight, w))
-            for g in cones[a].basis.elements:
-                if not chain_initial_consistent(w, v, g):
-                    bad_chain += 1
-    report("chain-initial", bad_chain == 0, f"{bad_chain} violations")
-    return failures
-
-
-def chain_initial_consistent(w, v, g: Polynomial) -> bool:
-    """in_{w+eps v}(g) == in_v(in_w(g)) for an exactly computed small eps."""
-    chain = max_weight_part(v, initial_form(w, g))
-    top = {t.exp for t in initial_form(w, g).terms}
-    eps = None
-    for t in g.terms:
-        if t.exp in top:
-            continue
-        for s in initial_form(w, g).terms:
-            gap_w = sum(a * (x - y) for a, x, y in zip(w, s.exp, t.exp))
-            gap_v = sum(a * (x - y) for a, x, y in zip(v, s.exp, t.exp))
-            if gap_v < 0:
-                cand = Fraction(gap_w, -gap_v) / 2
-                eps = cand if eps is None else min(eps, cand)
-    if eps is None:
-        eps = Fraction(1)
-    wv = tuple(Fraction(a) + eps * Fraction(b) for a, b in zip(w, v))
-    if wv[0] >= 0:
-        return False
-    return max_weight_part(wv, g) == chain
+    return sum((
+        report("coverage", fan_mod.uncovered_weights(hcones, weights),
+               f"of {samples} weights uncovered"),
+        report("face-to-face", fan_mod.bad_meets(hcones), "bad intersections"),
+        report("lineality-ones", fan_mod.lineality_misses(hcones), "cones miss (0,1,..,1)"),
+        report("chain-initial", fan_mod.chain_initial_failures(result), "violations"),
+    ))
 
 
 def _weight_arg(problem: ProblemFile, args):
@@ -489,16 +408,10 @@ def _weight_arg(problem: ProblemFile, args):
     return None
 
 
-def _weight_for(problem: ProblemFile, args) -> tuple:
-    if args.weight:
-        return _weight_arg(problem, args)
-    if problem.weights:
-        return problem.weights[0]
-    return (-1,) + (1,) * problem.nvars
-
-
-def _basis_and_initials(problem: ProblemFile, weight):
-    ord_w = MonomialOrdering((tuple(weight),), problem.tiebreak)
+def _basis_and_initials(problem: ProblemFile, args):
+    """Reduced basis and its initial forms at ``--weight`` or the file's first weight."""
+    weight = problem.ordering(_weight_arg(problem, args)).weights[0]
+    ord_w = MonomialOrdering((weight,), problem.tiebreak)
     basis = ensure_initially_reduced(ord_w, problem.gens, problem.prime)
     H = tuple(initial_form(weight, g) for g in basis.elements)
     return basis, H
@@ -550,17 +463,16 @@ def main(argv=None) -> int:
         if args.command == "stdbasis":
             ord_ = problem.ordering(_weight_arg(problem, args))
             sb = minimize(ord_, standard_basis(ord_, problem.gens))
-            print(render_sb(sb.elements, problem.names))
+            print(render_polys("SB", sb.elements, problem.names))
         elif args.command == "inred":
             ord_ = problem.ordering(_weight_arg(problem, args))
             basis = ensure_initially_reduced(ord_, problem.gens, problem.prime)
-            print(render_sb(basis.elements, problem.names))
+            print(render_polys("SB", basis.elements, problem.names))
         elif args.command == "initial":
-            _, H = _basis_and_initials(problem, _weight_for(problem, args))
+            _, H = _basis_and_initials(problem, args)
             print(render_polys("INITIAL", H, problem.names))
         elif args.command == "cone":
-            w = _weight_for(problem, args)
-            basis, H = _basis_and_initials(problem, w)
+            basis, H = _basis_and_initials(problem, args)
             hc = cone_from_basis(basis.ordering, basis.elements, H)
             print(render_cone(hc))
         elif args.command == "fan":
@@ -568,8 +480,7 @@ def main(argv=None) -> int:
                                           start_weight=_weight_arg(problem, args))
             print(render_fan(result, problem.names))
         elif args.command == "slice":
-            w = _weight_for(problem, args)
-            basis, H = _basis_and_initials(problem, w)
+            basis, H = _basis_and_initials(problem, args)
             hc = cone_from_basis(basis.ordering, basis.elements, H)
             fixed = []
             name_to_coord = {"t": 0, **{nm: 1 + i for i, nm in enumerate(problem.names)}}

@@ -331,10 +331,14 @@ class GroebnerCone:
     """A maximal (or lower) Groebner cone with the data that produced it."""
 
     hcone: HCone
-    data: ConeData
     basis: StandardBasis
     initial_forms: tuple[Polynomial, ...]
     interior_weight: Vec
+
+    @property
+    def data(self) -> ConeData:
+        """The V-description, ``dd_rays`` of the HCone (kept on it)."""
+        return dd_rays(self.hcone)
 
     def canonical_key(self):
         return (self.data.rays, self.data.lineality)

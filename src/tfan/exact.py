@@ -52,6 +52,30 @@ def p_valuation(c: int, p: int) -> int:
     return m
 
 
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact below 3.3 * 10**24."""
+    if p < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def dot(u, v):
     """Scalar product of two equal-length vectors."""
     if len(u) != len(v):

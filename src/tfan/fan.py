@@ -15,6 +15,11 @@ ordering, so the adjacent cone's constructor only initially reduces it
 (``inred.initially_reduce``); nothing is completed again after a flip.  The
 printed basis of a flipped-to cone is therefore the one this path produces,
 which is deterministic for a given start weight and tiebreak.
+
+The fan invariants are checked here too, once each, for ``tfan check`` and
+the tests alike: sampled coverage, face-to-face meets, the lineality
+(0, 1, ..., 1), and chain-initial consistency across recorded facets.  Each
+check returns the offending items, so an empty result means it passed.
 """
 
 from __future__ import annotations
@@ -33,10 +38,13 @@ from .cone import (
     contains,
     dd_rays,
     facets,
+    intersect,
+    is_face,
     relative_interior_point,
 )
 from .division import StandardBasis, hddwr, minimize, standard_basis
 from .errors import InvalidInput, NonGenericWeight, WitnessFailed
+from .exact import dot, rank
 from .inred import ensure_initially_reduced, initially_reduce
 from .poly import (
     Ideal,
@@ -44,6 +52,7 @@ from .poly import (
     Polynomial,
     initial_form,
     leading_term,
+    max_weight_part,
 )
 
 
@@ -120,7 +129,7 @@ def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
     hc = cone_from_basis(ordering, basis.elements, H)
     if hc.eqs:
         raise NonGenericWeight("weight lies on a lower-dimensional class", hc.eqs)
-    return GroebnerCone(hc, dd_rays(hc), basis, H, tuple(w))
+    return GroebnerCone(hc, basis, H, tuple(w))
 
 
 def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
@@ -144,14 +153,12 @@ def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
     for g, lt in zip(basis.elements, lts):
         if initial_form(u, g) != lt:
             raise NonGenericWeight("re-anchored weight is not interior", hc.ineqs)
-    return GroebnerCone(hc, dd_rays(hc), StandardBasis(basis.elements, anchored),
-                        lts, tuple(u))
+    return GroebnerCone(hc, StandardBasis(basis.elements, anchored), lts, tuple(u))
 
 
-def _start_ordering(n: int, tiebreak, start_weight):
-    if start_weight is not None:
-        return MonomialOrdering((tuple(start_weight),), tuple(tiebreak))
-    return MonomialOrdering(((-1,) + (1,) * n,), tuple(tiebreak))
+def default_weight(n: int) -> tuple:
+    """The weight (-1, 1, ..., 1) used when no weight or ordering is given."""
+    return (-1,) + (1,) * n
 
 
 def _perturbed(base, k):
@@ -178,8 +185,7 @@ def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None) -> Fan:
     """
     n = ideal.nvars
     perm = tuple(tiebreak) if tiebreak is not None else tuple(range(n))
-    base_ord = _start_ordering(n, perm, start_weight)
-    base_w = base_ord.weights[0]
+    base_w = tuple(start_weight) if start_weight is not None else default_weight(n)
     start = None
     for k in range(200):
         try:
@@ -237,3 +243,87 @@ def boundary_fan(fan: Fan) -> tuple[HCone, ...]:
             out.append((key, bc))
     out.sort(key=lambda kv: kv[0])
     return tuple(bc for _, bc in out)
+
+
+# ---------------------------------------------------------------------------
+# Fan invariants
+# ---------------------------------------------------------------------------
+
+
+def sampled_weights(rng: random.Random, n: int, count: int):
+    """``count`` random rational weights in R_{<0} x R^n, drawn from ``rng``."""
+    for _ in range(count):
+        w0 = -Fraction(rng.randint(1, 24), rng.randint(1, 4))
+        rest = [Fraction(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(n)]
+        yield (w0, *rest)
+
+
+def uncovered_weights(cones: Sequence[HCone], weights) -> list:
+    """The weights that lie in none of the cones."""
+    return [w for w in weights if not any(contains(c, w) for c in cones)]
+
+
+def bad_meets(cones: Sequence[HCone]) -> list[tuple[int, int]]:
+    """Index pairs i < j whose intersection is not a face of both cones."""
+    out = []
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            meet = intersect(cones[i], cones[j])
+            if not (is_face(meet, cones[i]) and is_face(meet, cones[j])):
+                out.append((i, j))
+    return out
+
+
+def lineality_misses(cones: Sequence[HCone]) -> list[int]:
+    """Indices of cones whose lineality does not contain (0, 1, ..., 1).
+
+    Both readings are checked: every H-row vanishes on the vector, and the
+    vector lies in the span of the V-side lineality basis.
+    """
+    out = []
+    for k, c in enumerate(cones):
+        ones = (0,) + (1,) * (c.dim_ambient - 1)
+        lin = list(dd_rays(c).lineality)
+        if (any(dot(row, ones) != 0 for row in c.all_ineq_rows() + c.eqs)
+                or rank(lin) != rank(lin + [ones])):
+            out.append(k)
+    return out
+
+
+def chain_initial_consistent(w, v, g: Polynomial) -> bool:
+    """in_{w+eps v}(g) == in_v(in_w(g)) for an exactly computed small eps."""
+    chain = max_weight_part(v, initial_form(w, g))
+    top = {t.exp for t in initial_form(w, g).terms}
+    eps = None
+    for t in g.terms:
+        if t.exp in top:
+            continue
+        for s in initial_form(w, g).terms:
+            gap_w = sum(a * (x - y) for a, x, y in zip(w, s.exp, t.exp))
+            gap_v = sum(a * (x - y) for a, x, y in zip(v, s.exp, t.exp))
+            if gap_v < 0:
+                cand = Fraction(gap_w, -gap_v) / 2
+                eps = cand if eps is None else min(eps, cand)
+    if eps is None:
+        eps = Fraction(1)
+    wv = tuple(Fraction(a) + eps * Fraction(b) for a, b in zip(w, v))
+    if wv[0] >= 0:
+        return False
+    return max_weight_part(wv, g) == chain
+
+
+def chain_initial_failures(fan: Fan) -> list[tuple[int, int, Polynomial]]:
+    """(cone, neighbour, element) triples that fail chain-initial consistency.
+
+    For every recorded facet with interior point w, each basis element of a
+    cone is checked along v = (the neighbour's interior weight) - w.
+    """
+    cones = fan.maximal_cones
+    out = []
+    for i, j, facet in fan.adjacency:
+        w = relative_interior_point(facet)
+        for a, b in ((i, j), (j, i)):
+            v = tuple(Fraction(x) - Fraction(y) for x, y in zip(cones[b].interior_weight, w))
+            out += [(a, b, g) for g in cones[a].basis.elements
+                    if not chain_initial_consistent(w, v, g)]
+    return out

@@ -44,7 +44,7 @@ from .division import (
     standard_basis,
 )
 from .errors import InredDiverged, InvalidInput, RegimeError
-from .exact import extended_gcd, p_valuation
+from .exact import extended_gcd, is_prime, p_valuation
 from .poly import (
     MonomialOrdering,
     Polynomial,
@@ -64,30 +64,6 @@ from .poly import (
 )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if p % q == 0:
-            return p == q
-    # deterministic Miller-Rabin for anything larger we would realistically see
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class InredContext:
     """Prime-regime parameters: the uniformising prime and the ordering."""
@@ -96,11 +72,8 @@ class InredContext:
     ord: MonomialOrdering
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise InvalidInput(f"{self.p} is not prime")
-
-    def p_minus_t(self, nvars: int) -> Polynomial:
-        return p_minus_t(self.p, nvars)
 
 
 def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
@@ -304,7 +277,7 @@ def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
     if prime is None:
         return generic_initial_reduce(ord_, basis)
     ctx = InredContext(prime, ord_)
-    pt = ctx.p_minus_t(basis.elements[0].nvars)
+    pt = p_minus_t(prime, basis.elements[0].nvars)
     monic: list[Polynomial] = []
     for g in basis.elements:
         lc = leading_term(ord_, g).coeff
@@ -464,7 +437,7 @@ def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomi
         raise InvalidInput("empty generating set")
     sb = standard_basis(ord_, gens)
     if prime is not None:
-        pt = InredContext(prime, ord_).p_minus_t(gens[0].nvars)
+        pt = p_minus_t(prime, gens[0].nvars)
         if pt not in gens and not mora_weak_nf(ord_, pt, sb.elements).remainder.is_zero:
             raise RegimeError(
                 f"{prime} - t does not lie in the ideal; use generic_initial_reduce"

@@ -26,6 +26,7 @@ from operator import add, le, mul
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput
+from .exact import is_prime
 
 Exp = tuple  # (beta, alpha_1, ..., alpha_n)
 
@@ -520,13 +521,7 @@ class Ideal:
             if not is_x_homogeneous(g):
                 raise InvalidInput("generator is not x-homogeneous")
         if self.prime is not None:
-            if self.prime < 2:
-                raise InvalidInput("prime must be >= 2")
+            if not is_prime(self.prime):
+                raise InvalidInput(f"{self.prime} is not prime")
             if p_minus_t(self.prime, self.nvars) not in self.gens:
                 raise InvalidInput("declared prime p requires p - t among the generators")
-
-    @property
-    def p_minus_t(self) -> Polynomial | None:
-        if self.prime is None:
-            return None
-        return p_minus_t(self.prime, self.nvars)

@@ -3,8 +3,9 @@
 import random
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
-from tfan import Ideal, Polynomial
+from tfan import Fan, Ideal, Polynomial, groebner_fan, make_cone
 from tfan.cli import parse_poly
 
 XY = ["x", "y"]
@@ -17,6 +18,27 @@ def P(text, names):
 
 def polys(names, *texts):
     return tuple(parse_poly(t, names) for t in texts)
+
+
+def doctored_fig1_fans():
+    """Broken copies of the fig1 fan, keyed by the one invariant each fails.
+
+    One cone dropped; the whole halfspace beside a real cone; the two
+    halfspaces v_1 >= 0 and v_1 <= 0, whose rows miss (0, 1, 1); and the
+    t-entry and first x-entry of one cone's interior weight swapped, which
+    pushes a neighbour's perturbed weight out of the halfspace.
+    """
+    fig1 = groebner_fan(Ideal(polys(XY, "t*x^2 + x*y + t*y^2"), 2))
+    cones = fig1.maximal_cones
+    halves = (make_cone(3, ineqs=[(0, 1, 0)]), make_cone(3, ineqs=[(0, -1, 0)]))
+    u = cones[0].interior_weight
+    swapped = replace(cones[0], interior_weight=(u[1], u[0], *u[2:]))
+    return {
+        "coverage": Fan(cones[1:], ()),
+        "face-to-face": Fan((cones[0], replace(cones[0], hcone=make_cone(3))), ()),
+        "lineality-ones": Fan(tuple(replace(cones[0], hcone=h) for h in halves), ()),
+        "chain-initial": Fan((swapped, *cones[1:]), fig1.adjacency),
+    }
 
 
 def random_prime_ideal(rng: random.Random) -> Ideal:

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -26,19 +25,23 @@ from tfan import (
     initial_form,
     inred_same_degree,
     intersect,
-    is_face,
     is_initially_reduced,
     leading_term,
     make_cone,
     minimize,
     mora_weak_nf,
     p_reduce,
-    relative_interior_point,
     spair,
     standard_basis,
     weighted_ordering,
 )
-from tfan.cli import chain_initial_consistent, sampled_weights
+from tfan.fan import (
+    bad_meets,
+    chain_initial_failures,
+    lineality_misses,
+    sampled_weights,
+    uncovered_weights,
+)
 
 from helpers import P, XY, XYZ, polys, random_prime_ideal, time_limit
 
@@ -220,15 +223,10 @@ def test_criterion_9_coverage_and_faces(fig1_fan, linear_fan, flip_ideal_fan, ra
     fans = [fig1_fan, linear_fan, flip_ideal_fan, generic_recompletion_fan] + list(random_fans)
     rng = random.Random(0)
     for fan_res in fans:
-        cones = fan_res.maximal_cones
-        n = cones[0].hcone.dim_ambient - 1
-        for w in sampled_weights(rng, n, 1000):
-            assert any(contains(c.hcone, w) for c in cones)
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                meet = intersect(cones[i].hcone, cones[j].hcone)
-                assert is_face(meet, cones[i].hcone)
-                assert is_face(meet, cones[j].hcone)
+        hcones = [c.hcone for c in fan_res.maximal_cones]
+        n = hcones[0].dim_ambient - 1
+        assert uncovered_weights(hcones, sampled_weights(rng, n, 1000)) == []
+        assert bad_meets(hcones) == []
     report(9, "coverage and face-to-face")
 
 
@@ -236,24 +234,9 @@ def test_criterion_10_perturbation_and_lineality(fig1_fan, linear_fan, flip_idea
                                                  random_fans):
     fans = [fig1_fan, linear_fan, flip_ideal_fan] + list(random_fans)
     for fan_res in fans:
-        cones = fan_res.maximal_cones
-        n = cones[0].hcone.dim_ambient - 1
-        ones = (0,) + (1,) * n
-        for c in cones:
-            assert _spans(ones, c.data.lineality)
-        for i, j, facet in fan_res.adjacency:
-            w = relative_interior_point(facet)
-            for a, b in ((i, j), (j, i)):
-                v = tuple(Fraction(x) - Fraction(y)
-                          for x, y in zip(cones[b].interior_weight, w))
-                for g in cones[a].basis.elements:
-                    assert chain_initial_consistent(w, v, g)
+        assert lineality_misses([c.hcone for c in fan_res.maximal_cones]) == []
+        assert chain_initial_failures(fan_res) == []
     report(10, "perturbation identity and lineality")
-
-
-def _spans(vec, lineality):
-    from tfan.exact import rank
-    return rank(list(lineality)) == rank(list(lineality) + [vec])
 
 
 FLIP_FILE = """\

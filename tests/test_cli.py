@@ -1,3 +1,4 @@
+import glob
 import os
 import subprocess
 import sys
@@ -13,12 +14,14 @@ from tfan.cli import (
     parse_problem,
     parse_sb_block,
     render_cone,
-    render_sb,
+    render_polys,
 )
 
-from helpers import P, XY, XYZ
+from helpers import P, XY, XYZ, doctored_fig1_fans
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO_IDEALS = sorted(glob.glob(os.path.join(REPO, "demos", "ideals", "*.ideal")))
+CHECKS = ("coverage", "face-to-face", "lineality-ones", "chain-initial")
 
 FLIP_FILE = """\
 ring t; x, y
@@ -84,6 +87,16 @@ class TestParsing:
         with pytest.raises(ParseError, match="p - t"):
             parse_problem(bad)
 
+    def test_non_prime_is_parse_error(self, tmp_path, capsys):
+        four = tmp_path / "four.ideal"
+        four.write_text(FLIP_FILE.replace("prime 2", "prime 4").replace("  2 - t", "  4 - t"))
+        assert main(["fan", str(four)]) == 2
+        assert "parse error: 4 is not prime" in capsys.readouterr().err
+        nine = tmp_path / "nine.ideal"
+        nine.write_text(FIG1_FILE.replace("ideal\n", "ideal\n  9 - t\n"))
+        assert main(["fan", str(nine), "--prime=9"]) == 2
+        assert "parse error: 9 is not prime" in capsys.readouterr().err
+
     def test_poly_round_trip(self):
         for s in ["2 - t", "x*y^2 - t^2*y^3", "-x^2 + t^3*y^2", "t", "-3"]:
             f = parse_poly(s, XY)
@@ -102,7 +115,7 @@ class TestParsing:
 class TestBlocks:
     def test_sb_round_trip(self):
         els = (P("2 - t", XY), P("x*y^2 - t^2*y^3", XY))
-        text = render_sb(els, XY)
+        text = render_polys("SB", els, XY)
         assert parse_sb_block(text, XY) == els
 
     def test_cone_round_trip(self):
@@ -187,14 +200,27 @@ class TestCommands:
         assert "VERTICES 1" in res.stdout
         assert "    -1 -2 -1 1" in res.stdout  # apex at w1=3w0+w3, w2=2w0+w3
 
-    def test_check_command(self, tmp_path):
+    @pytest.mark.parametrize("path", DEMO_IDEALS,
+                             ids=[os.path.basename(p)[:-6] for p in DEMO_IDEALS])
+    def test_check_command(self, path):
+        res = run_cli(["check", path, "--samples=50"])
+        assert res.returncode == 0
+        for name in ("fan-computed",) + CHECKS:
+            assert f"PASS {name}" in res.stdout
+
+    @pytest.mark.parametrize("broken", CHECKS)
+    def test_check_command_fails_on_doctored_fan(self, tmp_path, capsys, monkeypatch,
+                                                 broken):
+        doctored = doctored_fig1_fans()[broken]
+        monkeypatch.setattr("tfan.fan.groebner_fan", lambda *a, **k: doctored)
         f = tmp_path / "fig1.ideal"
         f.write_text(FIG1_FILE)
-        res = run_cli(["check", str(f), "--samples=50"])
-        assert res.returncode == 0
-        for name in ("fan-computed", "coverage", "face-to-face",
-                     "lineality-ones", "chain-initial"):
-            assert f"PASS {name}" in res.stdout
+        assert main(["check", str(f), "--samples=50"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("PASS fan-computed\n")
+        for name in CHECKS:
+            assert (f"FAIL {name}: " in out) == (name == broken)
+            assert (f"PASS {name}\n" in out) == (name != broken)
 
     def test_check_command_uses_weight(self, tmp_path, capsys):
         f = tmp_path / "fig1.ideal"

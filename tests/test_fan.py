@@ -21,13 +21,21 @@ from tfan import (
     is_face,
     leading_term,
     lift,
+    make_cone,
     max_weight_part,
     relative_interior_point,
     weighted_ordering,
     witness,
 )
+from tfan.fan import (
+    bad_meets,
+    chain_initial_failures,
+    lineality_misses,
+    sampled_weights,
+    uncovered_weights,
+)
 
-from helpers import P, XY, XYZ, polys, random_prime_ideal
+from helpers import P, XY, XYZ, doctored_fig1_fans, polys, random_prime_ideal
 
 
 def section3_data():
@@ -212,11 +220,10 @@ class TestFan:
     def test_coverage_sampled(self):
         result = groebner_fan(Ideal(polys(XY, "t*x^2 + x*y + t*y^2"), 2))
         rng = random.Random(1)
-        for _ in range(300):
-            w = (-Fraction(rng.randint(1, 20), rng.randint(1, 4)),
-                 Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
-                 Fraction(rng.randint(-20, 20), rng.randint(1, 4)))
-            assert any(contains(c.hcone, w) for c in result.maximal_cones)
+        weights = [(-Fraction(rng.randint(1, 20), rng.randint(1, 4)),
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 4))) for _ in range(300)]
+        assert uncovered_weights([c.hcone for c in result.maximal_cones], weights) == []
 
     def test_random_prime_ideal_fan(self):
         rng = random.Random(2)
@@ -239,10 +246,10 @@ class TestFan:
                [c.canonical_key() for c in result.maximal_cones]
         # sampled coverage as the independent cross-check of completeness
         rng = random.Random(9)
-        for _ in range(400):
-            w = (-Fraction(rng.randint(1, 30), rng.randint(1, 3)),
-                 *[Fraction(rng.randint(-30, 30), rng.randint(1, 3)) for _ in range(3)])
-            assert any(contains(c.hcone, w) for c in result.maximal_cones)
+        weights = [(-Fraction(rng.randint(1, 30), rng.randint(1, 3)),
+                    *[Fraction(rng.randint(-30, 30), rng.randint(1, 3)) for _ in range(3)])
+                   for _ in range(400)]
+        assert uncovered_weights([c.hcone for c in result.maximal_cones], weights) == []
 
     def test_leading_ideal_stable_on_cone_interior(self):
         # two interior weights of one cone give the same leading-term ideal
@@ -291,13 +298,45 @@ class TestBoundaryFan:
         for gens, n in ((polys(XY, "t*x^2 + x*y + t*y^2"), 2),
                         (polys(XYZ, "x + z", "y + z"), 3)):
             bcones = boundary_fan(groebner_fan(Ideal(gens, n)))
-            for i in range(len(bcones)):
-                for j in range(i + 1, len(bcones)):
-                    meet = intersect(bcones[i], bcones[j])
-                    assert is_face(meet, bcones[i])
-                    assert is_face(meet, bcones[j])
+            assert bad_meets(bcones) == []
             rng = random.Random(4)
-            for _ in range(200):
-                w = (0, *[Fraction(rng.randint(-20, 20), rng.randint(1, 4))
-                          for _ in range(n)])
-                assert any(contains(b, w) for b in bcones)
+            weights = [(0, *[Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                             for _ in range(n)]) for _ in range(200)]
+            assert uncovered_weights(bcones, weights) == []
+
+
+def _hcones(fan_res):
+    return [c.hcone for c in fan_res.maximal_cones]
+
+
+INVARIANTS = {
+    "coverage": lambda f: uncovered_weights(
+        _hcones(f), sampled_weights(random.Random(0), 2, 200)),
+    "face-to-face": lambda f: bad_meets(_hcones(f)),
+    "lineality-ones": lambda f: lineality_misses(_hcones(f)),
+    "chain-initial": chain_initial_failures,
+}
+
+
+class TestInvariantsFlagDoctoredFans:
+    @pytest.fixture(scope="class")
+    def doctored(self):
+        return doctored_fig1_fans()
+
+    @pytest.mark.parametrize("broken", list(INVARIANTS))
+    def test_only_the_broken_invariant_flags(self, doctored, broken):
+        for name, check in INVARIANTS.items():
+            assert bool(check(doctored[broken])) == (name == broken), name
+
+    def test_offending_items(self, doctored):
+        dropped = doctored["face-to-face"].maximal_cones[0].hcone
+        missed = uncovered_weights(_hcones(doctored["coverage"]),
+                                   sampled_weights(random.Random(0), 2, 200))
+        assert missed and all(contains(dropped, w) for w in missed)
+        assert bad_meets(_hcones(doctored["face-to-face"])) == [(0, 1)]
+        assert lineality_misses(_hcones(doctored["lineality-ones"])) == [0, 1]
+        real = _hcones(doctored["coverage"])
+        assert lineality_misses([make_cone(3, ineqs=[(0, 1, 0)])] + real) == [0]
+        failures = chain_initial_failures(doctored["chain-initial"])
+        assert [(a, b) for a, b, _ in failures] == [(1, 0)]
+        assert failures[0][2] in doctored["chain-initial"].maximal_cones[1].basis.elements

@@ -24,7 +24,7 @@ from tfan import (
     weighted_ordering,
 )
 from tfan.inred import _check_cross, _split_by_lm
-from tfan.poly import exp_divides, mul_tpoly, t_coefficient, tpoly_shift
+from tfan.poly import exp_divides, mul_tpoly, p_minus_t, t_coefficient, tpoly_shift
 
 from helpers import P, XY, XYZ, polys
 
@@ -195,7 +195,7 @@ class TestCrossDegree:
             assert [leading_term(ctx.ord, f) for f in lazy] == \
                    [leading_term(ctx.ord, f) for f in brute]
             for out in (lazy, brute):
-                full = list(out) + G + [ctx.p_minus_t(2)]
+                full = list(out) + G + [p_minus_t(ctx.p, 2)]
                 assert is_initially_reduced(ctx.ord, full)
 
 
