@@ -27,7 +27,7 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import fan as fan_mod
@@ -445,17 +445,17 @@ def main(argv=None) -> int:
     p_check.add_argument("--samples", type=int, default=1000)
 
     args = parser.parse_args(argv)
+    if args.command == "check" and args.samples < 1:
+        p_check.error(f"argument --samples: must be at least 1, got {args.samples}")
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
         problem = parse_problem(text)
         if args.tiebreak:
-            problem = ProblemFile(problem.names, problem.gens, problem.prime,
-                                  problem.weights,
-                                  _parse_tiebreak(args.tiebreak, list(problem.names), None))
+            problem = replace(problem, tiebreak=_parse_tiebreak(args.tiebreak,
+                                                                list(problem.names), None))
         if args.prime is not None:
-            problem = ProblemFile(problem.names, problem.gens, args.prime,
-                                  problem.weights, problem.tiebreak)
+            problem = replace(problem, prime=args.prime)
             try:
                 problem.ideal()
             except InvalidInput as exc:

@@ -168,16 +168,24 @@ def _one_like(divisors, f):
 
 def spair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial over Z: cancel lcm of leading terms via coefficient lcm."""
-    lf, lg = leading_term(ord_, f), leading_term(ord_, g)
+    return _s_poly(f, leading_term(ord_, f), g, leading_term(ord_, g))
+
+
+def gpair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
+    """GCD-polynomial: leading coefficient becomes gcd of the two lc's."""
+    return _gcd_poly(f, leading_term(ord_, f), g, leading_term(ord_, g))
+
+
+def _s_poly(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> Polynomial:
+    """The S-polynomial of f and g, given their leading terms lf and lg."""
     m = exp_lcm(lf.exp, lg.exp)
     a, b = lf.coeff, lg.coeff
     c = abs(a * b) // _gcd(a, b)
     return f.term_mul(c // a, exp_div(m, lf.exp)) - g.term_mul(c // b, exp_div(m, lg.exp))
 
 
-def gpair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
-    """GCD-polynomial: leading coefficient becomes gcd of the two lc's."""
-    lf, lg = leading_term(ord_, f), leading_term(ord_, g)
+def _gcd_poly(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> Polynomial:
+    """The GCD-polynomial of f and g, given their leading terms lf and lg."""
     m = exp_lcm(lf.exp, lg.exp)
     _, u, v = extended_gcd(lf.coeff, lg.coeff)
     return f.term_mul(u, exp_div(m, lf.exp)) + g.term_mul(v, exp_div(m, lg.exp))
@@ -185,6 +193,13 @@ def gpair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
 
 def _gcd(a, b):
     return _int_gcd(abs(a), abs(b))
+
+
+def sorted_basis(ord_: MonomialOrdering, elems) -> StandardBasis:
+    """The one basis order: leading monomial descending, then terms."""
+    elems = sorted(elems, key=lambda g: (ord_.key(leading_term(ord_, g).exp), g.terms),
+                   reverse=True)
+    return StandardBasis(tuple(elems), ord_)
 
 
 def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
@@ -287,15 +302,14 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
 
     G: list[Polynomial] = []
     lts: list[Term] = []
-    pending: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
+    pending: list[tuple] = []  # heap of (key(lcm), i, j)
 
     def add(h):
         G.append(h)
         lts.append(hlt(h))
         j = len(G) - 1
         for i in range(j):
-            m = exp_lcm(lts[i].exp, lts[j].exp)
-            heappush(pending, (key(m), i, j, m))
+            heappush(pending, (key(exp_lcm(lts[i].exp, lts[j].exp)), i, j))
 
     for f in first:
         h = _homogenize(f)
@@ -303,15 +317,11 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
             add(h)
     guard = 0
     while pending:
-        _, i, j, m = heappop(pending)
+        _, i, j = heappop(pending)
         a, b = lts[i].coeff, lts[j].coeff
-        c = abs(a * b) // _gcd(a, b)
-        candidates = [G[i].term_mul(c // a, exp_div(m, lts[i].exp))
-                      - G[j].term_mul(c // b, exp_div(m, lts[j].exp))]
+        candidates = [_s_poly(G[i], lts[i], G[j], lts[j])]
         if a % b != 0 and b % a != 0:
-            _, u, v = extended_gcd(a, b)
-            candidates.append(G[i].term_mul(u, exp_div(m, lts[i].exp))
-                              + G[j].term_mul(v, exp_div(m, lts[j].exp)))
+            candidates.append(_gcd_poly(G[i], lts[i], G[j], lts[j]))
         for h in candidates:
             if h.is_zero:
                 continue
@@ -327,8 +337,7 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
         f = normalize_element(ord_, _dehomogenize(h))
         if f not in out:
             out.append(f)
-    out.sort(key=lambda g: (ord_.key(leading_term(ord_, g).exp), g.terms), reverse=True)
-    return StandardBasis(tuple(out), ord_)
+    return sorted_basis(ord_, out)
 
 
 def minimize(ord_: MonomialOrdering, basis: StandardBasis) -> StandardBasis:
@@ -350,5 +359,4 @@ def minimize(ord_: MonomialOrdering, basis: StandardBasis) -> StandardBasis:
         if any(term_divides(leading_term(ord_, h), lt) for h in kept):
             continue
         kept.append(g)
-    kept.sort(key=lambda g: (ord_.key(leading_term(ord_, g).exp), g.terms), reverse=True)
-    return StandardBasis(tuple(kept), ord_)
+    return sorted_basis(ord_, kept)

@@ -12,9 +12,9 @@ Two regimes:
 * prime regime: the ideal contains p - t for a declared prime p.  Then
   initial reduction terminates unconditionally.  The pipeline is
   (p - t)-reduction of single elements, mutual reduction of an
-  equal-x-degree block (two triangular passes), lazy cross-degree reduction
-  against lower strata via a working list, and a driver that walks x-degrees
-  bottom up.
+  equal-x-degree block (two triangular passes), cross-degree reduction
+  against lower strata one reducible skeleton term at a time, and a driver
+  that walks x-degrees bottom up.
 
 * generic regime: ``generic_initial_reduce`` chases skeleton tail terms
   directly.  Termination is not guaranteed without p - t; a t-degree limit
@@ -41,6 +41,7 @@ from .division import (
     minimize,
     mora_weak_nf,
     normalize_element,
+    sorted_basis,
     standard_basis,
 )
 from .errors import InredDiverged, InvalidInput, RegimeError
@@ -48,6 +49,7 @@ from .exact import extended_gcd, is_prime, p_valuation
 from .poly import (
     MonomialOrdering,
     Polynomial,
+    Term,
     exp_divides,
     is_x_homogeneous,
     leading_term,
@@ -55,6 +57,7 @@ from .poly import (
     p_minus_t,
     strip_unit_t_content,
     t_coefficient,
+    t_coefficients,
     t_skeleton,
     term_div,
     term_divides,
@@ -79,33 +82,33 @@ class InredContext:
 def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
     """Reduce g initially with respect to p - t.
 
-    Walks the terms outside the leading x-monomial from the top down; a term
-    whose coefficient is exactly divisible by p**l is traded for its t-shifted
-    partner via c*t^b -> (c/p^l)*t^{b+l} (a multiple of p^l - t^l), otherwise
-    the whole Z[t]-coefficient of that x-monomial is settled.  Leading term
-    and the ideal generated together with p - t are unchanged, and no tail
-    term of the result's skeleton is divisible by p.
+    Each x-monomial but the leading one is settled on its own: while p
+    divides the coefficient c of its lowest t-power t^b, c*t^b is traded for
+    (c/p^l)*t^{b+l}, p^l the exact power of p in c (a multiple of p^l - t^l
+    apart), merging with any term already at t^{b+l}.  Leading term and the
+    ideal generated together with p - t are unchanged, and no tail term of
+    the result's skeleton is divisible by p.
     """
     if g.is_zero:
         raise InvalidInput("p_reduce of the zero polynomial")
     if not is_x_homogeneous(g):
         raise InvalidInput("p_reduce input must be x-homogeneous")
-    ord_, p = ctx.ord, ctx.p
-    gamma = leading_term(ord_, g).exp[1:]
-    done = [(c, e) for c, e in g.terms if e[1:] == gamma]
-    work = Polynomial(tuple(t for t in g.terms if t.exp[1:] != gamma))
-    while work:
-        top = leading_term(ord_, work)
-        if top.coeff % p == 0:
-            l = p_valuation(top.coeff, p)
-            lifted = (top.exp[0] + l,) + top.exp[1:]
-            work = work - Polynomial.term(top.coeff, top.exp) \
-                        + Polynomial.term(top.coeff // p**l, lifted)
-        else:
-            alpha = top.exp[1:]
-            done.extend((c, e) for c, e in work.terms if e[1:] == alpha)
-            work = Polynomial(tuple(t for t in work.terms if t.exp[1:] != alpha))
-    return Polynomial.from_terms(done)
+    p = ctx.p
+    gamma = leading_term(ctx.ord, g).exp[1:]
+    terms = []
+    for alpha, tp in t_coefficients(g).items():
+        if alpha != gamma:
+            coeff = dict(tp)
+            while coeff and coeff[min(coeff)] % p == 0:
+                b = min(coeff)
+                c = coeff.pop(b)
+                l = p_valuation(c, p)
+                v = coeff.pop(b + l, 0) + c // p**l
+                if v:
+                    coeff[b + l] = v
+            tp = sorted(coeff.items())
+        terms.extend(Term(c, (b,) + alpha) for b, c in tp)
+    return Polynomial(tuple(terms))
 
 
 def _check_block(ord_, G):
@@ -202,57 +205,57 @@ def _split_by_lm(ord_, combined, h_lms, e_lms):
     return [by_lm[lm] for lm in h_lms], [by_lm[lm] for lm in e_lms]
 
 
+def _reducible_tail(ord_, f, lt_f, lts):
+    """Yield (term, j) for each skeleton tail term of f, greatest first, and
+    each ``lts[j]`` that term-divides it; ``lt_f`` is f's leading term."""
+    tail = sorted((t for t in t_skeleton(f).terms if t.exp != lt_f.exp),
+                  key=lambda t: ord_.key(t.exp), reverse=True)
+    for term in tail:
+        for j, lt in enumerate(lts):
+            if term_divides(lt, term):
+                yield term, j
+
+
 def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
                        H: Sequence[Polynomial]) -> list[Polynomial]:
-    """Cross-degree reduction with a lazy working list.
+    """Cross-degree reduction, one reducible skeleton term at a time.
 
-    Skeleton tail terms of the block are checked top down; when one is
-    divisible by a lower leading term, the matching multiple (carrying the
-    maximal feasible t-power) joins the helper set and the whole block is
-    re-reduced, after which the working list restarts strictly below the
-    term just handled.
+    Each step takes the greatest skeleton tail term of the block, below the
+    term the previous step handled, that a lower leading term divides (the
+    first such lower element is the reducer).  The matching multiple of
+    that element, carrying the maximal feasible t-power, joins the helper
+    set and the whole block is re-reduced.  The loop ends when no such term
+    is left.  Only the term's exponent matters: lower leading coefficients
+    are 1, so divisibility is a question of exponents.
     """
     ord_ = ctx.ord
     if not G:
         return inred_same_degree(ctx, H)
     _check_cross(ord_, G, H)
     h = inred_same_degree(ctx, H)
-    E: list[Polynomial] = []
+    h_lts = [leading_term(ord_, f) for f in h]
+    h_lms = [lt.exp for lt in h_lts]
     glts = [leading_term(ord_, g) for g in G]
-
-    def worklist(block, below=None):
-        items = []
-        for i, f in enumerate(block):
-            lt = leading_term(ord_, f)
-            for term in t_skeleton(f).terms:
-                if term.exp == lt.exp:
-                    continue
-                if below is not None and not ord_.key(term.exp) < ord_.key(below):
-                    continue
-                items.append((term, i))
-        return items
-
-    T = worklist(h)
-    while T:
-        s, i = max(T, key=lambda ti: (ord_.key(ti[0].exp), -ti[1]))
-        hit = None
-        for g, lt in zip(G, glts):
-            if term_divides(lt, s):
-                hit = (g, lt)
-                break
-        if hit is None:
-            T.remove((s, i))
-            continue
-        g, lt = hit
-        mult = g.term_mul(1, tuple(a - b for a, b in zip(s.exp, lt.exp)))
-        assert leading_term(ord_, mult).exp not in {leading_term(ord_, e).exp for e in E}
+    E: list[Polynomial] = []
+    e_lms: list[tuple] = []
+    below = None  # ordering key of the term the last step handled
+    while True:
+        hits = []
+        for f, lt_f in zip(h, h_lts):
+            for term, j in _reducible_tail(ord_, f, lt_f, glts):
+                key = ord_.key(term.exp)
+                if below is None or key < below:
+                    hits.append((key, term.exp, j))
+                    break
+        if not hits:
+            return h
+        below, s, j = max(hits)
+        mult = G[j].term_mul(1, tuple(a - b for a, b in zip(s, glts[j].exp)))
+        lm = leading_term(ord_, mult).exp
+        assert lm not in e_lms
         E.append(mult)
-        h_lms = [leading_term(ord_, f).exp for f in h]
-        e_lms = [leading_term(ord_, e).exp for e in E]
-        combined = inred_same_degree(ctx, h + E)
-        h, E = _split_by_lm(ord_, combined, h_lms, e_lms)
-        T = worklist(h, below=s.exp)
-    return h
+        e_lms.append(lm)
+        h, E = _split_by_lm(ord_, inred_same_degree(ctx, h + E), h_lms, e_lms)
 
 
 def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
@@ -347,9 +350,11 @@ def _diverged(ord_, term, lt_g, bound) -> InredDiverged:
 def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis) -> StandardBasis:
     """Initially reduce a minimal standard basis without a declared prime.
 
-    Repeatedly eliminates the compare-greatest reducible skeleton tail term
-    (whole-coefficient elimination against monic reducers, single-term
-    subtraction otherwise); unit t-content is stripped after every step.
+    Element by element, repeatedly eliminates the element's greatest
+    reducible skeleton tail term against the first other element whose
+    leading term divides it (whole-coefficient elimination against monic
+    reducers, single-term subtraction otherwise); unit t-content is stripped
+    after every step.
     Termination is not guaranteed in this regime, so the loop is bounded by
     a t-degree limit and by ``division.STEP_CAP``; ``InredDiverged`` names
     the bound that tripped.
@@ -361,46 +366,31 @@ def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis) -> Stan
     # step cap on ever-larger polynomials.
     degree_limit = 32 + 8 * max(
         (t.exp[0] for g in elems for t in g.terms), default=0)
+    # Leading terms never change (checked after every step), and whether an
+    # element has a reducible skeleton term depends only on that element and
+    # the leading terms, so one pass over the elements finishes the job.
+    lts = [leading_term(ord_, g) for g in elems]
     steps = 0
-    progress = True
-    while progress:
-        progress = False
-        lts = [leading_term(ord_, g) for g in elems]
-        for i, g in enumerate(elems):
-            reduced_one = True
-            while reduced_one:
-                reduced_one = False
-                lt_g = lts[i]
-                candidates = sorted(
-                    (t for t in t_skeleton(g).terms if t.exp != lt_g.exp),
-                    key=lambda t: ord_.key(t.exp), reverse=True,
-                )
-                for term in candidates:
-                    for j, lt in enumerate(lts):
-                        if j == i or not term_divides(lt, term):
-                            continue
-                        g = strip_unit_t_content(
-                            _eliminate_tail(ord_, g, lt_g, term, elems[j], lt))
-                        elems[i] = g
-                        lts[i] = leading_term(ord_, g)
-                        assert lts[i] == lt_g, "initial reduction must preserve leading terms"
-                        reduced_one = True
-                        progress = True
-                        steps += 1
-                        degree = max(t.exp[0] for t in g.terms)
-                        if degree > degree_limit:
-                            raise _diverged(ord_, term, lt_g,
-                                            f"its t-degree reached {degree}, past the "
-                                            f"t-degree limit {degree_limit}")
-                        if steps > division.STEP_CAP:
-                            raise _diverged(ord_, term, lt_g,
-                                            f"the reduction passed {division.STEP_CAP} "
-                                            "elimination steps")
-                        break
-                    if reduced_one:
-                        break
-    elems.sort(key=lambda g: (ord_.key(leading_term(ord_, g).exp), g.terms), reverse=True)
-    return StandardBasis(tuple(elems), ord_)
+    for i, lt_g in enumerate(lts):
+        while hit := next(((term, j) for term, j in _reducible_tail(ord_, elems[i], lt_g, lts)
+                           if j != i), None):
+            term, j = hit
+            g = strip_unit_t_content(
+                _eliminate_tail(ord_, elems[i], lt_g, term, elems[j], lts[j]))
+            assert leading_term(ord_, g) == lt_g, \
+                "initial reduction must preserve leading terms"
+            elems[i] = g
+            steps += 1
+            degree = max(t.exp[0] for t in g.terms)
+            if degree > degree_limit:
+                raise _diverged(ord_, term, lt_g,
+                                f"its t-degree reached {degree}, past the "
+                                f"t-degree limit {degree_limit}")
+            if steps > division.STEP_CAP:
+                raise _diverged(ord_, term, lt_g,
+                                f"the reduction passed {division.STEP_CAP} "
+                                "elimination steps")
+    return sorted_basis(ord_, elems)
 
 
 def is_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial]) -> bool:

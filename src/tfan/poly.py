@@ -159,9 +159,6 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial(tuple(Term(c * coeff, exp_mul(e, exp)) for c, e in self.terms))
 
-    def monomials(self) -> tuple[Exp, ...]:
-        return tuple(e for _, e in self.terms)
-
 
 def is_x_homogeneous(f: Polynomial) -> bool:
     degs = {exp_x_degree(e) for _, e in f.terms}
@@ -185,21 +182,22 @@ def x_degree(f: Polynomial) -> int:
 TPoly = tuple  # tuple of (beta, coeff) pairs, ascending beta, coeffs nonzero
 
 
+def t_coefficients(f: Polynomial) -> dict[tuple, TPoly]:
+    """Every Z[t] coefficient of f, as {alpha: ((beta, c), ...)}, in one pass.
+
+    The canonical term order keeps the terms of one alpha adjacent with beta
+    ascending, so the alphas come out in canonical order and no sort is
+    needed.
+    """
+    out: dict[tuple, list] = {}
+    for c, e in f.terms:
+        out.setdefault(e[1:], []).append((e[0], c))
+    return {a: tuple(tp) for a, tp in out.items()}
+
+
 def t_coefficient(f: Polynomial, alpha: tuple) -> TPoly:
     """The Z[t] coefficient of x^alpha in f, as ((beta, c), ...) ascending."""
-    pairs = sorted((e[0], c) for c, e in f.terms if e[1:] == tuple(alpha))
-    return tuple(pairs)
-
-
-def x_support(f: Polynomial) -> tuple[tuple, ...]:
-    """Distinct x-exponent vectors occurring in f, in canonical order."""
-    seen: list[tuple] = []
-    for _, e in f.terms:  # terms are canonically sorted, so alphas come out sorted
-        a = e[1:]
-        if not seen or seen[-1] != a:
-            if a not in seen:
-                seen.append(a)
-    return tuple(seen)
+    return t_coefficients(f).get(tuple(alpha), ())
 
 
 def tpoly_shift(tp: TPoly, k: int) -> TPoly:
@@ -241,13 +239,8 @@ def t_skeleton(f: Polynomial) -> Polynomial:
     """
     if f.is_zero:
         raise InvalidInput("t_skeleton of the zero polynomial is undefined")
-    best: dict[tuple, Term] = {}
-    for c, e in f.terms:
-        a = e[1:]
-        cur = best.get(a)
-        if cur is None or e[0] < cur.exp[0]:
-            best[a] = Term(c, e)
-    return Polynomial.from_terms([(t.coeff, t.exp) for t in best.values()])
+    return Polynomial(tuple(Term(tp[0][1], (tp[0][0],) + a)
+                            for a, tp in t_coefficients(f).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +450,8 @@ def tpoly_divexact(p: TPoly, d: TPoly) -> TPoly:
 def t_content(f: Polynomial) -> TPoly:
     """GCD in Z[t] of all Z[t]-coefficients of f."""
     g: TPoly = ()
-    for a in x_support(f):
-        g = tpoly_gcd(g, t_coefficient(f, a))
+    for tp in t_coefficients(f).values():
+        g = tpoly_gcd(g, tp)
     return g
 
 
@@ -480,13 +473,10 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
         return f
     if c0 < 0:
         unit = tuple((b, -c) for b, c in unit)
-    n = f.nvars
-    parts = []
-    for a in x_support(f):
-        q = tpoly_divexact(t_coefficient(f, a), unit)
-        for beta, c in q:
-            parts.append((c, (beta,) + tuple(a)))
-    return Polynomial.from_terms(parts)
+    # alphas in canonical order, each quotient's betas ascending: canonical
+    return Polynomial(tuple(Term(c, (beta,) + a)
+                            for a, tp in t_coefficients(f).items()
+                            for beta, c in tpoly_divexact(tp, unit)))
 
 
 # ---------------------------------------------------------------------------

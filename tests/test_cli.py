@@ -97,6 +97,17 @@ class TestParsing:
         assert main(["fan", str(nine), "--prime=9"]) == 2
         assert "parse error: 9 is not prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_check_samples_below_one_is_parse_error(self, tmp_path, capsys, samples):
+        f = tmp_path / "fig1.ideal"
+        f.write_text(FIG1_FILE)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(f), f"--samples={samples}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--samples: must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_poly_round_trip(self):
         for s in ["2 - t", "x*y^2 - t^2*y^3", "-x^2 + t^3*y^2", "t", "-3"]:
             f = parse_poly(s, XY)

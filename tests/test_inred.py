@@ -2,6 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from tfan import (
     InredContext,
@@ -23,6 +24,7 @@ from tfan import (
     t_skeleton,
     weighted_ordering,
 )
+from tfan.exact import p_valuation
 from tfan.inred import _check_cross, _split_by_lm
 from tfan.poly import exp_divides, mul_tpoly, p_minus_t, t_coefficient, tpoly_shift
 
@@ -66,6 +68,62 @@ class TestPReduce:
             if not diff.is_zero:
                 # g - g' is a Z[t,x]-multiple of 2 - t: substituting t -> 2 kills it
                 assert _substitute_t(diff, 2).is_zero
+
+
+def p_reduce_oracle(ctx, g):
+    """The top-down walk over all tail terms: the oracle for ``p_reduce``.
+
+    Repeatedly takes the greatest remaining term outside the leading
+    x-monomial.  When p divides its coefficient it is lifted, c*t^b ->
+    (c/p^l)*t^{b+l}, by polynomial arithmetic; otherwise the whole
+    Z[t]-coefficient of its x-monomial is kept as it stands.
+    """
+    ord_, p = ctx.ord, ctx.p
+    gamma = leading_term(ord_, g).exp[1:]
+    done = [(c, e) for c, e in g.terms if e[1:] == gamma]
+    work = Polynomial(tuple(t for t in g.terms if t.exp[1:] != gamma))
+    while work:
+        top = leading_term(ord_, work)
+        if top.coeff % p == 0:
+            l = p_valuation(top.coeff, p)
+            lifted = (top.exp[0] + l,) + top.exp[1:]
+            work = work - Polynomial.term(top.coeff, top.exp) \
+                        + Polynomial.term(top.coeff // p**l, lifted)
+        else:
+            alpha = top.exp[1:]
+            done.extend((c, e) for c, e in work.terms if e[1:] == alpha)
+            work = Polynomial(tuple(t for t in work.terms if t.exp[1:] != alpha))
+    return Polynomial.from_terms(done)
+
+
+@st.composite
+def p_reduce_inputs(draw):
+    """An x-homogeneous polynomial in 1-3 variables with coefficients
+    u * p^k (k = 0..3) and t-powers 0-4, so lifts land on existing terms,
+    merge with them and cancel; plus a prime and a weight."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([2, 3, 5]))
+    alphas = [tuple(combo.count(v) for v in range(n))
+              for combo in combinations_with_replacement(range(n), d)]
+    terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2, 3]), st.integers(0, 3),
+                                    st.integers(0, 4), st.sampled_from(alphas)),
+                          min_size=1, max_size=10))
+    g = Polynomial.from_terms([(u * p**k, (b,) + a) for u, k, b, a in terms])
+    weight = (draw(st.integers(-3, -1)),) + tuple(draw(st.lists(st.integers(-2, 2),
+                                                                min_size=n, max_size=n)))
+    return p, n, g, weight
+
+
+@seed(8)
+@settings(max_examples=200, deadline=None)
+@given(p_reduce_inputs())
+def test_p_reduce_matches_top_down_oracle(case):
+    p, n, g, weight = case
+    assume(not g.is_zero)
+    for ord_ in (weighted_ordering(weight, n), lex_ordering(n)):
+        ctx = InredContext(p, ord_)
+        assert p_reduce(ctx, g) == p_reduce_oracle(ctx, g)
 
 
 def _substitute_t(f, val):

@@ -16,7 +16,7 @@ from tfan import (
     weighted_ordering,
     x_degree,
 )
-from tfan.poly import strip_unit_t_content, t_coefficient
+from tfan.poly import strip_unit_t_content, t_coefficient, t_coefficients
 
 from helpers import P, XY, XYZ, polys
 
@@ -180,6 +180,24 @@ def test_t_coefficient_view():
     assert t_coefficient(f, (1, 0, 0)) == ((0, 1), (3, -1))
     assert t_coefficient(f, (0, 0, 1)) == ((3, 1), (4, -1))
     assert t_coefficient(f, (0, 1, 0)) == ()
+
+
+def test_t_coefficients_one_pass():
+    # mixed x-degrees and interleaved input: each alpha's terms are grouped
+    # with beta ascending, alphas come in canonical order (x-degree, then lex)
+    f = P("t^2*y + 3 - t*x^2 + 2*t*y + x^2 - 5*t^4 + t^3*x^2", XY)
+    coeffs = t_coefficients(f)
+    assert coeffs == {
+        (2, 0): ((0, 1), (1, -1), (3, 1)),
+        (0, 1): ((1, 2), (2, 1)),
+        (0, 0): ((0, 3), (4, -5)),
+    }
+    assert list(coeffs) == [(2, 0), (0, 1), (0, 0)]
+    for alpha, tp in coeffs.items():
+        assert t_coefficient(f, alpha) == tp
+    assert t_coefficient(f, (1, 0)) == ()
+    assert t_coefficient(f, (1, 1)) == ()
+    assert t_coefficients(Polynomial.zero()) == {}
 
 
 def _random_poly(rng, n):
