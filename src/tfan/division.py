@@ -22,6 +22,10 @@ Three engines live here:
   are generated by terms, not monomials).  The output is strong: every
   leading term of an ideal element is term-divisible by some basis leading
   term, which is what makes single-divisor division above sufficient.
+  Its hot path does no repeated key or sorting work: one key table per
+  completion holds the graded key of each exponent met, pair candidates are
+  built straight into the ``exp -> coeff`` dict that head reduction works
+  on, and only nonzero remainders become Polynomials.
 
 Every loop here is bounded by the one module constant ``STEP_CAP``.  It
 guards against faults and is not a tuning value: the homogenised completion
@@ -168,27 +172,48 @@ def _one_like(divisors, f):
 
 def spair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial over Z: cancel lcm of leading terms via coefficient lcm."""
-    return _s_poly(f, leading_term(ord_, f), g, leading_term(ord_, g))
+    return _from_dict(_s_pair(f, leading_term(ord_, f), g, leading_term(ord_, g)))
 
 
 def gpair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
     """GCD-polynomial: leading coefficient becomes gcd of the two lc's."""
-    return _gcd_poly(f, leading_term(ord_, f), g, leading_term(ord_, g))
+    return _from_dict(_gcd_pair(f, leading_term(ord_, f), g, leading_term(ord_, g)))
 
 
-def _s_poly(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> Polynomial:
-    """The S-polynomial of f and g, given their leading terms lf and lg."""
-    m = exp_lcm(lf.exp, lg.exp)
+def _s_pair(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> dict:
+    """The S-polynomial of f and g as a dict, given their leading terms."""
     a, b = lf.coeff, lg.coeff
     c = abs(a * b) // _gcd(a, b)
-    return f.term_mul(c // a, exp_div(m, lf.exp)) - g.term_mul(c // b, exp_div(m, lg.exp))
+    return _pair_dict(c // a, f, lf, -(c // b), g, lg)
 
 
-def _gcd_poly(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> Polynomial:
-    """The GCD-polynomial of f and g, given their leading terms lf and lg."""
-    m = exp_lcm(lf.exp, lg.exp)
+def _gcd_pair(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> dict:
+    """The GCD-polynomial of f and g as a dict, given their leading terms."""
     _, u, v = extended_gcd(lf.coeff, lg.coeff)
-    return f.term_mul(u, exp_div(m, lf.exp)) + g.term_mul(v, exp_div(m, lg.exp))
+    return _pair_dict(u, f, lf, v, g, lg)
+
+
+def _pair_dict(u: int, f: Polynomial, lf: Term, v: int, g: Polynomial, lg: Term) -> dict:
+    """u*x^(m-lf)*f + v*x^(m-lg)*g as an ``exp -> coeff`` dict with no zero
+    coefficient, where m is the lcm of the two leading exponents."""
+    m = exp_lcm(lf.exp, lg.exp)
+    acc: dict[tuple, int] = {}
+    for k, h, lt in ((u, f, lf), (v, g, lg)):
+        if not k:
+            continue
+        shift = tuple(map(sub, m, lt.exp))
+        for c, e in h.terms:
+            e = tuple(map(add, e, shift))
+            c = acc.get(e, 0) + k * c
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+    return acc
+
+
+def _from_dict(acc: dict) -> Polynomial:
+    return Polynomial.from_terms((c, e) for e, c in acc.items())
 
 
 def _gcd(a, b):
@@ -224,20 +249,22 @@ def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
 # terms dehomogenise to leading terms).
 
 
-def _hom_key(ord_: MonomialOrdering):
-    """Sort key on homogenised exponents (sigma, beta, alpha...): the total
-    degree, then ``ord_.key`` of the dehomogenised exponent.  Keys are
-    memoised in a dict owned by the returned function, so the memo lives as
-    long as the one completion that uses it."""
-    memo: dict[tuple, tuple] = {}
+class _KeyTable(dict):
+    """Graded keys of homogenised exponents (sigma, beta, alpha...): the total
+    degree, then ``ord_.key`` of the dehomogenised exponent.
 
-    def key(e):
-        k = memo.get(e)
-        if k is None:
-            k = memo[e] = (sum(e),) + ord_.key(e[1:])
+    A plain dict for lookups; a missing exponent has its key computed and
+    entered on first lookup, so ``keys.__getitem__`` is a key function that
+    runs in C for every exponent seen before.  One table serves one
+    completion."""
+
+    def __init__(self, ord_: MonomialOrdering):
+        super().__init__()
+        self.ord = ord_
+
+    def __missing__(self, e):
+        k = self[e] = (sum(e),) + self.ord.key(e[1:])
         return k
-
-    return key
 
 
 def _homogenize(f: Polynomial) -> Polynomial:
@@ -249,23 +276,24 @@ def _dehomogenize(f: Polynomial) -> Polynomial:
     return Polynomial.from_terms([(c, e[1:]) for c, e in f.terms])
 
 
-def _head_reduce(key, h: Polynomial, basis) -> Polynomial:
+def _head_reduce(keys: _KeyTable, acc: dict, basis) -> Polynomial:
     """Weak head reduction under a global order: stop at the first leading
     term no basis leading term divides.
 
-    The running remainder is an ``exp -> coeff`` dict that each step updates
-    in place; the first basis element whose leading term divides the current
-    leading term is the reducer.  A Polynomial is built once, on return."""
-    acc = {e: c for c, e in h.terms}
+    ``acc`` is the running remainder as an ``exp -> coeff`` dict, updated in
+    place by every step; its leading exponent is the one with the greatest
+    key in ``keys``.  ``basis`` holds (leading term, element) pairs, and the
+    first element whose leading term divides the current leading term is the
+    reducer.  A Polynomial is built once, on return."""
     steps = 0
     while acc:
-        e = max(acc, key=key)
+        e = max(acc, key=keys.__getitem__)
         c = acc[e]
         for lt, g in basis:
             if c % lt.coeff == 0 and exp_divides(lt.exp, e):
                 break
         else:
-            return Polynomial.from_terms((c, e) for e, c in acc.items())
+            return _from_dict(acc)
         q = c // lt.coeff
         m = tuple(map(sub, e, lt.exp))
         for gc, ge in g.terms:
@@ -286,54 +314,53 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
 
     The completion runs on the t-degree homogenisation with both S- and
     GCD-pairs (the strong pair set needed over Z, where leading ideals are
-    generated by terms rather than monomials).  Pairs wait in a heap keyed
-    by (graded key of their lcm, i, j), computed once when the pair is
-    pushed, so they are processed smallest lcm first and, among equal lcms,
-    by index.  The dehomogenised elements are normalised by stripping
-    Z[[t]]-unit content and fixing positive leading coefficients.
+    generated by terms rather than monomials).  One ``_KeyTable`` holds the
+    graded key of every homogenised exponent the completion meets, each
+    computed once.  Pairs wait in a heap keyed by (graded key of their lcm,
+    i, j), so they are processed smallest lcm first and, among equal lcms,
+    by index.  Each candidate is built straight into the ``exp -> coeff``
+    dict that ``_head_reduce`` works on, and only a nonzero remainder
+    becomes a Polynomial and joins the reducer list, in place; the
+    GCD-candidate of a pair is reduced after its S-remainder has joined.
+    The dehomogenised elements are normalised by stripping Z[[t]]-unit
+    content and fixing positive leading coefficients.
     """
     first = [normalize_element(ord_, f) for f in gens if not f.is_zero]
     if not first:
         raise InvalidInput("standard basis of the zero ideal is not represented")
-    key = _hom_key(ord_)
-
-    def hlt(f):
-        return max(f.terms, key=lambda u: key(u.exp))
-
-    G: list[Polynomial] = []
-    lts: list[Term] = []
-    pending: list[tuple] = []  # heap of (key(lcm), i, j)
+    keys = _KeyTable(ord_)
+    reducers: list[tuple[Term, Polynomial]] = []  # (leading term, element)
+    pending: list[tuple] = []  # heap of (keys[lcm], i, j)
 
     def add(h):
-        G.append(h)
-        lts.append(hlt(h))
-        j = len(G) - 1
-        for i in range(j):
-            heappush(pending, (key(exp_lcm(lts[i].exp, lts[j].exp)), i, j))
+        lt = max(h.terms, key=lambda u: keys[u.exp])
+        j = len(reducers)
+        for i, (lt_i, _) in enumerate(reducers):
+            heappush(pending, (keys[exp_lcm(lt_i.exp, lt.exp)], i, j))
+        reducers.append((lt, h))
 
     for f in first:
         h = _homogenize(f)
-        if h not in G:
+        if all(h != g for _, g in reducers):
             add(h)
     guard = 0
     while pending:
         _, i, j = heappop(pending)
-        a, b = lts[i].coeff, lts[j].coeff
-        candidates = [_s_poly(G[i], lts[i], G[j], lts[j])]
-        if a % b != 0 and b % a != 0:
-            candidates.append(_gcd_poly(G[i], lts[i], G[j], lts[j]))
-        for h in candidates:
-            if h.is_zero:
-                continue
-            r = _head_reduce(key, h, list(zip(lts, G)))
-            if r.is_zero:
-                continue
-            add(r)
+        (lf, f), (lg, g) = reducers[i], reducers[j]
+        pair_kinds = [_s_pair]
+        if lf.coeff % lg.coeff != 0 and lg.coeff % lf.coeff != 0:
+            pair_kinds.append(_gcd_pair)
+        for pair in pair_kinds:
+            acc = pair(f, lf, g, lg)
+            if acc:
+                r = _head_reduce(keys, acc, reducers)
+                if not r.is_zero:
+                    add(r)
         guard += 1
         if guard > STEP_CAP:
             raise DivisionDiverged(f"pair processing exceeded {STEP_CAP} pairs")
     out: list[Polynomial] = []
-    for h in G:
+    for _, h in reducers:
         f = normalize_element(ord_, _dehomogenize(h))
         if f not in out:
             out.append(f)

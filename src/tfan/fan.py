@@ -42,7 +42,7 @@ from .cone import (
     is_face,
     relative_interior_point,
 )
-from .division import StandardBasis, hddwr, minimize, standard_basis
+from .division import StandardBasis, hddwr, minimize, normalize_element, standard_basis
 from .errors import InvalidInput, NonGenericWeight, WitnessFailed
 from .exact import dot, rank
 from .inred import ensure_initially_reduced, initially_reduce
@@ -138,10 +138,14 @@ def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
 
     The lifted basis is already a standard basis under the new ordering, so
     it is only initially reduced, not completed again (the ideal, and with
-    it p - t, is unchanged by the flip).  The cone is read off with the
-    leading terms as initial forms, and the ordering is re-anchored to a
-    single interior weight so chains do not accumulate across many flips.
+    it p - t, is unchanged by the flip); its elements are normalised as
+    ``standard_basis`` leaves them, which ``initially_reduce`` expects.  The
+    cone is read off with the leading terms as initial forms, and the
+    ordering is re-anchored to a single interior weight so chains do not
+    accumulate across many flips.
     """
+    G_new = StandardBasis(tuple(normalize_element(ord_new, g) for g in G_new.elements),
+                          ord_new)
     basis = initially_reduce(ord_new, G_new, prime)
     lts = tuple(Polynomial.term(*leading_term(ord_new, g)) for g in basis.elements)
     hc = cone_from_basis(ord_new, basis.elements, lts)

@@ -24,10 +24,12 @@ Two regimes:
   {x + t*y, y + t*x} reduces to {x, y} instead of cycling).
 
 ``initially_reduce`` is the one path from a known standard basis to an
-initially reduced one, in either regime; it never completes again.  The fan
-traversal calls it on lifted bases.  ``ensure_initially_reduced`` is the one
-entry from generators: it completes, checks that p - t lies in the ideal
-when a prime is declared, then calls ``initially_reduce``.
+initially reduced one, in either regime; it never completes again and
+expects elements normalised as ``standard_basis`` leaves them.  The fan
+traversal normalises lifted bases and calls it on them.
+``ensure_initially_reduced`` is the one entry from generators: it completes,
+checks that p - t lies in the ideal when a prime is declared, then calls
+``initially_reduce``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .division import (
     StandardBasis,
     minimize,
     mora_weak_nf,
-    normalize_element,
     sorted_basis,
     standard_basis,
 )
@@ -264,19 +265,18 @@ def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
 
     ``basis`` must already be a standard basis w.r.t. ``ord_``; nothing is
     completed again.  With a declared prime the ideal must contain p - t,
-    which is not checked here.  Elements are first normalised as
-    ``standard_basis`` leaves them (unit t-content stripped, positive
-    leading coefficient), so a lifted basis and a fresh completion go
-    through the same steps.  Prime regime: drops elements whose leading
-    coefficient the prime divides (p - t covers them), normalises the
-    remaining leading coefficients to 1 via a Bezout combination with
-    p - t, minimises, then reduces the x-degree strata bottom up against
-    everything already finished; the result always contains p - t.
-    Generic regime: ``generic_initial_reduce``.
+    which is not checked here.  Its elements must be normalised as
+    ``standard_basis`` leaves them (``normalize_element``: unit t-content
+    stripped, positive leading coefficient); callers with a basis from
+    elsewhere, such as a lifted one, normalise it first.  Prime regime:
+    drops elements whose leading coefficient the prime divides (p - t
+    covers them), normalises the remaining leading coefficients to 1 via a
+    Bezout combination with p - t, minimises, then reduces the x-degree
+    strata bottom up against everything already finished; the result always
+    contains p - t.  Generic regime: ``generic_initial_reduce``.
     """
     if not basis.elements:
         raise InvalidInput("empty standard basis")
-    basis = StandardBasis(tuple(normalize_element(ord_, g) for g in basis.elements), ord_)
     if prime is None:
         return generic_initial_reduce(ord_, basis)
     ctx = InredContext(prime, ord_)

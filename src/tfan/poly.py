@@ -18,7 +18,7 @@ reduction code in this package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -82,6 +82,9 @@ class Polynomial:
     """Immutable sparse polynomial over Z in t, x1..xn."""
 
     terms: tuple[Term, ...] = ()
+    # (ordering, leading term) of the last ``leading_term`` call on this
+    # instance; equality, hashing and repr ignore it.
+    _lt: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_terms(items: Iterable[tuple[int, Exp]]) -> "Polynomial":
@@ -330,9 +333,20 @@ def weighted_ordering(w, n: int, priority=None) -> MonomialOrdering:
 
 
 def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
+    """The compare-greatest term of f under ``ord_``.
+
+    The answer is kept on f together with the ordering, so asking again
+    under the same ordering object (checked by identity) costs no key
+    computation; a different ordering replaces the kept answer.
+    """
+    kept = f._lt
+    if kept is not None and kept[0] is ord_:
+        return kept[1]
     if f.is_zero:
         raise InvalidInput("leading term of the zero polynomial is undefined")
-    return max(f.terms, key=lambda t: ord_.key(t.exp))
+    lt = max(f.terms, key=lambda t: ord_.key(t.exp))
+    object.__setattr__(f, "_lt", (ord_, lt))
+    return lt
 
 
 def tail(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
@@ -462,10 +476,18 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
     u(0) = +-1 it is a unit of Z[[t]], so dividing by it changes neither the
     ideal generated nor any leading term (the sign is arranged so u(0) = 1).
     Contents whose t-free part has a nontrivial constant are left alone.
+    The running gcd of the coefficients stops early once it is a single term
+    c*t^k: the content divides it, so it is a single term too and has no
+    unit part to strip.
     """
     if f.is_zero:
         return f
-    content = t_content(f)
+    coeffs = t_coefficients(f)
+    content: TPoly = ()
+    for tp in coeffs.values():
+        content = tpoly_gcd(content, tp)
+        if len(content) == 1:
+            return f
     k = tpoly_min_beta(content)
     unit = tpoly_shift(content, -k)
     c0 = unit[0][1]
@@ -475,7 +497,7 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
         unit = tuple((b, -c) for b, c in unit)
     # alphas in canonical order, each quotient's betas ascending: canonical
     return Polynomial(tuple(Term(c, (beta,) + a)
-                            for a, tp in t_coefficients(f).items()
+                            for a, tp in coeffs.items()
                             for beta, c in tpoly_divexact(tp, unit)))
 
 

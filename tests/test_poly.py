@@ -83,6 +83,27 @@ class TestLeadingData:
         with pytest.raises(InvalidInput):
             leading_term(o, Polynomial.zero())
 
+    def test_leading_term_kept_per_ordering(self):
+        f = P("x + t*y", XY)
+        by_x, by_y = lex_ordering(2), lex_ordering(2, priority=(1, 0))
+        for _ in range(3):
+            assert leading_term(by_x, f) == (1, exp(0, 1, 0))
+            assert leading_term(by_y, f) == (1, exp(1, 0, 1))
+        # equal but distinct orderings give the same term
+        a, b = weighted_ordering((-1, 1, 3), 2), weighted_ordering((-1, 1, 3), 2)
+        assert a == b and a is not b
+        assert leading_term(a, f) == leading_term(b, f) == (1, exp(1, 0, 1))
+        assert leading_term(by_x, f) == (1, exp(0, 1, 0))
+        assert leading_term(b, f) == (1, exp(1, 0, 1))
+
+    def test_kept_leading_term_is_invisible(self):
+        f = P("x + t*y", XY)
+        leading_term(lex_ordering(2), f)
+        fresh = Polynomial(f.terms)
+        assert f._lt is not None and fresh._lt is None
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+        assert len({f, fresh}) == 1
+
 
 class TestInitialForm:
     def test_section3_pair(self):
