@@ -99,15 +99,16 @@ def _dd(ineq_rows, eq_rows, dim):
     combination applies.
 
     The sweep is integer-only (Fukuda and Prodon, "Double description method
-    revisited", 1996): kernel vectors and rational rows are scaled to
-    integers once, and the trade replaces each vector by a positive multiple
+    revisited", 1996): kernel vectors and the lineality's echelon rows come
+    primitive from ``exact``, rational rows are scaled to integers once, and
+    the trade replaces each vector by a positive multiple
     ``v0*l - (a.l)*l0`` of its rational projection, made primitive, so every
     ray is primitive throughout.  Each ray carries its zero set, a bitmask
     of the imposed rows it is tight on, so the adjacency test is the
     combinatorial one on masks: two rays are adjacent iff no third ray's
     zero set contains the meet of theirs.
     """
-    L = [primitive(v) for v in kernel_basis(eq_rows, dim)]
+    L = kernel_basis(eq_rows, dim)
     R: list[Vec] = []
     Z: list[int] = []  # Z[i]: bit k set iff the k-th imposed row is tight on R[i]
     for k, a in enumerate(ineq_rows):
@@ -149,9 +150,7 @@ def _dd(ineq_rows, eq_rows, dim):
                             Z.append(z)
             else:
                 Z = [z | bit if v == 0 else z for z, v in zip(Z, vals)]
-    lin_rows, _ = rref(L)
-    lineality = tuple(primitive(row) for row in lin_rows)
-    return tuple(sorted(set(R))), lineality
+    return tuple(sorted(set(R))), rref(L)[0]
 
 
 def dd_rays(cone: HCone) -> ConeData:

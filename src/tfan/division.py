@@ -86,8 +86,8 @@ def hddwr(ord_: MonomialOrdering, f: Polynomial,
           divisors: Sequence[Polynomial]) -> DivisionResult:
     """Determinate division f = sum q_i g_i + r, no term of r divisible."""
     lts = [leading_term(ord_, g) for g in divisors]
-    quotients = [Polynomial.zero() for _ in divisors]
-    rem_parts: list[tuple[int, tuple]] = []
+    quotient_parts: list[list[Term]] = [[] for _ in divisors]
+    rem_parts: list[Term] = []
     h = f
     steps = 0
     while h:
@@ -95,11 +95,11 @@ def hddwr(ord_: MonomialOrdering, f: Polynomial,
         for i, lt in enumerate(lts):
             if term_divides(lt, t):
                 m = Term(t.coeff // lt.coeff, exp_div(t.exp, lt.exp))
-                quotients[i] = quotients[i] + Polynomial.term(m.coeff, m.exp)
+                quotient_parts[i].append(m)
                 h = h - divisors[i].term_mul(m.coeff, m.exp)
                 break
         else:
-            rem_parts.append((t.coeff, t.exp))
+            rem_parts.append(t)
             h = Polynomial(tuple(u for u in h.terms if u.exp != t.exp))
         steps += 1
         if steps > STEP_CAP:
@@ -107,7 +107,8 @@ def hddwr(ord_: MonomialOrdering, f: Polynomial,
                 f"determinate division exceeded {STEP_CAP} steps",
                 trace=[str(t.exp) for t in h.terms[:4]],
             )
-    return DivisionResult(tuple(quotients), Polynomial.from_terms(rem_parts))
+    return DivisionResult(tuple(Polynomial.from_terms(q) for q in quotient_parts),
+                          Polynomial.from_terms(rem_parts))
 
 
 def mora_weak_nf(ord_: MonomialOrdering, f: Polynomial,

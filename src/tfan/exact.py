@@ -7,15 +7,15 @@ are tuples of equal-length row tuples.  Everything here is pure and
 deterministic: Gaussian elimination always pivots on the first nonzero entry
 of a column.
 
-``integral``, ``primitive`` and ``rank`` are fraction-free: they clear a
-vector's denominators once, by a positive integer factor, and then work in
-integers only, so integer input never builds a ``Fraction``.  ``rref`` and
-``kernel_basis`` work over Q and return ``Fraction`` entries.
+All of it is fraction-free: ``integral`` clears a vector's denominators
+once, by a positive integer factor, and everything else works in integers
+only, so integer input never builds a ``Fraction``.  ``rref`` is the one
+elimination; ``rank`` and ``kernel_basis`` read its echelon form, and the
+rows and vectors they return are primitive int tuples.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidInput
@@ -100,14 +100,22 @@ def vscale(c, u):
 
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
-    Returns (rref_rows, pivot_columns).  Rows of the result are Fraction
-    tuples with zero rows dropped; the row space is preserved.  Pivot choice
-    is the first row with a nonzero entry in the current column, which makes
-    the output deterministic.
+    Returns (rows, pivot_columns) with zero rows dropped; the row space is
+    preserved.  Each row is made integral once.  The pivot of a column is
+    the first remaining row with a nonzero entry there, which makes the
+    output deterministic; it is made primitive and positive at the pivot and
+    cleared from every other row by integer cross-multiplication, each
+    changed row divided by the gcd of its entries so the numbers stay small
+    (integer-preserving as in Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", 1968, with a gcd in place of
+    the exact division by the previous pivot).  So each result row is a
+    primitive int tuple, positive in its pivot column and zero in every
+    other pivot column: the positive primitive multiple of the rational
+    RREF row.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [integral(row) for row in rows]
     if not m:
         return (), ()
     ncols = len(m[0])
@@ -116,79 +124,57 @@ def rref(rows):
     pivots = []
     pr = 0
     for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, len(m)):
-            if m[r][pc] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(pr, len(m)) if m[r][pc]), None)
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        pv = m[pr][pc]
-        m[pr] = [x / pv for x in m[pr]]
-        for r in range(len(m)):
-            if r != pr and m[r][pc] != 0:
-                f = m[r][pc]
-                m[r] = [x - f * y for x, y in zip(m[r], m[pr])]
+        pivot = m[pr]
+        if pivot[pc] < 0:
+            pivot = m[pr] = [-x for x in pivot]
+        g = gcd(*pivot)
+        if g != 1:
+            pivot = m[pr] = [x // g for x in pivot]
+        pv = pivot[pc]
+        for r, row in enumerate(m):
+            f = row[pc]
+            if r != pr and f:
+                row = [pv * x - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == len(m):
             break
-    out = tuple(tuple(row) for row in m[:pr])
-    return out, tuple(pivots)
+    return tuple(tuple(row) for row in m[:pr]), tuple(pivots)
 
 
 def rank(rows) -> int:
-    """Rank by fraction-free elimination.
-
-    Each row is made integral once; then the last remaining row is the
-    pivot, its first nonzero column is cleared from every other row by
-    integer cross-multiplication, and each changed row is divided by the gcd
-    of its entries so the numbers stay small.
-    """
-    m = [integral(row) for row in rows]
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise InvalidInput("ragged matrix")
-    m = [row for row in m if any(row)]
-    r = 0
-    while m:
-        pivot = m.pop()
-        c = next(i for i, x in enumerate(pivot) if x)
-        pc = pivot[c]
-        rest = []
-        for row in m:
-            f = row[c]
-            if f:
-                row = [pc * x - f * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                if not g:
-                    continue
-                if g != 1:
-                    row = [x // g for x in row]
-            rest.append(row)
-        m = rest
-        r += 1
-    return r
+    """Number of nonzero rows of the echelon form."""
+    return len(rref(rows)[0])
 
 
 def kernel_basis(rows, dim: int):
     """Basis of {v in Q^dim : row . v = 0 for every row}.
 
-    Returned vectors are Fraction tuples; with no rows this is the standard
-    basis of Q^dim.
+    One primitive int vector per non-pivot column of ``rref(rows)``,
+    positive in that column and zero in the other free columns; with no
+    rows this is the standard basis of Q^dim.
     """
-    red, pivots = rref(rows)
-    if red and len(red[0]) != dim:
+    if any(len(row) != dim for row in rows):
         raise InvalidInput("row length does not match dim")
-    pivot_set = set(pivots)
-    free = [c for c in range(dim) if c not in pivot_set]
+    red, pivots = rref(rows)
+    # row r reads row[pc]*v[pc] + row[fc]*v[fc] = 0 on the vector for free
+    # column fc; v[fc] = lcm of the pivot entries makes every v[pc] integral
+    s = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        v = [0] * dim
+        v[fc] = s
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (s // row[pc])
+        basis.append(primitive(v))
     return basis
 
 

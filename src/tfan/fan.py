@@ -50,6 +50,7 @@ from .poly import (
     Ideal,
     MonomialOrdering,
     Polynomial,
+    exp_mul,
     initial_form,
     leading_term,
     max_weight_part,
@@ -78,10 +79,9 @@ def witness(h: Polynomial, H: Sequence[Polynomial], G: Sequence[Polynomial],
     q, r = hddwr(ord_, h, H)
     if not r.is_zero:
         raise WitnessFailed("division by the initial forms left a remainder")
-    f = Polynomial.zero()
-    for qi, gi in zip(q, G):
-        f = f + qi * gi
-    return f
+    return Polynomial.from_terms((c1 * c2, exp_mul(e1, e2))
+                                 for qi, gi in zip(q, G)
+                                 for c1, e1 in qi.terms for c2, e2 in gi.terms)
 
 
 def lift(H_new: Sequence[Polynomial], ord_new: MonomialOrdering,

@@ -19,14 +19,13 @@ reduction code in this package relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, mul
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput
-from .exact import is_prime
+from .exact import integral, is_prime
 
 Exp = tuple  # (beta, alpha_1, ..., alpha_n)
 
@@ -88,6 +87,12 @@ class Polynomial:
 
     @staticmethod
     def from_terms(items: Iterable[tuple[int, Exp]]) -> "Polynomial":
+        """The polynomial sum c * t^.. x^.. over (c, exp) pairs in any order.
+
+        This is the one place where terms are merged and sorted: equal
+        exponents are summed, zero coefficients dropped and the rest put in
+        canonical order.  Sums and products hand their terms here unmerged.
+        """
         acc: dict[Exp, int] = {}
         width = None
         for coeff, exp in items:
@@ -132,9 +137,7 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        return Polynomial.from_terms(
-            [(c, e) for c, e in self.terms] + [(c, e) for c, e in other.terms]
-        )
+        return Polynomial.from_terms(self.terms + other.terms)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(Term(-c, e) for c, e in self.terms))
@@ -147,12 +150,8 @@ class Polynomial:
             if other == 0:
                 return Polynomial.zero()
             return Polynomial(tuple(Term(c * other, e) for c, e in self.terms))
-        acc: dict[Exp, int] = {}
-        for c1, e1 in self.terms:
-            for c2, e2 in other.terms:
-                e = exp_mul(e1, e2)
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return Polynomial.from_terms([(c, e) for e, c in acc.items()])
+        return Polynomial.from_terms((c1 * c2, exp_mul(e1, e2))
+                                     for c1, e1 in self.terms for c2, e2 in other.terms)
 
     __rmul__ = __mul__
 
@@ -224,14 +223,8 @@ def mul_tpoly(f: Polynomial, tp: TPoly) -> Polynomial:
     """f * sum_i c_i t^{beta_i}."""
     if not tp or f.is_zero:
         return Polynomial.zero()
-    n = f.nvars
-    acc: dict[Exp, int] = {}
-    for beta, c in tp:
-        shift = (beta,) + (0,) * n
-        for c1, e1 in f.terms:
-            e = exp_mul(e1, shift)
-            acc[e] = acc.get(e, 0) + c1 * c
-    return Polynomial.from_terms([(c, e) for e, c in acc.items()])
+    return Polynomial.from_terms((c1 * c, (e1[0] + beta,) + e1[1:])
+                                 for beta, c in tp for c1, e1 in f.terms)
 
 
 def t_skeleton(f: Polynomial) -> Polynomial:
@@ -295,12 +288,7 @@ class MonomialOrdering:
     @cached_property
     def _int_weights(self) -> tuple[tuple[int, ...], ...]:
         """Each weight vector times the lcm of its entries' denominators."""
-        out = []
-        for w in self.weights:
-            w = [Fraction(c) for c in w]
-            d = lcm(*(c.denominator for c in w))
-            out.append(tuple(int(c * d) for c in w))
-        return tuple(out)
+        return tuple(integral(w) for w in self.weights)
 
     def key(self, e: Exp):
         """Sort key realising the ordering: bigger key = greater monomial."""
@@ -459,14 +447,6 @@ def tpoly_divexact(p: TPoly, d: TPoly) -> TPoly:
         for i, bc in enumerate(b):
             a[da - db + i] -= qc * bc
     return _dense_tp(q)
-
-
-def t_content(f: Polynomial) -> TPoly:
-    """GCD in Z[t] of all Z[t]-coefficients of f."""
-    g: TPoly = ()
-    for tp in t_coefficients(f).values():
-        g = tpoly_gcd(g, tp)
-    return g
 
 
 def strip_unit_t_content(f: Polynomial) -> Polynomial:

@@ -27,9 +27,10 @@ from tfan import (
 from tfan import cone
 from tfan.cli import parse_problem, render_cone
 from tfan.cone import contains_strictly
-from tfan.exact import dot, kernel_basis, primitive, rref, vadd, vneg, vscale, vsub
+from tfan.exact import dot, primitive, vadd, vneg, vscale, vsub
 
 from helpers import P, XY, XYZ, polys, prime_stream_member
+from test_exact import kernel_oracle, rref_oracle
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "demos", "ideals")
@@ -321,8 +322,9 @@ def adjacent_oracle(r1, r2, rays, imposed):
 
 def dd_oracle(ineq_rows, eq_rows, dim):
     """Double description over Q with adjacency from dot products; returns
-    (rays, lineality_basis)."""
-    L = [tuple(v) for v in kernel_basis(eq_rows, dim)]
+    (rays, lineality_basis).  Its elimination is the Fraction oracle of
+    ``test_exact``, so it shares none with ``cone._dd``."""
+    L = kernel_oracle(eq_rows, dim)
     R = []
     imposed = []
     for a in ineq_rows:
@@ -356,7 +358,7 @@ def dd_oracle(ineq_rows, eq_rows, dim):
                             R.append(p)
         imposed.append(a)
     rays = sorted({primitive(r) for r in R if any(x != 0 for x in r)})
-    lin_rows, _ = rref(L)
+    lin_rows, _ = rref_oracle(L)
     lineality = tuple(primitive(row) for row in lin_rows)
     return tuple(rays), lineality
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from tfan import InvalidInput, extended_gcd, kernel_basis, p_valuation, primitive, rank, rref
 
@@ -152,3 +152,109 @@ def test_primitive_of_mixed_vectors_matches_definition(v):
     out = primitive(tuple(v))
     assert out == primitive_by_fractions(v)
     assert all(type(x) is int for x in out)
+
+
+def test_kernel_basis_checks_every_row_length():
+    # all-zero rows leave no echelon row to check, so each input row must be
+    with pytest.raises(InvalidInput):
+        kernel_basis([(0, 0, 0)], 2)
+    with pytest.raises(InvalidInput):
+        kernel_basis([(1, 0), (0, 0, 0)], 2)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: Gauss-Jordan over Q with Fraction entries
+# ---------------------------------------------------------------------------
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form over Q: Fraction rows, pivot entries 1.
+
+    Pivots on the first row with a nonzero entry in the current column, as
+    ``rref`` does; returns (rows, pivot_columns) with zero rows dropped.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return (), ()
+    ncols = len(m[0])
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((r for r in range(pr, len(m)) if m[r][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        pv = m[pr][pc]
+        m[pr] = [x / pv for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr and m[r][pc] != 0:
+                f = m[r][pc]
+                m[r] = [x - f * y for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return tuple(tuple(row) for row in m[:pr]), tuple(pivots)
+
+
+def kernel_oracle(rows, dim):
+    """Kernel basis over Q read off ``rref_oracle``: for each free column,
+    the Fraction vector that is 1 there and 0 in the other free columns."""
+    red, pivots = rref_oracle(rows)
+    basis = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * dim
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def is_positive_multiple(v, u):
+    """v = lam * u for some rational lam > 0."""
+    k = next(i for i, x in enumerate(u) if x != 0)
+    lam = Fraction(v[k]) / u[k]
+    return lam > 0 and all(a == lam * b for a, b in zip(v, u))
+
+
+def is_primitive_int(v):
+    return all(type(x) is int for x in v) and gcd(*v) == 1
+
+
+def check_elimination_against_oracle(ncols, rows):
+    red, pivots = rref(rows)
+    red_o, pivots_o = rref_oracle(rows)
+    assert pivots == pivots_o
+    assert len(red) == len(red_o)
+    for row, row_o, pc in zip(red, red_o, pivots):
+        assert is_primitive_int(row) and row[pc] > 0
+        assert is_positive_multiple(row, row_o)
+    assert rank(rows) == len(red_o)
+    kernel, kernel_o = kernel_basis(rows, ncols), kernel_oracle(rows, ncols)
+    assert len(kernel) == len(kernel_o)
+    for v, v_o in zip(kernel, kernel_o):
+        assert is_primitive_int(v)
+        assert is_positive_multiple(v, v_o)
+
+
+def shaped_matrices(entries):
+    """(ncols, rows) with 1 to 5 columns and up to 6 rows."""
+    return st.integers(1, 5).flatmap(lambda ncols: st.tuples(
+        st.just(ncols), st.lists(st.tuples(*[entries] * ncols), max_size=6)))
+
+
+@seed(10)
+@settings(max_examples=150, deadline=None)
+@given(m=shaped_matrices(small_ints))
+def test_elimination_matches_fraction_oracle_on_integer_matrices(m):
+    check_elimination_against_oracle(*m)
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(m=shaped_matrices(st.one_of(small_ints, small_fractions)))
+def test_elimination_matches_fraction_oracle_on_rational_matrices(m):
+    check_elimination_against_oracle(*m)

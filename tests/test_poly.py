@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,19 +7,36 @@ from tfan import (
     InvalidInput,
     MonomialOrdering,
     Polynomial,
+    facets,
+    groebner_fan,
+    hddwr,
     initial_form,
     is_x_homogeneous,
     leading_term,
     lex_ordering,
     max_weight_part,
+    minimize,
+    relative_interior_point,
+    standard_basis,
     t_skeleton,
     tail,
     weighted_ordering,
+    witness,
     x_degree,
 )
-from tfan.poly import strip_unit_t_content, t_coefficient, t_coefficients
+from tfan.cli import parse_problem
+from tfan.poly import (
+    _canon_key,
+    mul_tpoly,
+    strip_unit_t_content,
+    t_coefficient,
+    t_coefficients,
+)
 
 from helpers import P, XY, XYZ, polys
+
+DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "demos", "ideals")
 
 
 def exp(beta, *alpha):
@@ -227,3 +245,78 @@ def _random_poly(rng, n):
         e = tuple(rng.randint(0, 3) for _ in range(1 + n))
         terms.append((rng.randint(-4, 4), e))
     return Polynomial.from_terms(terms)
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic against a dict-accumulate oracle
+# ---------------------------------------------------------------------------
+
+
+def dict_oracle(pairs):
+    """{exp: coeff} of the sum of (coeff, exp) pairs, zero sums dropped."""
+    acc = {}
+    for c, e in pairs:
+        acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def assert_canonical(f):
+    keys = [_canon_key(e) for _, e in f.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(c != 0 for c, _ in f.terms)
+
+
+def _random_pairs(rng, n):
+    # exponents in a small box, so sums and products repeat exponents
+    return [(rng.randint(-3, 3), tuple(rng.randint(0, 2) for _ in range(1 + n)))
+            for _ in range(rng.randint(0, 6))]
+
+
+def test_arithmetic_matches_dict_oracle():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        fp, gp = _random_pairs(rng, n), _random_pairs(rng, n)
+        f, g = Polynomial.from_terms(fp), Polynomial.from_terms(gp)
+        tp = tuple((b, c) for b in range(3) if (c := rng.randint(-2, 2)))
+        products = [(c1 * c2, tuple(a + b for a, b in zip(e1, e2)))
+                    for c1, e1 in fp for c2, e2 in gp]
+        shifted = [(c1 * c, (e1[0] + b,) + e1[1:]) for b, c in tp for c1, e1 in fp]
+        for result, pairs in [
+            (f, fp),
+            (f + g, fp + gp),
+            (f - g, fp + [(-c, e) for c, e in gp]),
+            (f - f, []),
+            (f * g, products),
+            (mul_tpoly(f, tp), shifted),
+        ]:
+            assert_canonical(result)
+            assert {e: c for c, e in result.terms} == dict_oracle(pairs)
+
+
+def test_witness_matches_oracle_sum_on_flip_example():
+    # every lift the flip.ideal fan makes: the witness of each new initial
+    # form h is the sum of hddwr's quotients of h times the basis
+    with open(os.path.join(DEMO_IDEALS, "flip.ideal"), encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
+    fan = groebner_fan(problem.ideal(), tiebreak=problem.tiebreak)
+    lifts = 0
+    for cone in fan.maximal_cones:
+        G, ord_ = cone.basis.elements, cone.basis.ordering
+        for facet in facets(cone.hcone):
+            if facet.in_boundary:
+                continue
+            w = relative_interior_point(facet.cone)
+            H = tuple(initial_form(w, g) for g in G)
+            ord_new = MonomialOrdering((tuple(w), facet.outer_normal), ord_.tiebreak)
+            for h in minimize(ord_new, standard_basis(ord_new, H)).elements:
+                q, r = hddwr(ord_, h, H)
+                assert r.is_zero
+                pairs = [(c1 * c2, tuple(a + b for a, b in zip(e1, e2)))
+                         for qi, gi in zip(q, G)
+                         for c1, e1 in qi.terms for c2, e2 in gi.terms]
+                f = witness(h, H, G, ord_)
+                assert_canonical(f)
+                assert {e: c for c, e in f.terms} == dict_oracle(pairs)
+                lifts += 1
+    assert lifts > 0
