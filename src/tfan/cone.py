@@ -9,7 +9,10 @@ echelon form, and both are sorted, which makes ``ConeData`` a canonical form
 suitable for cone equality.  The sweep runs on integer vectors only, and it
 tests adjacency on zero-set bitmasks, one per ray, instead of re-evaluating
 dot products (Fukuda and Prodon, "Double description method revisited",
-1996).
+1996).  Facets are found from the same zero-set reasoning (tight-ray sets of
+the rows) and carry their V-description from the parent, so fan traversal
+sweeps each maximal cone once (as in Fukuda, Jensen and Thomas, "Computing
+Groebner fans", 2007).
 
 ``cone_from_basis`` realises the inequality/equation extraction from an
 initially reduced standard basis: for each element the exponent vectors of
@@ -158,7 +161,8 @@ def dd_rays(cone: HCone) -> ConeData:
 
     Computed once per instance and kept on it: an HCone is immutable, so
     its V-description never goes stale, and it lives only as long as the
-    HCone does.
+    HCone does.  A facet cone from ``facets`` comes with it already set, so
+    only maximal cones (and cones built directly) are swept.
     """
     if cone._data is None:
         rays, lineality = _dd(list(cone.all_ineq_rows()), list(cone.eqs),
@@ -179,19 +183,6 @@ def contains(cone: HCone, w) -> bool:
     if w[0] > 0:
         return False
     return all(dot(a, w) >= 0 for a in cone.ineqs) and all(dot(b, w) == 0 for b in cone.eqs)
-
-
-def contains_strictly(cone: HCone, w) -> bool:
-    """Relative-interior test: every non-implied inequality is strict."""
-    if not contains(cone, w):
-        return False
-    data = dd_rays(cone)
-    gens = list(data.rays) + list(data.lineality)
-    for a in cone.all_ineq_rows():
-        implied = all(dot(a, g) == 0 for g in gens)
-        if not implied and dot(a, w) == 0:
-            return False
-    return True
 
 
 def equal(c1: HCone, c2: HCone) -> bool:
@@ -216,30 +207,30 @@ def boundary_cone(cone: HCone) -> HCone:
 def facets(cone: HCone) -> list[Facet]:
     """Codimension-1 faces with primitive outer normals.
 
-    A row defines a facet exactly when its tight rays together with the
-    lineality span one dimension less than the cone; rows tight on the whole
-    cone are implied equations and rows sharing a tight set duplicate the
-    same facet.  Facets inside {0} x R^n are flagged so fan traversal can
-    skip them.
+    The faces of a cone are ``cone(T) + lineality`` for the sets T of rays
+    tight on some valid row, and distinct faces have distinct T.  So a row
+    defines a facet exactly when its tight set is proper (rows tight on every
+    ray are implied equations) and no other row's proper tight set strictly
+    contains it; rows sharing a tight set duplicate the facet, and the first
+    one is kept.  Each facet cone carries its V-description, read off the
+    parent: the tight rays (still sorted), the parent's lineality and one
+    dimension less, so it is never swept.  Facets inside {0} x R^n are
+    flagged so fan traversal can skip them.
     """
     data = dd_rays(cone)
-    if data.dim < 1:
-        return []
+    rows = _dedupe_rows(cone.all_ineq_rows())
+    masks = [sum(1 << i for i, r in enumerate(data.rays) if dot(a, r) == 0) for a in rows]
+    proper = set(masks) - {(1 << len(data.rays)) - 1}
+    maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
     out: list[Facet] = []
-    seen_tight: list[frozenset] = []
-    for a in _dedupe_rows(cone.all_ineq_rows()):
-        tight = [r for r in data.rays if dot(a, r) == 0]
-        if len(tight) == len(data.rays):
-            continue  # implied equation, not a proper face
-        if rank(list(tight) + list(data.lineality)) != data.dim - 1:
+    for a, m in zip(rows, masks):
+        if m not in maximal:
             continue
-        key = frozenset(tight)
-        if key in seen_tight:
-            continue
-        seen_tight.append(key)
+        maximal.discard(m)  # later rows with this tight set repeat the facet
+        tight = tuple(r for i, r in enumerate(data.rays) if m >> i & 1)
         fc = make_cone(cone.dim_ambient, cone.ineqs, cone.eqs + (a,))
-        in_boundary = all(r[0] == 0 for r in tight)
-        out.append(Facet(fc, primitive(vneg(a)), in_boundary))
+        object.__setattr__(fc, "_data", ConeData(tight, data.lineality, data.dim - 1))
+        out.append(Facet(fc, primitive(vneg(a)), all(r[0] == 0 for r in tight)))
     out.sort(key=lambda f: f.outer_normal)
     return out
 
@@ -252,6 +243,8 @@ def relative_interior_point(cone: HCone):
     vectors always have first coordinate 0 (both orientations must satisfy
     v_0 <= 0), so whenever the cone is not contained in the boundary
     hyperplane some ray has negative first coordinate and the sum does too.
+    A facet cone from ``facets`` already carries its V-description (the
+    parent's tight rays and lineality), so its point costs no sweep.
     """
     data = dd_rays(cone)
     if not data.rays and not data.lineality:

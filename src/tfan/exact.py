@@ -87,10 +87,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vneg(u):
     return tuple(-a for a in u)
 

@@ -3,7 +3,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from tfan import (
     InvalidInput,
@@ -26,8 +26,7 @@ from tfan import (
 )
 from tfan import cone
 from tfan.cli import parse_problem, render_cone
-from tfan.cone import contains_strictly
-from tfan.exact import dot, primitive, vadd, vneg, vscale, vsub
+from tfan.exact import dot, primitive, vneg, vscale, vsub
 
 from helpers import P, XY, XYZ, polys, prime_stream_member
 from test_exact import kernel_oracle, rref_oracle
@@ -192,7 +191,13 @@ class TestInteriorPoint:
         hc = section3_cone()
         w = relative_interior_point(hc)
         assert w[0] < 0
-        assert contains_strictly(hc, w)
+        assert contains(hc, w)
+        # strictly inside: every row not tight on the whole cone is > 0 at w
+        data = dd_rays(hc)
+        gens = data.rays + data.lineality
+        for a in hc.all_ineq_rows():
+            if any(dot(a, g) != 0 for g in gens):
+                assert dot(a, w) > 0
         assert contains(hc, (-1, 3, 3, 3))
 
     def test_facet_point_satisfies_equation(self):
@@ -308,6 +313,10 @@ def test_infeasible_slice_is_empty_not_an_error():
 # ---------------------------------------------------------------------------
 
 
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
 def adjacent_oracle(r1, r2, rays, imposed):
     """Combinatorial adjacency: no third ray is tight on every constraint
     tight at both r1 and r2."""
@@ -414,3 +423,107 @@ def test_golden_cone_blocks(name):
     text = "\n".join(render_cone(c.hcone) for c in fan.maximal_cones)
     assert (len(fan.maximal_cones), hashlib.sha256(text.encode()).hexdigest()) == \
         GOLDEN_CONES[name]
+
+
+# ---------------------------------------------------------------------------
+# Facets: the rank-based rule kept as the oracle, and the V-description each
+# facet carries from its parent
+# ---------------------------------------------------------------------------
+
+
+def facets_oracle(hc):
+    """Facets by rank: a row defines one when its tight rays together with
+    the lineality span one dimension less than the cone.  Rows tight on
+    every ray are implied equations; the first row of each tight set is
+    kept.  Its ranks come from ``test_exact``'s Fraction ``rref_oracle``."""
+    data = dd_rays(hc)
+    if data.dim < 1:
+        return []
+    out = []
+    seen_tight = []
+    for a in sorted({primitive(r) for r in hc.all_ineq_rows() if any(r)}):
+        tight = [r for r in data.rays if dot(a, r) == 0]
+        if len(tight) == len(data.rays):
+            continue
+        if len(rref_oracle(tight + list(data.lineality))[0]) != data.dim - 1:
+            continue
+        if set(tight) in seen_tight:
+            continue
+        seen_tight.append(set(tight))
+        fc = make_cone(hc.dim_ambient, hc.ineqs, hc.eqs + (a,))
+        out.append((vneg(a), all(r[0] == 0 for r in tight), fc.ineqs, fc.eqs))
+    return sorted(out)
+
+
+@st.composite
+def random_cones(draw):
+    """make_cone of dimension 2-5; the last `free` coordinates are zero in
+    every row, so `free` > 0 forces lineality, and 0-2 equations."""
+    d = draw(st.integers(2, 5))
+    free = draw(st.integers(0, d - 1))
+    row = st.tuples(*[entries] * (d - free), *[st.just(0)] * free)
+    return make_cone(d, draw(st.lists(row, min_size=1, max_size=8)),
+                     draw(st.lists(st.tuples(*[entries] * d), max_size=2)))
+
+
+def assert_facet_data_is_fresh_sweep(hc):
+    for f in facets(hc):
+        fc = f.cone
+        assert fc._data == dd_rays(make_cone(fc.dim_ambient, fc.ineqs, fc.eqs))
+        tight_sum = tuple(sum(col) for col in zip(*fc._data.rays)) or \
+            (0,) * fc.dim_ambient
+        assert contains(fc, tight_sum)
+
+
+def facet_summary(hc):
+    return [(f.outer_normal, f.in_boundary, f.cone.ineqs, f.cone.eqs)
+            for f in facets(hc)]
+
+
+@seed(12)
+@settings(max_examples=500, deadline=None)
+@given(hc=random_cones())
+def test_facet_data_equals_fresh_sweep(hc):
+    assert_facet_data_is_fresh_sweep(hc)
+
+
+@seed(13)
+@settings(max_examples=500, deadline=None)
+@given(hc=random_cones())
+def test_facets_match_rank_oracle(hc):
+    assert facet_summary(hc) == facets_oracle(hc)
+
+
+@pytest.mark.parametrize("hc", [
+    make_cone(3, eqs=[(1, 0, 0)]),                          # lineality only
+    make_cone(3, eqs=[(0, 1, 0), (0, 0, 1)]),               # one ray
+    make_cone(3, ineqs=[(0, 1, 0), (0, -1, 0), (0, 0, 1)]),  # implied v_1 = 0
+    make_cone(3, eqs=[(1, 0, 0), (0, 1, 0), (0, 0, 1)]),    # the origin
+    section3_cone(),
+    flip_cone(),
+], ids=["lineality-only", "single-ray", "implied-equation", "origin",
+        "section3", "flip"])
+def test_facets_special_cones(hc):
+    assert facet_summary(hc) == facets_oracle(hc)
+    assert_facet_data_is_fresh_sweep(hc)
+
+
+@pytest.mark.parametrize("name", ["fig1", "flip", "linear", "worked3"])
+def test_demo_facets_carry_fresh_sweep_data(name):
+    for mc in demo_fan(name).maximal_cones:
+        assert facet_summary(mc.hcone) == facets_oracle(mc.hcone)
+        assert_facet_data_is_fresh_sweep(mc.hcone)
+
+
+@pytest.mark.parametrize("name", ["fig1", "flip", "worked3"])
+def test_one_sweep_per_maximal_cone(name, monkeypatch):
+    calls = []
+    sweep = cone._dd
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(cone, "_dd", counted)
+    fan = demo_fan(name)
+    assert len(calls) == len(fan.maximal_cones)
