@@ -27,21 +27,15 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fan as fan_mod
-from .cone import HCone, affine_slice, cone_from_basis, dd_rays, make_cone
+from .cone import HCone, affine_slice, dd_rays, make_cone
 from .division import minimize, standard_basis
 from .errors import InvalidInput, ParseError, TfanError
 from .inred import ensure_initially_reduced
-from .poly import (
-    Ideal,
-    MonomialOrdering,
-    Polynomial,
-    initial_form,
-    is_x_homogeneous,
-)
+from .poly import Ideal, MonomialOrdering, Polynomial, is_x_homogeneous
 
 # ---------------------------------------------------------------------------
 # Polynomial text form
@@ -398,7 +392,7 @@ def run_check(problem: ProblemFile, seed: int, samples: int, out,
                f"of {samples} weights uncovered"),
         report("face-to-face", fan_mod.bad_meets(hcones), "bad intersections"),
         report("lineality-ones", fan_mod.lineality_misses(hcones), "cones miss (0,1,..,1)"),
-        report("chain-initial", fan_mod.chain_initial_failures(result), "violations"),
+        report("facet-pairs", fan_mod.unpaired_facets(result), "unpaired facets"),
     ))
 
 
@@ -406,15 +400,6 @@ def _weight_arg(problem: ProblemFile, args):
     if args.weight:
         return parse_weight_vector(args.weight, 1 + problem.nvars)
     return None
-
-
-def _basis_and_initials(problem: ProblemFile, args):
-    """Reduced basis and its initial forms at ``--weight`` or the file's first weight."""
-    weight = problem.ordering(_weight_arg(problem, args)).weights[0]
-    ord_w = MonomialOrdering((weight,), problem.tiebreak)
-    basis = ensure_initially_reduced(ord_w, problem.gens, problem.prime)
-    H = tuple(initial_form(weight, g) for g in basis.elements)
-    return basis, H
 
 
 def main(argv=None) -> int:
@@ -428,8 +413,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_)
         p.add_argument("file")
         p.add_argument("--weight", help="weight vector, e.g. \"-1,2,-1,1\"")
-        p.add_argument("--tiebreak", help="variable priority, e.g. \"x>y>z\"")
-        p.add_argument("--prime", type=int, help="declare the uniformising prime")
         return p
 
     add("stdbasis", "minimal standard basis for the file's ordering")
@@ -451,15 +434,6 @@ def main(argv=None) -> int:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
         problem = parse_problem(text)
-        if args.tiebreak:
-            problem = replace(problem, tiebreak=_parse_tiebreak(args.tiebreak,
-                                                                list(problem.names), None))
-        if args.prime is not None:
-            problem = replace(problem, prime=args.prime)
-            try:
-                problem.ideal()
-            except InvalidInput as exc:
-                raise ParseError(str(exc))
         if args.command == "stdbasis":
             ord_ = problem.ordering(_weight_arg(problem, args))
             sb = minimize(ord_, standard_basis(ord_, problem.gens))
@@ -468,29 +442,26 @@ def main(argv=None) -> int:
             ord_ = problem.ordering(_weight_arg(problem, args))
             basis = ensure_initially_reduced(ord_, problem.gens, problem.prime)
             print(render_polys("SB", basis.elements, problem.names))
-        elif args.command == "initial":
-            _, H = _basis_and_initials(problem, args)
-            print(render_polys("INITIAL", H, problem.names))
-        elif args.command == "cone":
-            basis, H = _basis_and_initials(problem, args)
-            hc = cone_from_basis(basis.ordering, basis.elements, H)
-            print(render_cone(hc))
         elif args.command == "fan":
             result = fan_mod.groebner_fan(problem.ideal(), tiebreak=problem.tiebreak,
                                           start_weight=_weight_arg(problem, args))
             print(render_fan(result, problem.names))
-        elif args.command == "slice":
-            basis, H = _basis_and_initials(problem, args)
-            hc = cone_from_basis(basis.ordering, basis.elements, H)
-            fixed = []
-            name_to_coord = {"t": 0, **{nm: 1 + i for i, nm in enumerate(problem.names)}}
-            for part in args.fix.split(","):
-                fixed.append(_parse_fix(part, name_to_coord))
-            print(render_slice(affine_slice(hc, fixed)))
         elif args.command == "check":
             failures = run_check(problem, args.seed, args.samples, sys.stdout,
                                  start_weight=_weight_arg(problem, args))
             return 1 if failures else 0
+        else:
+            weight = problem.ordering(_weight_arg(problem, args)).weights[0]
+            cone = fan_mod.groebner_cone_at(MonomialOrdering((weight,), problem.tiebreak),
+                                            problem.gens, problem.prime)
+            if args.command == "initial":
+                print(render_polys("INITIAL", cone.initial_forms, problem.names))
+            elif args.command == "cone":
+                print(render_cone(cone.hcone))
+            else:
+                name_to_coord = {"t": 0, **{nm: 1 + i for i, nm in enumerate(problem.names)}}
+                fixed = [_parse_fix(part, name_to_coord) for part in args.fix.split(",")]
+                print(render_slice(affine_slice(cone.hcone, fixed)))
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

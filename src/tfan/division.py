@@ -15,7 +15,8 @@ Three engines live here:
   chasing loops forever; the classical fix is to allow previously computed
   partial remainders as reducers, choosing among eligible reducers one of
   minimal t-ecart and recording the current state as a new reducer whenever
-  the chosen ecart exceeds the current one.
+  the chosen ecart exceeds the current one.  No computation path calls it:
+  the tests use it as an oracle and ``bench/tracer.py`` times it by name.
 
 * ``standard_basis`` -- completion with both S-pairs and GCD-pairs (the
   strong-basis pair set for coefficient rings like Z where leading ideals

@@ -52,19 +52,13 @@ class InredDiverged(TfanError):
     """
 
 
-class RegimeError(TfanError):
-    """A prime-regime operation was invoked on an ideal without p - t."""
-
-
 class WitnessFailed(TfanError):
     """Witness division left a nonzero remainder: the prescribed initial
     form does not lie in the initial ideal, or the inputs are inconsistent."""
 
 
 class NonGenericWeight(TfanError):
-    """A weight vector meant to be interior to a maximal cone lies on a
-    lower-dimensional equivalence class.  Carries the violated equations."""
-
-    def __init__(self, message, equations=()):
-        super().__init__(message)
-        self.equations = tuple(tuple(r) for r in equations)
+    """The fan traversal found no generic weight where it needed one: no
+    perturbed start weight lies in the interior of a maximal cone, or the
+    cone across a flip has no interior weight below the boundary that picks
+    out its leading terms."""

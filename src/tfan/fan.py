@@ -16,10 +16,16 @@ ordering, so the adjacent cone's constructor only initially reduces it
 printed basis of a flipped-to cone is therefore the one this path produces,
 which is deterministic for a given start weight and tiebreak.
 
+The start cone comes from ``groebner_cone_at``, the one cone reader, which
+the ``initial``, ``cone`` and ``slice`` commands use too.  At a non-generic
+start weight it returns a cone with equation rows, and the traversal
+perturbs the weight and reads again.
+
 The fan invariants are checked here too, once each, for ``tfan check`` and
 the tests alike: sampled coverage, face-to-face meets, the lineality
-(0, 1, ..., 1), and chain-initial consistency across recorded facets.  Each
-check returns the offending items, so an empty result means it passed.
+(0, 1, ..., 1), and facet pairs (each interior facet shared with exactly one
+recorded neighbour).  Each check returns the offending items, so an empty
+result means it passed.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from .poly import (
     exp_mul,
     initial_form,
     leading_term,
-    max_weight_part,
 )
 
 
@@ -114,22 +119,19 @@ def flip(G: StandardBasis, H: Sequence[Polynomial], v, ord_: MonomialOrdering,
 
 def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
                      prime: int | None = None) -> GroebnerCone:
-    """Maximal Groebner cone of the ordering's first weight.
+    """Groebner cone of the ordering's first weight w.
 
-    The weight must be generic, i.e. lie in the open equivalence class of a
-    maximal cone; skeleton ties at the weight show up as equation rows and
-    raise ``NonGenericWeight`` with those equations, so the caller can
-    perturb.
+    The cone is read off the initially reduced basis and its initial forms
+    at w.  At a generic w it is the maximal cone with w in its interior; at
+    a w on a lower-dimensional equivalence class it is that class's closure,
+    with ``EQ`` rows and initial forms of several terms.
     """
     if not ordering.weights or ordering.weights[0][0] >= 0:
         raise InvalidInput("need a weighted ordering with negative t-entry")
     w = ordering.weights[0]
     basis = ensure_initially_reduced(ordering, gens, prime)
     H = tuple(initial_form(w, g) for g in basis.elements)
-    hc = cone_from_basis(ordering, basis.elements, H)
-    if hc.eqs:
-        raise NonGenericWeight("weight lies on a lower-dimensional class", hc.eqs)
-    return GroebnerCone(hc, basis, H, tuple(w))
+    return GroebnerCone(cone_from_basis(ordering, basis.elements, H), basis, H, tuple(w))
 
 
 def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
@@ -156,7 +158,7 @@ def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
     anchored = MonomialOrdering((tuple(u),), ord_new.tiebreak)
     for g, lt in zip(basis.elements, lts):
         if initial_form(u, g) != lt:
-            raise NonGenericWeight("re-anchored weight is not interior", hc.ineqs)
+            raise NonGenericWeight("re-anchored weight is not interior")
     return GroebnerCone(hc, StandardBasis(basis.elements, anchored), lts, tuple(u))
 
 
@@ -190,16 +192,12 @@ def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None) -> Fan:
     n = ideal.nvars
     perm = tuple(tiebreak) if tiebreak is not None else tuple(range(n))
     base_w = tuple(start_weight) if start_weight is not None else default_weight(n)
-    start = None
     for k in range(200):
-        try:
-            w = base_w if k == 0 else _perturbed(base_w, k)
-            start = groebner_cone_at(MonomialOrdering((w,), perm), ideal.gens,
-                                     ideal.prime)
+        w = base_w if k == 0 else _perturbed(base_w, k)
+        start = groebner_cone_at(MonomialOrdering((w,), perm), ideal.gens, ideal.prime)
+        if not start.hcone.eqs:
             break
-        except NonGenericWeight:
-            continue
-    if start is None:
+    else:
         raise NonGenericWeight("could not find a generic starting weight")
 
     cones: list[GroebnerCone] = [start]
@@ -294,40 +292,22 @@ def lineality_misses(cones: Sequence[HCone]) -> list[int]:
     return out
 
 
-def chain_initial_consistent(w, v, g: Polynomial) -> bool:
-    """in_{w+eps v}(g) == in_v(in_w(g)) for an exactly computed small eps."""
-    chain = max_weight_part(v, initial_form(w, g))
-    top = {t.exp for t in initial_form(w, g).terms}
-    eps = None
-    for t in g.terms:
-        if t.exp in top:
-            continue
-        for s in initial_form(w, g).terms:
-            gap_w = sum(a * (x - y) for a, x, y in zip(w, s.exp, t.exp))
-            gap_v = sum(a * (x - y) for a, x, y in zip(v, s.exp, t.exp))
-            if gap_v < 0:
-                cand = Fraction(gap_w, -gap_v) / 2
-                eps = cand if eps is None else min(eps, cand)
-    if eps is None:
-        eps = Fraction(1)
-    wv = tuple(Fraction(a) + eps * Fraction(b) for a, b in zip(w, v))
-    if wv[0] >= 0:
-        return False
-    return max_weight_part(wv, g) == chain
+def unpaired_facets(fan: Fan) -> list[tuple[int, tuple]]:
+    """(cone, outer normal) of each interior facet without exactly one partner.
 
-
-def chain_initial_failures(fan: Fan) -> list[tuple[int, int, Polynomial]]:
-    """(cone, neighbour, element) triples that fail chain-initial consistency.
-
-    For every recorded facet with interior point w, each basis element of a
-    cone is checked along v = (the neighbour's interior weight) - w.
+    A facet off the boundary hyperplane must have its relative interior
+    point in exactly one other maximal cone, and that pair of cones must be
+    recorded in ``fan.adjacency``.
     """
-    cones = fan.maximal_cones
+    hcones = [c.hcone for c in fan.maximal_cones]
+    pairs = {frozenset((i, j)) for i, j, _ in fan.adjacency}
     out = []
-    for i, j, facet in fan.adjacency:
-        w = relative_interior_point(facet)
-        for a, b in ((i, j), (j, i)):
-            v = tuple(Fraction(x) - Fraction(y) for x, y in zip(cones[b].interior_weight, w))
-            out += [(a, b, g) for g in cones[a].basis.elements
-                    if not chain_initial_consistent(w, v, g)]
+    for i, hc in enumerate(hcones):
+        for facet in facets(hc):
+            if facet.in_boundary:
+                continue
+            wpt = relative_interior_point(facet.cone)
+            others = [j for j, c in enumerate(hcones) if j != i and contains(c, wpt)]
+            if len(others) != 1 or frozenset((i, others[0])) not in pairs:
+                out.append((i, facet.outer_normal))
     return out

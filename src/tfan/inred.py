@@ -27,9 +27,10 @@ Two regimes:
 initially reduced one, in either regime; it never completes again and
 expects elements normalised as ``standard_basis`` leaves them.  The fan
 traversal normalises lifted bases and calls it on them.
-``ensure_initially_reduced`` is the one entry from generators: it completes,
-checks that p - t lies in the ideal when a prime is declared, then calls
-``initially_reduce``.
+``ensure_initially_reduced`` is the one entry from generators: it applies
+``Ideal``'s rule that a declared prime p needs p - t among the generators
+(so membership of p - t is never decided by a normal form), completes, then
+calls ``initially_reduce``.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from . import division
 from .division import (
     StandardBasis,
     minimize,
-    mora_weak_nf,
     sorted_basis,
     standard_basis,
 )
-from .errors import InredDiverged, InvalidInput, RegimeError
+from .errors import InredDiverged, InvalidInput
 from .exact import extended_gcd, is_prime, p_valuation
 from .poly import (
+    Ideal,
     MonomialOrdering,
     Polynomial,
     Term,
@@ -415,21 +416,15 @@ def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomi
                              prime: int | None = None) -> StandardBasis:
     """Minimal initially reduced standard basis of <elements> w.r.t. ord_.
 
-    The one entry from generators: computes a strong standard basis, checks
-    that p - t lies in the ideal when a prime is declared, then hands the
-    basis to ``initially_reduce``.  Membership is decided exactly, with no
-    normal form, when p - t is one of the generators (as ``Ideal`` and the
-    problem parser guarantee); otherwise the weak normal form of p - t
-    against the basis must vanish.
+    The one entry from generators: checks the generators by ``Ideal``'s
+    rules, computes a strong standard basis, then hands it to
+    ``initially_reduce``.  A declared prime p requires p - t among the
+    generators, the hypothesis under which initial reduction terminates;
+    without it ``InvalidInput`` is raised before any completion, even when
+    p - t lies in the ideal.
     """
-    gens = [f for f in elements if not f.is_zero]
+    gens = tuple(f for f in elements if not f.is_zero)
     if not gens:
         raise InvalidInput("empty generating set")
-    sb = standard_basis(ord_, gens)
-    if prime is not None:
-        pt = p_minus_t(prime, gens[0].nvars)
-        if pt not in gens and not mora_weak_nf(ord_, pt, sb.elements).remainder.is_zero:
-            raise RegimeError(
-                f"{prime} - t does not lie in the ideal; use generic_initial_reduce"
-            )
-    return initially_reduce(ord_, sb, prime)
+    Ideal(gens, gens[0].nvars, prime)
+    return initially_reduce(ord_, standard_basis(ord_, gens), prime)

@@ -5,7 +5,7 @@ import signal
 from contextlib import contextmanager
 from dataclasses import replace
 
-from tfan import Fan, Ideal, Polynomial, groebner_fan, make_cone
+from tfan import Fan, Ideal, Polynomial, groebner_fan, intersect, make_cone
 from tfan.cli import parse_poly
 
 XY = ["x", "y"]
@@ -21,24 +21,35 @@ def polys(names, *texts):
 
 
 def doctored_fig1_fans():
-    """Broken copies of the fig1 fan, keyed by the one invariant each fails.
+    """Broken copies of the fig1 fan, keyed by the invariant each is built to fail.
 
     One cone dropped; the whole halfspace beside a real cone; the two
     halfspaces v_1 >= 0 and v_1 <= 0, whose rows miss (0, 1, 1); and the
-    t-entry and first x-entry of one cone's interior weight swapped, which
-    pushes a neighbour's perturbed weight out of the halfspace.
+    real fan with one ``ADJ`` pair dropped.  ``DOCTORED_FLAGS`` lists every
+    invariant each copy fails.
     """
     fig1 = groebner_fan(Ideal(polys(XY, "t*x^2 + x*y + t*y^2"), 2))
     cones = fig1.maximal_cones
     halves = (make_cone(3, ineqs=[(0, 1, 0)]), make_cone(3, ineqs=[(0, -1, 0)]))
-    u = cones[0].interior_weight
-    swapped = replace(cones[0], interior_weight=(u[1], u[0], *u[2:]))
+
+    def adjacent_pair(a, b):
+        return Fan((a, b), ((0, 1, intersect(a.hcone, b.hcone)),))
+
     return {
         "coverage": Fan(cones[1:], ()),
-        "face-to-face": Fan((cones[0], replace(cones[0], hcone=make_cone(3))), ()),
-        "lineality-ones": Fan(tuple(replace(cones[0], hcone=h) for h in halves), ()),
-        "chain-initial": Fan((swapped, *cones[1:]), fig1.adjacency),
+        "face-to-face": adjacent_pair(cones[0], replace(cones[0], hcone=make_cone(3))),
+        "lineality-ones": adjacent_pair(*(replace(cones[0], hcone=h) for h in halves)),
+        "facet-pairs": Fan(cones, fig1.adjacency[1:]),
     }
+
+
+# A fan with a cone missing also leaves that cone's neighbours' facets unpaired.
+DOCTORED_FLAGS = {
+    "coverage": {"coverage", "facet-pairs"},
+    "face-to-face": {"face-to-face"},
+    "lineality-ones": {"lineality-ones"},
+    "facet-pairs": {"facet-pairs"},
+}
 
 
 def random_prime_ideal(rng: random.Random) -> Ideal:

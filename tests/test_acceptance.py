@@ -37,10 +37,10 @@ from tfan import (
 )
 from tfan.fan import (
     bad_meets,
-    chain_initial_failures,
     lineality_misses,
     sampled_weights,
     uncovered_weights,
+    unpaired_facets,
 )
 
 from helpers import P, XY, XYZ, polys, random_prime_ideal, time_limit
@@ -235,8 +235,8 @@ def test_criterion_10_perturbation_and_lineality(fig1_fan, linear_fan, flip_idea
     fans = [fig1_fan, linear_fan, flip_ideal_fan] + list(random_fans)
     for fan_res in fans:
         assert lineality_misses([c.hcone for c in fan_res.maximal_cones]) == []
-        assert chain_initial_failures(fan_res) == []
-    report(10, "perturbation identity and lineality")
+        assert unpaired_facets(fan_res) == []
+    report(10, "facet pairs and lineality")
 
 
 FLIP_FILE = """\

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,11 +18,11 @@ from tfan.cli import (
     render_polys,
 )
 
-from helpers import P, XY, XYZ, doctored_fig1_fans
+from helpers import DOCTORED_FLAGS, P, XY, XYZ, doctored_fig1_fans
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_IDEALS = sorted(glob.glob(os.path.join(REPO, "demos", "ideals", "*.ideal")))
-CHECKS = ("coverage", "face-to-face", "lineality-ones", "chain-initial")
+CHECKS = ("coverage", "face-to-face", "lineality-ones", "facet-pairs")
 
 FLIP_FILE = """\
 ring t; x, y
@@ -93,8 +94,8 @@ class TestParsing:
         assert main(["fan", str(four)]) == 2
         assert "parse error: 4 is not prime" in capsys.readouterr().err
         nine = tmp_path / "nine.ideal"
-        nine.write_text(FIG1_FILE.replace("ideal\n", "ideal\n  9 - t\n"))
-        assert main(["fan", str(nine), "--prime=9"]) == 2
+        nine.write_text(FIG1_FILE.replace("ideal\n", "prime 9\nideal\n  9 - t\n"))
+        assert main(["fan", str(nine)]) == 2
         assert "parse error: 9 is not prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -230,8 +231,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("PASS fan-computed\n")
         for name in CHECKS:
-            assert (f"FAIL {name}: " in out) == (name == broken)
-            assert (f"PASS {name}\n" in out) == (name != broken)
+            assert (f"FAIL {name}: " in out) == (name in DOCTORED_FLAGS[broken])
+            assert (f"PASS {name}\n" in out) == (name not in DOCTORED_FLAGS[broken])
 
     def test_check_command_uses_weight(self, tmp_path, capsys):
         f = tmp_path / "fig1.ideal"
@@ -243,7 +244,7 @@ class TestCommands:
         assert main(["check", str(f), "--weight=-1,3,1", "--samples=10"]) == 0
         out = capsys.readouterr().out
         for name in ("fan-computed", "coverage", "face-to-face",
-                     "lineality-ones", "chain-initial"):
+                     "lineality-ones", "facet-pairs"):
             assert f"PASS {name}" in out
 
     @pytest.mark.parametrize("command", ["fan", "check"])
@@ -262,6 +263,14 @@ class TestCommands:
                   "--max-steps=5"])
         assert exc.value.code == 2
         assert "--max-steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--prime=2", "--tiebreak=y>x"])
+    def test_override_flags_rejected(self, capsys, flag):
+        # the prime and the tiebreak come from the problem file only
+        with pytest.raises(SystemExit) as exc:
+            main(["fan", os.path.join(REPO, "demos", "ideals", "flip.ideal"), flag])
+        assert exc.value.code == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["cone", "--weight=-1,1/0,1"],
@@ -298,3 +307,26 @@ class TestDeterminism:
         runs = [run_cli(["fan", str(f)]), run_cli(["fan", str(f)])]
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout
+
+
+# One weight per demo file (fig1, flip, linear, worked3) on a lower-dimensional
+# class of its fan, so the cone commands also print cones with EQ rows.
+NONGENERIC_WEIGHTS = ("-1,1,0", "-1,-1,1", "-1,1,1,1", "-1,2,-1,1")
+CLI_SHA256 = "073bd1f700f29a041642a392eef9e92d2c63e45ee6e1974698c0044e2cc97732"
+
+
+def test_cli_output_unchanged(capsys):
+    """One sha256 over the exit code and output of every command on the demo files."""
+    assert [os.path.basename(p) for p in DEMO_IDEALS] == [
+        "fig1.ideal", "flip.ideal", "linear.ideal", "worked3.ideal"]
+    digest = hashlib.sha256()
+    for path, weight in zip(DEMO_IDEALS, NONGENERIC_WEIGHTS):
+        name = os.path.basename(path)[:-len(".ideal")]
+        runs = [["fan"], ["stdbasis"], ["inred"]]
+        for w in ([], [f"--weight={weight}"]):
+            runs += [["initial", *w], ["cone", *w], ["slice", *w, "--fix=t=-1"]]
+        for args in runs:
+            code = main([args[0], path, *args[1:]])
+            out = capsys.readouterr()
+            digest.update(f"{name} {' '.join(args)} {code}\n{out.out}{out.err}".encode())
+    assert digest.hexdigest() == CLI_SHA256

@@ -5,7 +5,6 @@ import pytest
 
 from tfan import (
     Ideal,
-    NonGenericWeight,
     Polynomial,
     StandardBasis,
     WitnessFailed,
@@ -29,13 +28,21 @@ from tfan import (
 )
 from tfan.fan import (
     bad_meets,
-    chain_initial_failures,
     lineality_misses,
     sampled_weights,
     uncovered_weights,
+    unpaired_facets,
 )
 
-from helpers import P, XY, XYZ, doctored_fig1_fans, polys, random_prime_ideal
+from helpers import (
+    DOCTORED_FLAGS,
+    P,
+    XY,
+    XYZ,
+    doctored_fig1_fans,
+    polys,
+    random_prime_ideal,
+)
 
 
 def section3_data():
@@ -161,12 +168,12 @@ class TestGroebnerConeAt:
         gc = groebner_cone_at(o, polys(XY, "3*t^2*x*y"))
         assert gc.hcone.ineqs == () and gc.data.dim == 3
 
-    def test_nongeneric_weight_rejected(self):
+    def test_nongeneric_weight_gives_lower_dimensional_cone(self):
         o = weighted_ordering((-1, 2, -1, 1), 3)  # lies on a facet
-        with pytest.raises(NonGenericWeight) as err:
-            groebner_cone_at(o, polys(XYZ, "x - t^3*x + t^3*z - t^4*z",
-                                      "y - t^3*y + t^2*z - t^4*z"))
-        assert err.value.equations
+        gc = groebner_cone_at(o, polys(XYZ, "x - t^3*x + t^3*z - t^4*z",
+                                       "y - t^3*y + t^2*z - t^4*z"))
+        assert gc.hcone.eqs == ((-2, 0, 1, -1),) and gc.data.dim == 3
+        assert max(len(h.terms) for h in gc.initial_forms) == 2
 
 
 class TestFan:
@@ -314,7 +321,7 @@ INVARIANTS = {
         _hcones(f), sampled_weights(random.Random(0), 2, 200)),
     "face-to-face": lambda f: bad_meets(_hcones(f)),
     "lineality-ones": lambda f: lineality_misses(_hcones(f)),
-    "chain-initial": chain_initial_failures,
+    "facet-pairs": unpaired_facets,
 }
 
 
@@ -326,7 +333,7 @@ class TestInvariantsFlagDoctoredFans:
     @pytest.mark.parametrize("broken", list(INVARIANTS))
     def test_only_the_broken_invariant_flags(self, doctored, broken):
         for name, check in INVARIANTS.items():
-            assert bool(check(doctored[broken])) == (name == broken), name
+            assert bool(check(doctored[broken])) == (name in DOCTORED_FLAGS[broken]), name
 
     def test_offending_items(self, doctored):
         dropped = doctored["face-to-face"].maximal_cones[0].hcone
@@ -337,6 +344,7 @@ class TestInvariantsFlagDoctoredFans:
         assert lineality_misses(_hcones(doctored["lineality-ones"])) == [0, 1]
         real = _hcones(doctored["coverage"])
         assert lineality_misses([make_cone(3, ineqs=[(0, 1, 0)])] + real) == [0]
-        failures = chain_initial_failures(doctored["chain-initial"])
-        assert [(a, b) for a, b, _ in failures] == [(1, 0)]
-        assert failures[0][2] in doctored["chain-initial"].maximal_cones[1].basis.elements
+        # fig1's first ADJ pair (0, 1) is dropped: both cones flag their shared facet
+        flagged = unpaired_facets(doctored["facet-pairs"])
+        assert [c for c, _ in flagged] == [0, 1]
+        assert flagged[0][1] == tuple(-x for x in flagged[1][1])

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import tfan.division
 import tfan.fan
 import tfan.inred
 from tfan import (
@@ -95,15 +96,12 @@ def test_one_flip_per_new_cone(monkeypatch, name):
 
 
 def test_p_minus_t_generator_needs_no_normal_form(monkeypatch):
-    """p - t is among the generators, so its membership is not re-decided."""
-    ideal, tiebreak = random_case(2)
-    ordering = MonomialOrdering(((-4, -3, -2, 0),), tiebreak)
-    expected = groebner_cone_at(ordering, ideal.gens, ideal.prime)
-
+    """Whole fans, with a declared prime and without, run no weak normal form."""
     def refuse(*args, **kwargs):
-        raise AssertionError("mora_weak_nf called for a generator p - t")
+        raise AssertionError("mora_weak_nf called")
 
-    monkeypatch.setattr(tfan.inred, "mora_weak_nf", refuse)
-    cone = groebner_cone_at(ordering, ideal.gens, ideal.prime)
-    assert cone.canonical_key() == expected.canonical_key()
-    assert cone.basis.elements == expected.basis.elements
+    monkeypatch.setattr(tfan.division, "mora_weak_nf", refuse)
+    prime_case, generic_case = CASES["rand2"](), CASES["worked3"]()
+    assert prime_case[0].prime is not None and generic_case[0].prime is None
+    for ideal, tiebreak in (prime_case, generic_case):
+        assert len(groebner_fan(ideal, tiebreak=tiebreak).maximal_cones) > 1

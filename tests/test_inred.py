@@ -8,7 +8,6 @@ from tfan import (
     InredContext,
     InvalidInput,
     Polynomial,
-    RegimeError,
     StandardBasis,
     ensure_initially_reduced,
     generic_initial_reduce,
@@ -18,7 +17,6 @@ from tfan import (
     leading_term,
     lex_ordering,
     minimize,
-    mora_weak_nf,
     p_reduce,
     standard_basis,
     t_skeleton,
@@ -278,17 +276,16 @@ class TestDriver:
         assert set(basis.elements) == set(polys(
             XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2", "t^3*y^4"))
 
-    def test_regime_error_when_p_minus_t_missing(self):
-        o = weighted_ordering((-1, 1, 1), 2)
-        with pytest.raises(RegimeError):
-            ensure_initially_reduced(o, polys(XY, "x"), 3)
-
-    def test_p_minus_t_found_by_normal_form_when_not_a_generator(self):
+    @pytest.mark.parametrize("gens, prime", [
+        (("x",), 3),
         # (2 - t)(1 + t) generates the same ideal of Z[[t]][x] as 2 - t
+        (("2 + t - t^2", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2"), 2),
+    ], ids=["missing", "multiple-of-p-minus-t"])
+    def test_prime_needs_p_minus_t_generator(self, gens, prime):
         o = weighted_ordering((-1, 1, 1), 2)
-        F = polys(XY, "2 + t - t^2", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
-        basis = ensure_initially_reduced(o, F, 2)
-        assert P("2 - t", XY) in basis.elements
+        with pytest.raises(InvalidInput,
+                           match="declared prime p requires p - t among the generators"):
+            ensure_initially_reduced(o, polys(XY, *gens), prime)
 
     def test_leading_ideal_matches_unreduced_basis(self):
         o = weighted_ordering((-1, 1, 1), 2)
