@@ -1,8 +1,10 @@
 """The package's public API is the explicit ``__all__`` list, and its
-modules import nothing they do not use."""
+modules import nothing they do not use and nothing outside the standard
+library."""
 
 import ast
 import os
+import sys
 import types
 
 import tfan
@@ -17,14 +19,20 @@ def test_all_lists_every_imported_name_and_no_submodule():
     assert set(tfan.__all__) == public
 
 
+def modules():
+    """(file name, syntax tree) of every module of the package."""
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                yield fname, ast.parse(fh.read())
+
+
 def test_every_imported_name_is_used():
     """Each name a module other than ``__init__`` imports is read in that module."""
     unused = []
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py") or fname == "__init__.py":
+    for fname, tree in modules():
+        if fname == "__init__.py":
             continue
-        with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and \
@@ -35,3 +43,20 @@ def test_every_imported_name_is_used():
         unused += [f"{fname}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_absolute_imports_are_standard_library():
+    """The package stays pure Python: every absolute import names a module
+    of the standard library; everything else is a relative import."""
+    foreign = []
+    for fname, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{fname}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -26,7 +28,7 @@ from tfan import (
     weighted_ordering,
 )
 
-from tfan.cli import format_poly
+from tfan.cli import format_poly, parse_problem
 
 from helpers import P, XY, XYZ, polys, prime_stream_member
 
@@ -485,3 +487,107 @@ def test_standard_basis_matches_oracle(member, t_entry, rest, tiebreak):
             lf, lg = leading_term(o, f), leading_term(o, g)
             assert spair(o, f, g) == old_s_poly(f, lf, g, lg)
             assert gpair(o, f, g) == old_gcd_poly(f, lf, g, lg)
+
+
+# --- pair criteria over Z ------------------------------------------------------
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_coprime_leading_monomials_do_not_skip_the_s_pair():
+    # 2x and 2y have coprime leading monomials but not coprime coefficients;
+    # their S-remainder t*x^2 belongs to the basis, so a field-style product
+    # criterion would lose it.
+    o = MonomialOrdering(((-1, 1, 1),), (0, 1))
+    F = polys(XY, "2*x", "2*y + t*x")
+    sb = standard_basis(o, F)
+    assert [format_poly(g, "xy") for g in sb.elements] == ["t*x^2", "2*x", "t*x + 2*y"]
+    assert sb.elements == standard_basis_oracle(o, F).elements
+
+
+def test_gcd_pair_criterion_skips_a_pair(monkeypatch):
+    # 4xy and 6xz need a GCD-pair with leading term 2xyz, which 2x divides;
+    # the pairs of 2x with both are treated first (smaller lcm), so the
+    # GCD-candidate is never built.
+    built = []
+    gcd_pair = tfan.division._gcd_pair
+
+    def counted(*args):
+        built.append(args)
+        return gcd_pair(*args)
+
+    monkeypatch.setattr(tfan.division, "_gcd_pair", counted)
+    o = weighted_ordering((-1, 1, 1, 1), 3)
+    F = polys(XYZ, "2*x", "4*x*y + t*y^2", "6*x*z + t*z^2")
+    sb = standard_basis(o, F)
+    assert built == []
+    assert sb.elements == standard_basis_oracle(o, F).elements
+
+
+def _corpus_ideals(corpus, group):
+    """(nvars, generators) of the oracle comparison groups of the corpus."""
+    if group == "generic":
+        stream = corpus.generic_ideals(0)
+        ideals = [next(stream) for _ in range(65)]
+    elif group == "scale3":
+        ideals = [corpus.scaling_ideal(3, s) for s in range(6)]
+    else:
+        ideals = [corpus.scaling_ideal(4, s) for s in (1, 4)]
+    return [(n, [Polynomial.from_terms(g) for g in gens]) for n, _, gens in ideals]
+
+
+@pytest.mark.parametrize("group", ["generic", "scale3", "scale4"])
+def test_standard_basis_matches_oracle_on_corpus(group, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import corpus
+
+    for n, gens in _corpus_ideals(corpus, group):
+        o = MonomialOrdering(((-1,) + (1,) * n,), tuple(range(n)))
+        assert standard_basis(o, gens).elements == \
+            standard_basis_oracle(o, gens).elements
+
+
+@pytest.mark.parametrize("name", ["flip", "rand1", "scale3-4", "scale3-5"])
+def test_pair_certificate_on_benchmark_cones(name, monkeypatch):
+    """At one interior weight of each maximal cone of the benchmark fan, every
+    S-pair and every needed GCD-pair of the basis, built by polynomial
+    arithmetic, has weak normal form zero."""
+    monkeypatch.syspath_prepend(BENCH)
+    import checks
+    import corpus
+
+    with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as fh:
+        ref = json.load(fh)
+    params = ref["params"]
+    cases = corpus.prime_cases(params["prime_corpus_seed"], params["scaling_seeds"],
+                               ref["prime_keep"])
+    text = dict(cases)[name]
+    problem = parse_problem(text)
+    rng = random.Random(13)
+    for rays, lin in ref["fans"][name]["cones"]:
+        w = checks.interior_weight(rays, lin, rng)
+        o = MonomialOrdering((w,), problem.tiebreak)
+        els = standard_basis(o, problem.gens).elements
+        for i, f in enumerate(els):
+            for g in els[i + 1:]:
+                lf, lg = leading_term(o, f), leading_term(o, g)
+                pairs = [old_s_poly(f, lf, g, lg)]
+                if lf.coeff % lg.coeff and lg.coeff % lf.coeff:
+                    pairs.append(old_gcd_poly(f, lf, g, lg))
+                for h in pairs:
+                    assert mora_weak_nf(o, h, els).remainder.is_zero, (w, f, g)
+
+
+def test_pair_criteria_halve_head_reductions(monkeypatch):
+    calls = []
+    head_reduce = tfan.division._head_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return head_reduce(*args)
+
+    monkeypatch.setattr(tfan.division, "_head_reduce", counted)
+    ideal = prime_stream_member(2)
+    sb = standard_basis(MonomialOrdering(((-1, 1, 1, 1),), (0, 1, 2)), ideal.gens)
+    assert len(sb.elements) == 14
+    assert len(calls) <= 55  # 110 without the criteria
