@@ -28,7 +28,7 @@ for f in F:
 
 sb = standard_basis(ordering, F)
 print("\nstandard basis (note the new element t^3*y^4):")
-for g in minimize(ordering, sb).elements:
+for g in minimize(sb).elements:
     print("  ", format_poly(g, names), "   lt =", leading_term(ordering, g))
 
 # Weak normal form with unit multiplier: membership test for an element

@@ -11,6 +11,7 @@ Run:  python3 demos/03_initial_reduction.py
 
 from tfan import (
     InredContext,
+    StandardBasis,
     cone_from_basis,
     contains,
     ensure_initially_reduced,
@@ -47,13 +48,14 @@ F = [parse_poly(s, names) for s in ("2 - t", "x + t^2*y + t^3*z", "y + t*x + t^2
 print("\ngenerators initially reduced?", is_initially_reduced(o, F))
 
 w = (-1, 2, 0, 1)
-naive = cone_from_basis(o, F, tuple(initial_form((-1, 1, 1, 1), f) for f in F))
+naive = cone_from_basis(StandardBasis(F, o),
+                        tuple(initial_form((-1, 1, 1, 1), f) for f in F))
 print(f"naive cone contains {w}?", contains(naive, w))
 
 basis = ensure_initially_reduced(o, F, prime=2)
 print("initially reduced basis:")
 for f in basis.elements:
     print("  ", format_poly(f, names))
-true_cone = cone_from_basis(o, basis.elements,
+true_cone = cone_from_basis(basis,
                             tuple(initial_form((-1, 1, 1, 1), f) for f in basis.elements))
 print(f"true cone contains {w}?", contains(true_cone, w))

@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         problem = parse_problem(text)
         if args.command == "stdbasis":
             ord_ = problem.ordering(_weight_arg(problem, args))
-            sb = minimize(ord_, standard_basis(ord_, problem.gens))
+            sb = minimize(standard_basis(ord_, problem.gens))
             print(render_polys("SB", sb.elements, problem.names))
         elif args.command == "inred":
             ord_ = problem.ordering(_weight_arg(problem, args))

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .division import StandardBasis
 from .errors import InvalidInput
 from .exact import dot, integral, kernel_basis, primitive, rank, rref, vneg, vscale, vsub
-from .poly import MonomialOrdering, Polynomial, leading_term, t_skeleton
+from .poly import Polynomial, initial_form, leading_term, t_skeleton
 
 Vec = tuple
 
@@ -284,8 +285,7 @@ def _in_lineality(cone: HCone, g) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cone_from_basis(ordering: MonomialOrdering, basis: Sequence[Polynomial],
-                    initial_forms: Sequence[Polynomial]) -> HCone:
+def cone_from_basis(basis: StandardBasis, initial_forms: Sequence[Polynomial]) -> HCone:
     """Inequalities and equations of the Groebner cone of an initially
     reduced standard basis, at the (undetermined) weight whose initial forms
     are given.
@@ -296,15 +296,15 @@ def cone_from_basis(ordering: MonomialOrdering, basis: Sequence[Polynomial],
     each initial form, differences of its skeleton exponents are equation
     rows.
     """
-    if len(basis) != len(initial_forms):
+    if len(basis.elements) != len(initial_forms):
         raise InvalidInput("basis and initial forms differ in length")
-    if not basis:
+    if not basis.elements:
         raise InvalidInput("empty basis")
-    d = 1 + basis[0].nvars
+    d = 1 + basis.elements[0].nvars
     ineqs: list[Vec] = []
     eqs: list[Vec] = []
-    for g in basis:
-        lead = leading_term(ordering, g).exp
+    for g in basis.elements:
+        lead = leading_term(basis.ordering, g).exp
         for term in t_skeleton(g).terms:
             if term.exp != lead:
                 ineqs.append(vsub(lead, term.exp))
@@ -320,12 +320,19 @@ def cone_from_basis(ordering: MonomialOrdering, basis: Sequence[Polynomial],
 
 @dataclass(frozen=True)
 class GroebnerCone:
-    """A maximal (or lower) Groebner cone with the data that produced it."""
+    """A maximal (or lower) Groebner cone and the basis it was read off, at
+    the first weight of the basis ordering."""
 
     hcone: HCone
     basis: StandardBasis
-    initial_forms: tuple[Polynomial, ...]
-    interior_weight: Vec
+
+    @property
+    def interior_weight(self) -> Vec:
+        return self.basis.ordering.weights[0]
+
+    @cached_property
+    def initial_forms(self) -> tuple[Polynomial, ...]:
+        return tuple(initial_form(self.interior_weight, g) for g in self.basis.elements)
 
     @property
     def data(self) -> ConeData:

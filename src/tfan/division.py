@@ -420,21 +420,21 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     return sorted_basis(ord_, out)
 
 
-def minimize(ord_: MonomialOrdering, basis: StandardBasis) -> StandardBasis:
+def minimize(basis: StandardBasis) -> StandardBasis:
     """Drop elements whose leading term is term-divisible by another's.
 
     The leading ideal is unchanged; minimal standard bases remain standard
     bases (and generating sets).  Potential divisors are processed first so
     the outcome is deterministic.
     """
-    elems = list(basis.elements)
+    ord_ = basis.ordering
 
     def order(g):
         lt = leading_term(ord_, g)
         return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), ord_.key(lt.exp), g.terms)
 
     kept: list[Polynomial] = []
-    for g in sorted(elems, key=order):
+    for g in sorted(basis.elements, key=order):
         lt = leading_term(ord_, g)
         if any(term_divides(leading_term(ord_, h), lt) for h in kept):
             continue

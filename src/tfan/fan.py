@@ -1,14 +1,16 @@
 """Witness lifting, basis flips across facets, and the fan traversal.
 
 The traversal starts from one maximal Groebner cone and walks facet by
-facet.  Crossing a facet means: take initial forms of the basis at a
-relative interior point w of the facet, compute a standard basis of the
-(much simpler, weighted homogeneous) initial ideal under the weight-chain
-ordering (w, outer normal), pull each of its elements back to the full
-ideal with a determinate division witness, and re-read the cone from the
-initially reduced form of the lifted basis.  Facets whose relative interior
-already lies in a known cone are recorded as adjacencies and skipped, and
-facets inside the boundary hyperplane {0} x R^n are never crossed.
+facet.  A basis carries its ordering and a cone its basis, so a flip maps a
+basis and a facet to the next basis (Fukuda, Jensen and Thomas, "Computing
+Groebner fans", 2007): take initial forms of the basis at a relative
+interior point w of the facet, compute a standard basis of the (much
+simpler, weighted homogeneous) initial ideal under the weight-chain
+ordering (w, outer normal), and pull each of its elements back to the full
+ideal with a determinate division witness.  The next cone is read off the
+initially reduced lifted basis.  Facets whose relative interior already
+lies in a known cone are recorded as adjacencies and skipped, and facets
+inside the boundary hyperplane {0} x R^n are never crossed.
 
 The lift already is a standard basis of the full ideal for the new
 ordering, so the adjacent cone's constructor only initially reduces it
@@ -70,51 +72,48 @@ class Fan:
     adjacency: tuple[tuple[int, int, HCone], ...]
 
 
-def witness(h: Polynomial, H: Sequence[Polynomial], G: Sequence[Polynomial],
-            ord_: MonomialOrdering) -> Polynomial:
+def witness(h: Polynomial, H: Sequence[Polynomial], G: StandardBasis) -> Polynomial:
     """Element of the ideal whose initial form at the shared weight is h.
 
-    h is divided determinately by the initial forms H; replaying the
-    quotients against the actual basis G produces the witness.  A nonzero
-    remainder means h does not belong to the initial ideal (or the inputs
-    are inconsistent).
+    H holds the initial forms of G's elements at that weight.  h is divided
+    determinately by H under G's ordering; replaying the quotients against
+    G's elements produces the witness.  A nonzero remainder means h does
+    not belong to the initial ideal (or the inputs are inconsistent).
     """
-    if len(H) != len(G):
+    if len(H) != len(G.elements):
         raise InvalidInput("initial forms and basis differ in length")
-    q, r = hddwr(ord_, h, H)
+    q, r = hddwr(G.ordering, h, H)
     if not r.is_zero:
         raise WitnessFailed("division by the initial forms left a remainder")
     return Polynomial.from_terms((c1 * c2, exp_mul(e1, e2))
-                                 for qi, gi in zip(q, G)
+                                 for qi, gi in zip(q, G.elements)
                                  for c1, e1 in qi.terms for c2, e2 in gi.terms)
 
 
-def lift(H_new: Sequence[Polynomial], ord_new: MonomialOrdering,
-         H: Sequence[Polynomial], G: StandardBasis, ord_: MonomialOrdering) -> StandardBasis:
+def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> StandardBasis:
     """Lift a standard basis of the initial ideal to one of the full ideal.
 
-    Every element of ``H_new`` is witnessed through the old basis; the
-    witnesses form a standard basis w.r.t. ``ord_new`` with the same leading
-    terms as ``H_new``.  It is initially reduced, without a new completion,
-    by the cone constructor.
+    Every element of ``H_new``, a standard basis of the ideal of ``G``'s
+    initial forms ``H``, is witnessed through ``G``; the witnesses form a
+    standard basis w.r.t. ``H_new``'s ordering with the same leading terms
+    as ``H_new``.  It is initially reduced, without a new completion, by the
+    cone constructor.
     """
-    lifted = tuple(witness(h, H, G.elements, ord_) for h in H_new)
-    return StandardBasis(lifted, ord_new)
+    return StandardBasis(tuple(witness(h, H, G) for h in H_new.elements), H_new.ordering)
 
 
-def flip(G: StandardBasis, H: Sequence[Polynomial], v, ord_: MonomialOrdering,
-         w) -> tuple[StandardBasis, MonomialOrdering]:
+def flip(G: StandardBasis, v, w) -> StandardBasis:
     """Cross the facet with relative interior point w and outer normal v.
 
-    The weight-chain ordering (w, v) with the old tiebreak stands in for the
+    The weight-chain ordering (w, v) with G's tiebreak stands in for the
     perturbed weight w + eps*v; under it a minimal standard basis of the
-    weighted homogeneous initial ideal <H> is computed honestly and lifted.
+    weighted homogeneous initial ideal in_w(G) is computed and lifted.
     """
     if w[0] >= 0:
         raise InvalidInput("facet interior point must have negative t-entry")
-    ord_new = MonomialOrdering((tuple(w), tuple(v)), ord_.tiebreak)
-    H_new = minimize(ord_new, standard_basis(ord_new, H))
-    return lift(H_new.elements, ord_new, H, G, ord_), ord_new
+    H = tuple(initial_form(w, g) for g in G.elements)
+    ord_new = G.ordering.with_weights(w, v)
+    return lift(minimize(standard_basis(ord_new, H)), H, G)
 
 
 def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
@@ -128,38 +127,35 @@ def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
     """
     if not ordering.weights or ordering.weights[0][0] >= 0:
         raise InvalidInput("need a weighted ordering with negative t-entry")
-    w = ordering.weights[0]
     basis = ensure_initially_reduced(ordering, gens, prime)
-    H = tuple(initial_form(w, g) for g in basis.elements)
-    return GroebnerCone(cone_from_basis(ordering, basis.elements, H), basis, H, tuple(w))
+    H = tuple(initial_form(ordering.weights[0], g) for g in basis.elements)
+    return GroebnerCone(cone_from_basis(basis, H), basis)
 
 
-def _cone_from_adjacent(G_new: StandardBasis, ord_new: MonomialOrdering,
-                        prime: int | None) -> GroebnerCone:
+def _cone_from_adjacent(G_new: StandardBasis, prime: int | None) -> GroebnerCone:
     """Build the maximal cone on the far side of a flip.
 
-    The lifted basis is already a standard basis under the new ordering, so
-    it is only initially reduced, not completed again (the ideal, and with
-    it p - t, is unchanged by the flip); its elements are normalised as
+    The lifted basis is already a standard basis under its ordering, so it
+    is only initially reduced, not completed again (the ideal, and with it
+    p - t, is unchanged by the flip); its elements are normalised as
     ``standard_basis`` leaves them, which ``initially_reduce`` expects.  The
-    cone is read off with the leading terms as initial forms, and the
-    ordering is re-anchored to a single interior weight so chains do not
-    accumulate across many flips.
+    cone is read off with the leading terms as initial forms, and the basis
+    is re-anchored to one interior weight u, whose initial forms must be
+    those leading terms: the cone reads its weight and initial forms off u.
     """
-    G_new = StandardBasis(tuple(normalize_element(ord_new, g) for g in G_new.elements),
-                          ord_new)
-    basis = initially_reduce(ord_new, G_new, prime)
+    ord_new = G_new.ordering
+    normalised = tuple(normalize_element(ord_new, g) for g in G_new.elements)
+    basis = initially_reduce(StandardBasis(normalised, ord_new), prime)
     lts = tuple(Polynomial.term(*leading_term(ord_new, g)) for g in basis.elements)
-    hc = cone_from_basis(ord_new, basis.elements, lts)
+    hc = cone_from_basis(basis, lts)
     assert not hc.eqs, "leading terms cannot produce equations"
     u = relative_interior_point(hc)
     if u[0] >= 0:
         raise NonGenericWeight("adjacent cone has no interior weight below the boundary")
-    anchored = MonomialOrdering((tuple(u),), ord_new.tiebreak)
-    for g, lt in zip(basis.elements, lts):
-        if initial_form(u, g) != lt:
-            raise NonGenericWeight("re-anchored weight is not interior")
-    return GroebnerCone(hc, StandardBasis(basis.elements, anchored), lts, tuple(u))
+    cone = GroebnerCone(hc, StandardBasis(basis.elements, ord_new.with_weights(u)))
+    if cone.initial_forms != lts:
+        raise NonGenericWeight("re-anchored weight is not interior")
+    return cone
 
 
 def default_weight(n: int) -> tuple:
@@ -213,10 +209,8 @@ def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None) -> Fan:
             j = next((k for k, c in enumerate(cones)
                       if k != idx and contains(c.hcone, wpt)), None)
             if j is None:
-                H = tuple(initial_form(wpt, g) for g in cone.basis.elements)
-                flipped, ord_new = flip(cone.basis, H, facet.outer_normal,
-                                        cone.basis.ordering, wpt)
-                cones.append(_cone_from_adjacent(flipped, ord_new, ideal.prime))
+                flipped = flip(cone.basis, facet.outer_normal, wpt)
+                cones.append(_cone_from_adjacent(flipped, ideal.prime))
                 j = len(cones) - 1
                 queue.append(j)
             adjacency.setdefault(frozenset((idx, j)), facet.cone)

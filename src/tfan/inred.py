@@ -260,17 +260,16 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
         h, E = _split_by_lm(ord_, inred_same_degree(ctx, h + E), h_lms, e_lms)
 
 
-def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
-                     prime: int | None = None) -> StandardBasis:
+def initially_reduce(basis: StandardBasis, prime: int | None = None) -> StandardBasis:
     """Minimal initially reduced standard basis from a known standard basis.
 
-    ``basis`` must already be a standard basis w.r.t. ``ord_``; nothing is
-    completed again.  With a declared prime the ideal must contain p - t,
-    which is not checked here.  Its elements must be normalised as
-    ``standard_basis`` leaves them (``normalize_element``: unit t-content
-    stripped, positive leading coefficient); callers with a basis from
-    elsewhere, such as a lifted one, normalise it first.  Prime regime:
-    drops elements whose leading coefficient the prime divides (p - t
+    ``basis`` must already be a standard basis w.r.t. its ordering, which
+    the result keeps; nothing is completed again.  With a declared prime the
+    ideal must contain p - t, which is not checked here.  Its elements must
+    be normalised as ``standard_basis`` leaves them (``normalize_element``:
+    unit t-content stripped, positive leading coefficient); callers with a
+    basis from elsewhere, such as a lifted one, normalise it first.  Prime
+    regime: drops elements whose leading coefficient the prime divides (p - t
     covers them), normalises the remaining leading coefficients to 1 via a
     Bezout combination with p - t, minimises, then reduces the x-degree
     strata bottom up against everything already finished; the result always
@@ -279,7 +278,8 @@ def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
     if not basis.elements:
         raise InvalidInput("empty standard basis")
     if prime is None:
-        return generic_initial_reduce(ord_, basis)
+        return generic_initial_reduce(basis)
+    ord_ = basis.ordering
     ctx = InredContext(prime, ord_)
     pt = p_minus_t(prime, basis.elements[0].nvars)
     monic: list[Polynomial] = []
@@ -293,7 +293,7 @@ def initially_reduce(ord_: MonomialOrdering, basis: StandardBasis,
             g = g * a + pt.term_mul(b, lm)
             assert leading_term(ord_, g).coeff == 1
         monic.append(g)
-    remaining = list(minimize(ord_, StandardBasis(tuple(monic), ord_)).elements)
+    remaining = list(minimize(StandardBasis(tuple(monic), ord_)).elements)
     done: list[Polynomial] = []
     while remaining:
         d = min(x_degree(g) for g in remaining)
@@ -348,7 +348,7 @@ def _diverged(ord_, term, lt_g, bound) -> InredDiverged:
     )
 
 
-def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis) -> StandardBasis:
+def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
     """Initially reduce a minimal standard basis without a declared prime.
 
     Element by element, repeatedly eliminates the element's greatest
@@ -360,7 +360,8 @@ def generic_initial_reduce(ord_: MonomialOrdering, basis: StandardBasis) -> Stan
     a t-degree limit and by ``division.STEP_CAP``; ``InredDiverged`` names
     the bound that tripped.
     """
-    elems = list(minimize(ord_, basis).elements)
+    ord_ = basis.ordering
+    elems = list(minimize(basis).elements)
     # Divergence in this regime shows up as unbounded t-degree growth (each
     # pass trades a tail term for higher t-powers); catching it by degree
     # keeps the failure fast and diagnosable instead of grinding toward the
@@ -427,4 +428,4 @@ def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomi
     if not gens:
         raise InvalidInput("empty generating set")
     Ideal(gens, gens[0].nvars, prime)
-    return initially_reduce(ord_, standard_basis(ord_, gens), prime)
+    return initially_reduce(standard_basis(ord_, gens), prime)

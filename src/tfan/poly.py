@@ -453,8 +453,8 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
     """Divide f by the Z[[t]]-unit part of its Z[t]-content.
 
     The content factors as t^k * u(t) * rest; whenever the t-free part u has
-    u(0) = +-1 it is a unit of Z[[t]], so dividing by it changes neither the
-    ideal generated nor any leading term (the sign is arranged so u(0) = 1).
+    u(0) = 1 (``tpoly_gcd`` makes it positive) it is a unit of Z[[t]], so
+    dividing by it changes neither the ideal generated nor any leading term.
     Contents whose t-free part has a nontrivial constant are left alone.
     The running gcd of the coefficients stops early once it is a single term
     c*t^k: the content divides it, so it is a single term too and has no
@@ -471,10 +471,8 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
     k = tpoly_min_beta(content)
     unit = tpoly_shift(content, -k)
     c0 = unit[0][1]
-    if abs(c0) != 1 or len(unit) == 1:
+    if c0 != 1 or len(unit) == 1:
         return f
-    if c0 < 0:
-        unit = tuple((b, -c) for b, c in unit)
     # alphas in canonical order, each quotient's betas ascending: canonical
     return Polynomial(tuple(Term(c, (beta,) + a)
                             for a, tp in coeffs.items()

@@ -153,9 +153,10 @@ def test_criterion_4_initial_reduction_necessity():
     F = polys(XYZ, "2 - t", "x + t^2*y + t^3*z", "y + t*x + t^2*z")
     assert not is_initially_reduced(o, F)
     from tfan.cone import cone_from_basis
-    naive = cone_from_basis(o, F, tuple(initial_form((-1, 1, 1, 1), g) for g in F))
+    naive = cone_from_basis(StandardBasis(F, o),
+                            tuple(initial_form((-1, 1, 1, 1), g) for g in F))
     basis = ensure_initially_reduced(o, F, 2)
-    reduced = cone_from_basis(o, basis.elements,
+    reduced = cone_from_basis(basis,
                               tuple(initial_form((-1, 1, 1, 1), g) for g in basis.elements))
     w = (-1, 2, 0, 1)
     assert contains(reduced, w)
@@ -191,8 +192,8 @@ def test_criterion_7_flip_golden():
     o = weighted_ordering((-1, 1, 1), 2)
     G = StandardBasis(polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2", "t^3*y^4"), o)
     w = (-4, 1, 7)
-    H = [initial_form(w, g) for g in G.elements]
-    G2, ord2 = flip(G, H, (3, 5, 1), o, w)
+    G2 = flip(G, (3, 5, 1), w)
+    ord2 = G2.ordering
     normalised = {g if leading_term(ord2, g).coeff > 0 else -g for g in G2.elements}
     assert normalised == set(polys(
         XY, "2 - t", "x*y^2 - t^2*y^3", "t^3*y^2 - x^2", "x^3 - t^5*y^3"))

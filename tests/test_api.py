@@ -60,3 +60,29 @@ def test_absolute_imports_are_standard_library():
             foreign += [f"{fname}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def annotation_names(node):
+    """Every name and attribute an annotation expression mentions."""
+    if node is None:
+        return set()
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_function_passes_an_ordering_beside_a_basis():
+    """A ``StandardBasis`` carries its ordering, so no function takes or
+    returns a ``MonomialOrdering`` next to one."""
+    both = {"StandardBasis", "MonomialOrdering"}
+    restated = []
+    for fname, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            params = [annotation_names(a.annotation) & both for a in args]
+            if (any("StandardBasis" in p for p in params)
+                    and any("MonomialOrdering" in p for p in params)) \
+                    or annotation_names(node.returns) >= both:
+                restated.append(f"{fname}:{node.lineno} {node.name}")
+    assert restated == []

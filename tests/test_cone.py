@@ -39,14 +39,14 @@ def section3_cone():
     o = weighted_ordering((-1, 3, 3, 3), 3)
     G = polys(XYZ, "x - t^3*x + t^3*z - t^4*z", "y - t^3*y + t^2*z - t^4*z")
     H = tuple(initial_form((-1, 3, 3, 3), g) for g in G)
-    return cone_from_basis(o, G, H)
+    return cone_from_basis(StandardBasis(G, o), H)
 
 
 def flip_cone():
     o = weighted_ordering((-1, 1, 1), 2)
     G = polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2", "t^3*y^4")
     H = tuple(initial_form((-1, 1, 1), g) for g in G)
-    return cone_from_basis(o, G, H)
+    return cone_from_basis(StandardBasis(G, o), H)
 
 
 class TestConeFromBasis:
@@ -59,13 +59,13 @@ class TestConeFromBasis:
         o = weighted_ordering((-1, 3, 3, 3), 3)
         G = polys(XYZ, "x - t^3*x + t^3*z - t^4*z", "y - t^3*y + t^2*z - t^4*z")
         H = tuple(initial_form((-1, 2, -1, 1), g) for g in G)
-        hc = cone_from_basis(o, G, H)
+        hc = cone_from_basis(StandardBasis(G, o), H)
         assert hc.eqs == ((-2, 0, 1, -1),)
 
     def test_single_term_gives_halfspace(self):
         o = weighted_ordering((-1, 1, 1), 2)
         G = polys(XY, "3*t^2*x*y")
-        hc = cone_from_basis(o, G, G)
+        hc = cone_from_basis(StandardBasis(G, o), G)
         assert hc.ineqs == () and hc.eqs == ()
         assert dim(hc) == 3
 
@@ -226,12 +226,12 @@ class TestPredicates:
         o = weighted_ordering((-1, 1, 1, 1), 3)
         raw = polys(XYZ, "2 - t", "x + t^2*y + t^3*z", "y + t*x + t^2*z")
         raw_H = tuple(initial_form((-1, 1, 1, 1), g) for g in raw)
-        naive = cone_from_basis(o, raw, raw_H)
+        naive = cone_from_basis(StandardBasis(raw, o), raw_H)
         w = (-1, 2, 0, 1)
         assert not contains(naive, w)
         reduced = polys(XYZ, "2 - t", "x - t^3*x + t^3*z - t^4*z", "y - t^3*y + t^2*z - t^4*z")
         red_H = tuple(initial_form((-1, 1, 1, 1), g) for g in reduced)
-        true_cone = cone_from_basis(o, reduced, red_H)
+        true_cone = cone_from_basis(StandardBasis(reduced, o), red_H)
         assert contains(true_cone, w)
 
     def test_equal_reflexive(self):
@@ -264,7 +264,7 @@ class TestSlice:
         o = weighted_ordering((-1, 1, 1), 2)
         g = polys(XY, "t*x^2 + x*y + t*y^2")
         H = tuple(initial_form((-1, 1, 1), f) for f in g)
-        hc = cone_from_basis(o, g, H)
+        hc = cone_from_basis(StandardBasis(g, o), H)
         sl = affine_slice(hc, [(0, -1)])
         assert set(sl.vertices) == {(-1, -1, 0), (-1, 1, 0)}
         assert sl.lines == ((0, 1, 1),)
@@ -289,9 +289,9 @@ class TestSlice:
     def test_shared_facet_geometry_between_neighbours(self):
         # middle and right cones of the principal-ideal fan share one facet
         g = polys(XY, "t*x^2 + x*y + t*y^2")
-        mid = cone_from_basis(weighted_ordering((-1, 1, 1), 2), g,
+        mid = cone_from_basis(StandardBasis(g, weighted_ordering((-1, 1, 1), 2)),
                               (initial_form((-1, 1, 1), g[0]),))
-        right = cone_from_basis(weighted_ordering((-1, -3, 0), 2), g,
+        right = cone_from_basis(StandardBasis(g, weighted_ordering((-1, -3, 0), 2)),
                                 (initial_form((-1, -3, 0), g[0]),))
         meet = intersect(mid, right)
         assert is_face(meet, mid) and is_face(meet, right)

@@ -211,17 +211,17 @@ class TestMinimize:
     def test_drops_term_multiples(self):
         o = lex_ordering(2)
         sb = StandardBasis(polys(XY, "x", "2*x", "y"), o)
-        assert set(minimize(o, sb).elements) == set(polys(XY, "x", "y"))
+        assert set(minimize(sb).elements) == set(polys(XY, "x", "y"))
 
     def test_drops_coefficient_multiples(self):
         o = lex_ordering(2)
         sb = StandardBasis(polys(XY, "2 - t", "4 - 2*t", "x"), o)
-        assert set(minimize(o, sb).elements) == set(polys(XY, "2 - t", "x"))
+        assert set(minimize(sb).elements) == set(polys(XY, "2 - t", "x"))
 
     def test_already_minimal(self):
         o = lex_ordering(2)
         sb = StandardBasis(polys(XY, "x", "y"), o)
-        assert set(minimize(o, sb).elements) == set(sb.elements)
+        assert set(minimize(sb).elements) == set(sb.elements)
 
 
 class TestStepCap:

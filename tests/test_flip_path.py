@@ -11,12 +11,14 @@ import tfan.fan
 import tfan.inred
 from tfan import (
     MonomialOrdering,
+    Polynomial,
     groebner_cone_at,
     groebner_fan,
     is_initially_reduced,
     leading_term,
 )
 from tfan.cli import parse_problem
+from tfan.exact import dot
 
 from helpers import prime_stream_member
 
@@ -61,6 +63,13 @@ def test_flipped_cones_match_cones_from_scratch(name):
         assert cone.basis.ordering == ordering
         assert is_initially_reduced(ordering, cone.basis.elements)
         assert sorted_leading_terms(cone.basis) == sorted_leading_terms(fresh.basis)
+        # the weight and initial forms a cone reports are read off its basis
+        own = cone.basis.ordering
+        w = own.weights[0]
+        assert cone.interior_weight == w
+        assert all(dot(row, w) > 0 for row in cone.hcone.ineqs)
+        assert cone.initial_forms == tuple(Polynomial.term(*leading_term(own, g))
+                                           for g in cone.basis.elements)
 
 
 def test_no_completion_after_a_flip(monkeypatch):

@@ -1,7 +1,9 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from tfan import (
     InvalidInput,
@@ -31,6 +33,8 @@ from tfan.poly import (
     strip_unit_t_content,
     t_coefficient,
     t_coefficients,
+    tpoly_divexact,
+    tpoly_gcd,
 )
 
 from helpers import P, XY, XYZ, polys
@@ -214,6 +218,71 @@ def test_strip_unit_t_content():
     assert strip_unit_t_content(g) == g
 
 
+def tp(dense):
+    """The Z[t] coefficient with dense coefficient list ``dense``, lowest
+    t-power first."""
+    return tuple((b, c) for b, c in enumerate(dense) if c)
+
+
+def dense(p):
+    out = [0] * (p[-1][0] + 1)
+    for b, c in p:
+        out[b] = c
+    return out
+
+
+def dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def rational_gcd_degree(a, b):
+    """t-degree of gcd(a, b) over Q: Euclid on ``Fraction`` coefficients."""
+    def trimmed(p):
+        p = [Fraction(c) for c in p]
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        while len(a) >= len(b):
+            q, s = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[s + i] -= q * c
+            a = trimmed(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+nonzero_tpolys = st.lists(st.integers(-9, 9), min_size=1, max_size=7).filter(any)
+
+
+@seed(14)
+@settings(max_examples=150, deadline=None)
+@given(a=nonzero_tpolys, b=nonzero_tpolys, c=nonzero_tpolys)
+def test_tpoly_gcd_of_common_multiples(a, b, c):
+    # strip_unit_t_content relies on the positive lowest coefficient
+    ac, bc = tp(dense_mul(a, c)), tp(dense_mul(b, c))
+    g = tpoly_gcd(ac, bc)
+    for f in (ac, bc):
+        assert tp(dense_mul(dense(tpoly_divexact(f, g)), dense(g))) == f
+    assert tp(dense_mul(dense(tpoly_divexact(g, tp(c))), c)) == g
+    assert g[0][1] > 0
+    assert g[-1][0] == rational_gcd_degree(dense_mul(a, c), dense_mul(b, c))
+
+
+def test_tpoly_gcd_and_divexact_edge_cases():
+    assert tpoly_gcd((), ()) == ()
+    with pytest.raises(InvalidInput, match="division by zero"):
+        tpoly_divexact(tp([1, 1]), ())
+    with pytest.raises(InvalidInput, match="inexact"):
+        tpoly_divexact(tp([1, 1]), tp([2]))
+
+
 def test_t_coefficient_view():
     f = P("x - t^3*x + t^3*z - t^4*z", XYZ)
     assert t_coefficient(f, (1, 0, 0)) == ((0, 1), (3, -1))
@@ -309,13 +378,13 @@ def test_witness_matches_oracle_sum_on_flip_example():
             w = relative_interior_point(facet.cone)
             H = tuple(initial_form(w, g) for g in G)
             ord_new = MonomialOrdering((tuple(w), facet.outer_normal), ord_.tiebreak)
-            for h in minimize(ord_new, standard_basis(ord_new, H)).elements:
+            for h in minimize(standard_basis(ord_new, H)).elements:
                 q, r = hddwr(ord_, h, H)
                 assert r.is_zero
                 pairs = [(c1 * c2, tuple(a + b for a, b in zip(e1, e2)))
                          for qi, gi in zip(q, G)
                          for c1, e1 in qi.terms for c2, e2 in gi.terms]
-                f = witness(h, H, G, ord_)
+                f = witness(h, H, cone.basis)
                 assert_canonical(f)
                 assert {e: c for c, e in f.terms} == dict_oracle(pairs)
                 lifts += 1
