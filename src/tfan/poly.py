@@ -4,8 +4,8 @@ An exponent vector is a tuple ``(beta, alpha_1, ..., alpha_n)``: the t-power
 first, then the x-powers.  A polynomial is an immutable, canonically sorted
 tuple of terms with nonzero integer coefficients.  The storage order (x-degree
 descending, then alpha lexicographically descending, then beta ascending) is
-independent of any monomial ordering, so one Polynomial value can be used
-under many orderings.
+descending ``_canon_key`` order; it is independent of any monomial ordering,
+so one Polynomial value can be used under many orderings.
 
 Orderings compare by a chain of rational weight vectors and fall back to a
 t-local lexicographic tiebreaker: alpha compared along a fixed variable
@@ -14,14 +14,21 @@ The leading term of a polynomial is its compare-greatest term; under a
 weighted ordering with first weight w (w_0 < 0) that is the term of maximal
 w-degree, tiebroken lexicographically, which is the convention all cone and
 reduction code in this package relies on.
+
+An ordering's ``key`` reads parts computed once per ordering, on first use:
+the integer-scaled weights, an ``itemgetter`` for alpha along the tiebreak
+and the exponent width.  Keys are compared only within one ordering; their
+shape depends on the ordering (one weight gives an int weight part, a chain
+a tuple).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, le, mul
+from operator import add, itemgetter, le, mul
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput
@@ -72,8 +79,10 @@ def term_div(t1: Term, t2: Term) -> Term:
 
 
 def _canon_key(e: Exp):
-    # x-degree desc, alpha lex desc, beta asc
-    return (-exp_x_degree(e), tuple(-a for a in e[1:]), e[0])
+    """The canonical term order is descending in this key: x-degree
+    descending, then alpha lexicographically descending, then beta
+    ascending."""
+    return (sum(e) - e[0], e[1:], -e[0])
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,9 @@ class Polynomial:
         """The polynomial sum c * t^.. x^.. over (c, exp) pairs in any order.
 
         This is the one place where terms are merged and sorted: equal
-        exponents are summed, zero coefficients dropped and the rest put in
-        canonical order.  Sums and products hand their terms here unmerged.
+        exponents are summed, zero coefficients dropped and the rest sorted
+        by descending ``_canon_key`` (exponents are unique, so no ties).
+        Sums and products hand their terms here unmerged.
         """
         acc: dict[Exp, int] = {}
         width = None
@@ -102,10 +112,8 @@ class Polynomial:
             elif len(exp) != width:
                 raise InvalidInput("mixed exponent lengths")
             acc[exp] = acc.get(exp, 0) + coeff
-        terms = tuple(
-            Term(c, e) for e, c in sorted(acc.items(), key=lambda kv: _canon_key(kv[0])) if c != 0
-        )
-        return Polynomial(terms)
+        ordered = sorted(acc.items(), key=lambda kv: _canon_key(kv[0]), reverse=True)
+        return Polynomial(tuple([Term(c, e) for e, c in ordered if c]))
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -244,22 +252,34 @@ def t_skeleton(f: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _check_rational(w) -> None:
+    """Raise unless every entry of the weight vector w is an int or a Fraction."""
+    for i, x in enumerate(w):
+        if not isinstance(x, (int, Fraction)):
+            raise InvalidInput(f"weight entry {i} of {tuple(w)} is {x!r}, "
+                               "not an integer or a Fraction")
+
+
 @dataclass(frozen=True)
 class MonomialOrdering:
     """A chain of weight vectors refined by a t-local lexicographic tiebreak.
 
-    ``weights`` is a (possibly empty) tuple of vectors in Q^{1+n}; comparison
-    goes weight by weight (larger dot product wins), then alpha is compared
-    lexicographically along ``tiebreak`` (a permutation of 0..n-1, most
-    significant variable first; larger exponent wins), and finally the smaller
-    t-power wins.  The tiebreak alone is the ordering x_{p0} > x_{p1} > ... >
-    1 > t; any weight chain refined by it is total and t-local as long as the
-    first weight has nonpositive t-entry.
+    ``weights`` is a (possibly empty) tuple of vectors in Q^{1+n} with int or
+    ``Fraction`` entries; comparison goes weight by weight (larger dot
+    product wins), then alpha is compared lexicographically along
+    ``tiebreak`` (a permutation of 0..n-1, most significant variable first;
+    larger exponent wins), and finally the smaller t-power wins.  The
+    tiebreak alone is the ordering x_{p0} > x_{p1} > ... > 1 > t; any weight
+    chain refined by it is total and t-local as long as the first weight has
+    nonpositive t-entry.
 
     ``weights`` are kept as given, so equality and hashing see them
-    unchanged; comparisons use each vector scaled by the lcm of its
-    denominators to an integer vector, which orders monomials the same way
-    and keeps ``Fraction`` arithmetic out of ``key``.
+    unchanged.  What ``key`` reads is computed lazily, once per ordering, as
+    cached properties that equality, hashing and repr ignore: each weight
+    vector scaled by the lcm of its denominators to an integer vector (which
+    orders monomials the same way and keeps ``Fraction`` arithmetic out of
+    ``key``), an ``itemgetter`` for alpha along the tiebreak, and the
+    exponent width.
     """
 
     weights: tuple[tuple, ...]
@@ -272,6 +292,7 @@ class MonomialOrdering:
         for w in self.weights:
             if len(w) != 1 + n:
                 raise InvalidInput("weight vector has wrong length")
+            _check_rational(w)
         # t-locality (1 > t): the first weight with a nonzero t-entry must
         # have a negative one; if all t-entries vanish the tiebreak decides.
         for w in self.weights:
@@ -290,12 +311,35 @@ class MonomialOrdering:
         """Each weight vector times the lcm of its entries' denominators."""
         return tuple(integral(w) for w in self.weights)
 
+    @cached_property
+    def _alpha(self) -> itemgetter:
+        """Reads alpha along the tiebreak from an exponent, as a tuple.
+
+        The identity tiebreak (every one with n <= 1) reads the slice
+        e[1:]; any other reads the permuted positions, two or more of them.
+        """
+        tb = self.tiebreak
+        if tb == tuple(range(len(tb))):
+            return itemgetter(slice(1, None))
+        return itemgetter(*(1 + i for i in tb))
+
+    @cached_property
+    def _width(self) -> int:
+        return 1 + len(self.tiebreak)
+
     def key(self, e: Exp):
-        """Sort key realising the ordering: bigger key = greater monomial."""
-        if len(e) != 1 + self.nvars:
+        """Sort key realising the ordering: bigger key = greater monomial.
+
+        The key is (weight part, alpha along the tiebreak, -beta).  The
+        weight part is one int for a one-weight ordering and a tuple of ints
+        otherwise, so keys are compared only within one ordering.
+        """
+        if len(e) != self._width:
             raise InvalidInput("exponent vector has wrong length")
-        wpart = tuple(sum(map(mul, w, e)) for w in self._int_weights)
-        return (wpart, tuple(e[1 + i] for i in self.tiebreak), -e[0])
+        ws = self._int_weights
+        if len(ws) == 1:
+            return (sum(map(mul, ws[0], e)), self._alpha(e), -e[0])
+        return (tuple([sum(map(mul, w, e)) for w in ws]), self._alpha(e), -e[0])
 
     def compare(self, e1: Exp, e2: Exp) -> int:
         """-1, 0 or +1; zero only for equal exponent vectors."""
@@ -325,14 +369,16 @@ def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
 
     The answer is kept on f together with the ordering, so asking again
     under the same ordering object (checked by identity) costs no key
-    computation; a different ordering replaces the kept answer.
+    computation; a different ordering replaces the kept answer.  A miss
+    computes one ``ord_.key`` per term, through the method bound once.
     """
     kept = f._lt
     if kept is not None and kept[0] is ord_:
         return kept[1]
     if f.is_zero:
         raise InvalidInput("leading term of the zero polynomial is undefined")
-    lt = max(f.terms, key=lambda t: ord_.key(t.exp))
+    key = ord_.key
+    lt = max(f.terms, key=lambda t: key(t.exp))
     object.__setattr__(f, "_lt", (ord_, lt))
     return lt
 
@@ -345,12 +391,18 @@ def tail(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
 
 
 def max_weight_part(w, f: Polynomial) -> Polynomial:
-    """Sum of the terms of f with maximal w-weighted degree (any w)."""
+    """Sum of the terms of f with maximal w-weighted degree (any rational w).
+
+    The degrees are integer dot products with w scaled once by the positive
+    lcm of its denominators, which keeps the same set of maximal terms.
+    """
+    _check_rational(w)
     if f.is_zero:
         return f
     if len(w) != len(f.terms[0].exp):
         raise InvalidInput("weight vector has wrong length")
-    degs = [sum(wc * ec for wc, ec in zip(w, e)) for _, e in f.terms]
+    iw = integral(w)
+    degs = [sum(map(mul, iw, e)) for _, e in f.terms]
     top = max(degs)
     return Polynomial(tuple(t for t, d in zip(f.terms, degs) if d == top))
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from tfan import (
     InvalidInput,
@@ -28,7 +28,6 @@ from tfan import (
 )
 from tfan.cli import parse_problem
 from tfan.poly import (
-    _canon_key,
     mul_tpoly,
     strip_unit_t_content,
     t_coefficient,
@@ -79,6 +78,64 @@ class TestCompare:
     def test_not_t_local_rejected(self):
         with pytest.raises(InvalidInput):
             MonomialOrdering(((1, 1, 1),), (0, 1))
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(InvalidInput, match=r"weight entry 0 .* -1\.5"):
+            MonomialOrdering(((-1.5, 1, 1),), (0, 1))
+        with pytest.raises(InvalidInput, match=r"weight entry 2 .* 0\.5"):
+            weighted_ordering((-1, 1, 0.5), 2)
+        with pytest.raises(InvalidInput, match=r"weight entry 1"):
+            MonomialOrdering(((-1, 1, 1), (0, 2.0, 1)), (0, 1))
+
+
+def key_oracle(o, e):
+    """``MonomialOrdering.key`` as first written, with the weights as given:
+    the tuple of w-degrees, alpha along the tiebreak, then -beta."""
+    if len(e) != 1 + o.nvars:
+        raise InvalidInput("exponent vector has wrong length")
+    wpart = tuple(sum(c * x for c, x in zip(w, e)) for w in o.weights)
+    return (wpart, tuple(e[1 + i] for i in o.tiebreak), -e[0])
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+negative_fractions = st.fractions(min_value=-5, max_value=Fraction(-1, 7), max_denominator=7)
+
+
+@st.composite
+def orderings_and_exponents(draw):
+    """A random t-local ordering with 0-3 rational weights, n = 1..4 and a
+    random tiebreak, plus a set of exponents for it."""
+    n = draw(st.integers(1, 4))
+    tiebreak = tuple(draw(st.permutations(range(n))))
+    weights = [tuple(draw(st.lists(small_fractions, min_size=1 + n, max_size=1 + n)))
+               for _ in range(draw(st.integers(0, 3)))]
+    # t-local: the first nonzero t-entry is made negative
+    for i, w in enumerate(weights):
+        if w[0] != 0:
+            if w[0] > 0:
+                weights[i] = (-w[0],) + w[1:]
+            break
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * (1 + n)),
+                         min_size=1, max_size=12, unique=True))
+    return MonomialOrdering(tuple(weights), tiebreak), exps
+
+
+@seed(16)
+@settings(max_examples=150, deadline=None)
+@given(case=orderings_and_exponents())
+@example(case=(lex_ordering(1), [(0, 0), (1, 0), (0, 2), (3, 1)]))
+@example(case=(lex_ordering(3, priority=(2, 0, 1)), [(0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)]))
+@example(case=(weighted_ordering((Fraction(-1, 2), 1), 1), [(0, 0), (2, 1), (0, 1)]))
+def test_key_matches_oracle(case):
+    o, exps = case
+    assert sorted(exps, key=o.key) == sorted(exps, key=lambda e: key_oracle(o, e))
+    for a in exps:
+        for b in exps:
+            ka, kb = key_oracle(o, a), key_oracle(o, b)
+            assert o.compare(a, b) == (ka > kb) - (ka < kb)
+        for bad in (a + (0,), a[:-1]):
+            with pytest.raises(InvalidInput):
+                o.key(bad)
 
 
 class TestLeadingData:
@@ -143,6 +200,12 @@ class TestInitialForm:
     def test_rejects_nonnegative_t_weight(self):
         with pytest.raises(InvalidInput):
             initial_form((0, 1, 1), P("x + y", XY))
+
+    def test_rejects_float_weight(self):
+        with pytest.raises(InvalidInput, match=r"weight entry 1 .* 0\.5"):
+            initial_form((-1, 0.5, 1), P("x + y", XY))
+        with pytest.raises(InvalidInput, match=r"weight entry 0"):
+            max_weight_part((-1.0, 1, 1), Polynomial.zero())
 
     def test_multiplicative(self):
         rng = random.Random(2)
@@ -329,10 +392,63 @@ def dict_oracle(pairs):
     return {e: c for e, c in acc.items() if c}
 
 
+def ascending_canon_key(e):
+    """The canonical term order as an ascending key, written apart from
+    ``from_terms``: x-degree descending, alpha lex descending, beta
+    ascending."""
+    return (-sum(e[1:]), tuple(-a for a in e[1:]), e[0])
+
+
 def assert_canonical(f):
-    keys = [_canon_key(e) for _, e in f.terms]
+    keys = [ascending_canon_key(e) for _, e in f.terms]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert all(c != 0 for c, _ in f.terms)
+
+
+@st.composite
+def term_pairs(draw, n=None):
+    """(coeff, exp) pairs for n = 1..4 (or the given n), drawn from a small
+    pool of exponents so that exponents repeat and sums cancel."""
+    if n is None:
+        n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * (1 + n))
+    pool = draw(st.lists(exps, min_size=1, max_size=6))
+    return draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(pool)), max_size=12))
+
+
+@seed(15)
+@settings(max_examples=150, deadline=None)
+@given(pairs=term_pairs())
+def test_from_terms_is_canonical(pairs):
+    f = Polynomial.from_terms(pairs)
+    assert_canonical(f)
+    assert {e: c for c, e in f.terms} == dict_oracle(pairs)
+
+
+def max_weight_part_oracle(w, f):
+    """The terms of f of maximal w-degree, by ``Fraction`` dot products."""
+    degs = [sum(Fraction(c) * x for c, x in zip(w, e)) for _, e in f.terms]
+    top = max(degs, default=None)
+    return Polynomial(tuple(t for t, d in zip(f.terms, degs) if d == top))
+
+
+@st.composite
+def weights_and_polys(draw):
+    n = draw(st.integers(1, 4))
+    w = (draw(negative_fractions),) + tuple(draw(st.lists(small_fractions, min_size=n,
+                                                         max_size=n)))
+    return w, Polynomial.from_terms(draw(term_pairs(n)))
+
+
+@seed(17)
+@settings(max_examples=150, deadline=None)
+@given(case=weights_and_polys())
+def test_max_weight_part_matches_fraction_oracle(case):
+    w, f = case
+    expected = max_weight_part_oracle(w, f)
+    assert max_weight_part(w, f) == expected
+    if not f.is_zero:
+        assert initial_form(w, f) == expected
 
 
 def _random_pairs(rng, n):
