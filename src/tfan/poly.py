@@ -17,9 +17,7 @@ reduction code in this package relies on.
 
 An ordering's ``key`` reads parts computed once per ordering, on first use:
 the integer-scaled weights, an ``itemgetter`` for alpha along the tiebreak
-and the exponent width.  Keys are compared only within one ordering; their
-shape depends on the ordering (one weight gives an int weight part, a chain
-a tuple).
+and the exponent width.
 """
 
 from __future__ import annotations
@@ -330,16 +328,13 @@ class MonomialOrdering:
     def key(self, e: Exp):
         """Sort key realising the ordering: bigger key = greater monomial.
 
-        The key is (weight part, alpha along the tiebreak, -beta).  The
-        weight part is one int for a one-weight ordering and a tuple of ints
-        otherwise, so keys are compared only within one ordering.
+        The key is (the tuple of integer w-degrees, alpha along the
+        tiebreak, -beta).
         """
         if len(e) != self._width:
             raise InvalidInput("exponent vector has wrong length")
-        ws = self._int_weights
-        if len(ws) == 1:
-            return (sum(map(mul, ws[0], e)), self._alpha(e), -e[0])
-        return (tuple([sum(map(mul, w, e)) for w in ws]), self._alpha(e), -e[0])
+        wpart = tuple([sum(map(mul, w, e)) for w in self._int_weights])
+        return (wpart, self._alpha(e), -e[0])
 
     def compare(self, e1: Exp, e2: Exp) -> int:
         """-1, 0 or +1; zero only for equal exponent vectors."""
