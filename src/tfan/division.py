@@ -31,10 +31,13 @@ Three engines live here:
   56, 2012).  Both chain forms fire only through a third element whose
   pairs with the two are already treated (out of the pair heap); the
   looser form changes the bases (see ``standard_basis``).
-  Its hot path does no repeated key or sorting work: one key table per
-  completion holds the graded key of each exponent met, pair candidates are
-  built straight into the ``exp -> coeff`` dict that head reduction works
-  on, and only nonzero remainders become Polynomials.
+  Its hot path computes no ordering key and builds no exponent tuple per
+  term: each completion packs every exponent into one int whose integer
+  order is the ordering (``_Packing``), so a shift is one addition, a
+  divisibility test one addition and one mask, and a leading exponent the
+  ``max`` of a dict's keys.  Pair candidates are built straight into the
+  packed dict that head reduction works on, and only the final elements
+  become Polynomials.
 
 Every loop here is bounded by the one module constant ``STEP_CAP``.  It
 guards against faults and is not a tuning value: the homogenised completion
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import gcd as _int_gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DivisionDiverged, InvalidInput
@@ -58,7 +61,6 @@ from .poly import (
     Polynomial,
     Term,
     exp_div,
-    exp_divides,
     exp_lcm,
     exp_x_degree,
     leading_term,
@@ -259,22 +261,99 @@ def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
 # terms dehomogenise to leading terms).
 
 
-class _KeyTable(dict):
-    """Graded keys of homogenised exponents (sigma, beta, alpha...): the total
-    degree, then ``ord_.key`` of the dehomogenised exponent.
+# The narrowest slot of a packed exponent, in bits; see ``_Packing``.
+_SLOT_BITS = 32
 
-    A plain dict for lookups; a missing exponent has its key computed and
-    entered on first lookup, so ``keys.__getitem__`` is a key function that
-    runs in C for every exponent seen before.  One table serves one
-    completion."""
 
-    def __init__(self, ord_: MonomialOrdering):
-        super().__init__()
-        self.ord = ord_
+class _PastLimit(DivisionDiverged):
+    """An exponent past a packing's limit of total degree, which the packed
+    order would misplace."""
 
-    def __missing__(self, e):
-        k = self[e] = (sum(e),) + self.ord.key(e[1:])
-        return k
+    def __init__(self, e: tuple, limit: int):
+        super().__init__(f"exponent {e} has total degree {sum(e)}, "
+                         f"past the packing limit {limit}")
+        self.degree = sum(e)
+
+
+class _Packing:
+    """The homogenised exponents e = (s, beta, alpha_1..alpha_n) of one
+    completion, one int each: P(e) = sum(e_i * C_i), C_i = (K_i << shift)
+    + (1 << b*i), shift = b * len(e).  The slot width b is ``_SLOT_BITS``
+    or more, enough for the total degree ``degree``; the limit of total
+    degree is L = 2^(b-1) - 1.
+
+    * The low part, the bits below ``shift``, holds e in b-bit slots, entry
+      i at bit b*i.  Every entry is at most L, so the top bit of each slot,
+      its guard, is clear.
+    * The high part K(e) = sum(e_i * K_i) is a mixed-radix number whose
+      signed digits are the fields of the graded key
+      ``(sum(e),) + ord_.key(e[1:])``: the total degree, each integer
+      w-degree of (beta, alpha), alpha along the tiebreak, then -beta.
+
+    For exponents of total degree at most L:
+
+    * linearity: P(e + m) = P(e) + P(m) as integers, and no slot carries,
+      so a term is shifted by adding one int and the sum unpacks to e + m;
+    * order: each field ranges over an interval whose width, its span,
+      follows from L (an entry lies in [0, L]; a w-degree in
+      [L*min(0, min w), L*max(0, max w)]).  Field j gets radix span_j + 1,
+      so the fields below it move K by at most
+      sum_{i>j} span_i * M_i = M_j - 1 < M_j, the place value of field j:
+      K compares exactly as the key tuple does, signed digits and all.  The
+      low part lies in [0, 2^shift), so P compares as K, and two exponents
+      with equal K have equal keys, hence are equal;
+    * divisibility: with d the low part of a divisor's exponent, every slot
+      of (P(e) & mask) + (guard - d) holds e_i + 2^(b-1) - d_i in
+      [1, 2^b), with no borrow or carry between slots, so its guard bit is
+      set exactly when d_i <= e_i.
+
+    ``pack`` is the one way in; it raises ``_PastLimit`` for an exponent
+    past L rather than misplace it."""
+
+    def __init__(self, ord_: MonomialOrdering, degree: int = 0):
+        b, n = max(_SLOT_BITS, degree.bit_length() + 1), ord_.nvars
+        self.bits = b
+        self.width = width = n + 2
+        self.limit = limit = (1 << (b - 1)) - 1
+        # K_i for i over (s, beta, alpha...), built up from the least
+        # significant field, -beta; ``place`` is the next field's place value
+        high = [0, -1] + [0] * n
+        place = limit + 1
+        for i in reversed(ord_.tiebreak):
+            high[2 + i] = place
+            place *= limit + 1
+        for w in reversed(ord_._int_weights):
+            for k, c in enumerate(w, 1):
+                high[k] += c * place
+            place *= limit * (max(0, *w) - min(0, *w)) + 1
+        high = [k + place for k in high]  # the total degree
+        shift = b * width
+        self.coeffs = tuple((k << shift) + (1 << b * i) for i, k in enumerate(high))
+        self.mask = (1 << shift) - 1
+        self.guard = sum(1 << (b * i + b - 1) for i in range(width))
+
+    def pack(self, e: tuple) -> int:
+        if len(e) != self.width:
+            raise InvalidInput("exponent vector has wrong length")
+        if sum(e) > self.limit:
+            raise _PastLimit(e, self.limit)
+        return sum(map(mul, e, self.coeffs))
+
+    def unpack(self, p: int) -> tuple:
+        b, low = self.bits, p & self.mask
+        slot = (1 << b) - 1
+        return tuple([(low >> (b * i)) & slot for i in range(self.width)])
+
+
+class _Remainder(NamedTuple):
+    """A packed remainder: ``P(e) -> coeff`` and its leading P(e), which is
+    None exactly for the zero remainder."""
+    lead: int | None
+    terms: dict
+
+    @property
+    def is_zero(self) -> bool:
+        return self.lead is None
 
 
 def _homogenize(f: Polynomial) -> Polynomial:
@@ -286,37 +365,119 @@ def _dehomogenize(f: Polynomial) -> Polynomial:
     return Polynomial.from_terms([(c, e[1:]) for c, e in f.terms])
 
 
-def _head_reduce(keys: _KeyTable, acc: dict, basis) -> Polynomial:
+# A packed element of a completion is a tuple (leading coefficient, guard
+# minus the low part of its leading P, leading P, ((P, coeff), ...) over its
+# terms).
+
+
+def _pair_candidate(u: int, f: tuple, v: int, g: tuple, pm: int) -> dict:
+    """u*x^(m-lt f)*f + v*x^(m-lt g)*g for packed elements f and g, as a
+    ``P -> coeff`` dict with no zero coefficient; pm = P(m).  Neither u nor
+    v is zero."""
+    acc: dict[int, int] = {}
+    for k, (_, _, lead, terms) in ((u, f), (v, g)):
+        shift = pm - lead
+        for p, c in terms:
+            p += shift
+            c = acc.get(p, 0) + k * c
+            if c:
+                acc[p] = c
+            else:
+                del acc[p]
+    return acc
+
+
+def _head_reduce(pk: _Packing, acc: dict, basis) -> _Remainder:
     """Weak head reduction under a global order: stop at the first leading
     term no basis leading term divides.
 
-    ``acc`` is the running remainder as an ``exp -> coeff`` dict, updated in
-    place by every step; its leading exponent is the one with the greatest
-    key in ``keys``.  ``basis`` holds (leading term, element) pairs, and the
-    first element whose leading term divides the current leading term is the
-    reducer.  A Polynomial is built once, on return."""
+    ``acc`` is the running remainder as a ``P -> coeff`` dict, updated in
+    place by every step; its leading exponent is its greatest key.
+    ``basis`` holds packed elements, and the first one whose leading term
+    divides the current leading term is the reducer."""
+    mask, guard = pk.mask, pk.guard
     steps = 0
     while acc:
-        e = max(acc, key=keys.__getitem__)
-        c = acc[e]
-        for lt, g in basis:
-            if c % lt.coeff == 0 and exp_divides(lt.exp, e):
+        p = max(acc)
+        c = acc[p]
+        low = p & mask
+        for lc, gap, lead, terms in basis:
+            if (low + gap) & guard == guard and c % lc == 0:
                 break
         else:
-            return _from_dict(acc)
-        q = c // lt.coeff
-        m = tuple(map(sub, e, lt.exp))
-        for gc, ge in g.terms:
-            ge = tuple(map(add, ge, m))
-            v = acc.get(ge, 0) - q * gc
+            return _Remainder(p, acc)
+        q = c // lc
+        shift = p - lead
+        for gp, gc in terms:
+            gp += shift
+            v = acc.get(gp, 0) - q * gc
             if v:
-                acc[ge] = v
+                acc[gp] = v
             else:
-                del acc[ge]
+                del acc[gp]
         steps += 1
         if steps > STEP_CAP:
             raise DivisionDiverged(f"head reduction exceeded {STEP_CAP} steps")
-    return Polynomial.zero()
+    return _Remainder(None, acc)
+
+
+def _complete(pk: _Packing, inputs: Sequence[Polynomial]) -> list[tuple]:
+    """The packed elements of the completion of the homogenised ``inputs``;
+    see ``standard_basis``.  Raises ``_PastLimit`` if an input exponent or
+    an lcm passes the limit of ``pk``."""
+    mask, guard = pk.mask, pk.guard
+    reducers: list[tuple] = []  # packed elements
+    lt_exps: list[tuple] = []  # their leading exponents
+    pending: list[tuple] = []  # heap of (P(lcm), i, j)
+    treated: list[bytearray] = []  # treated[j][i] for i < j: (i, j) left the heap
+
+    def add(lead, terms):
+        e = pk.unpack(lead)
+        j = len(reducers)
+        for i, lt in enumerate(lt_exps):
+            heappush(pending, (pk.pack(exp_lcm(lt, e)), i, j))
+        reducers.append((terms[lead], guard - (lead & mask), lead, tuple(terms.items())))
+        lt_exps.append(e)
+        treated.append(bytearray(j))
+
+    def chained(i, j, c, low):
+        """Some k not in {i, j} whose leading term term-divides c*x^m, with
+        low the low part of P(m), and (i, k) and (j, k) treated."""
+        for k, (lc, gap, _, _) in enumerate(reducers):
+            if c % lc == 0 and (low + gap) & guard == guard and k != i and k != j \
+                    and (treated[k][i] if i < k else treated[i][k]) \
+                    and (treated[k][j] if j < k else treated[j][k]):
+                return True
+        return False
+
+    for h in inputs:
+        terms = {pk.pack(e): c for c, e in h.terms}
+        add(max(terms), terms)
+    popped = 0
+    while pending:
+        pm, i, j = heappop(pending)
+        treated[j][i] = 1
+        f, g = reducers[i], reducers[j]
+        a, b = abs(f[0]), abs(g[0])
+        d = _int_gcd(a, b)
+        low = pm & mask
+        cofactors = []
+        if d != 1 or any(map(min, lt_exps[i], lt_exps[j])):
+            c = a // d * b
+            if not chained(i, j, c, low):
+                cofactors.append((c // f[0], -(c // g[0])))
+        if d != a and d != b and not chained(i, j, d, low):
+            cofactors.append(extended_gcd(f[0], g[0])[1:])
+        for u, v in cofactors:
+            acc = _pair_candidate(u, f, v, g, pm)
+            if acc:
+                r = _head_reduce(pk, acc, reducers)
+                if not r.is_zero:
+                    add(r.lead, r.terms)
+        popped += 1
+        if popped > STEP_CAP:
+            raise DivisionDiverged(f"pair processing exceeded {STEP_CAP} pairs")
+    return reducers
 
 
 def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> StandardBasis:
@@ -324,15 +485,33 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
 
     The completion runs on the t-degree homogenisation with both S- and
     GCD-pairs (the strong pair set needed over Z, where leading ideals are
-    generated by terms rather than monomials).  One ``_KeyTable`` holds the
-    graded key of every homogenised exponent the completion meets, each
-    computed once.  Pairs wait in a heap keyed by (graded key of their lcm,
-    i, j), so they are processed smallest lcm first and, among equal lcms,
-    by index; a pair is *treated* once it has left the heap.  Each candidate
-    is built straight into the ``exp -> coeff`` dict that ``_head_reduce``
-    works on, and only a nonzero remainder becomes a Polynomial and joins
-    the reducer list, in place; the GCD-candidate of a pair is reduced after
-    its S-remainder has joined.
+    generated by terms rather than monomials).  Every exponent it meets is
+    one int P(e) of a ``_Packing`` made for the ordering, whose order is the
+    graded key ``(sum(e),) + ord_.key(e[1:])``: a leading exponent is the
+    ``max`` of a dict's keys, a shift is one addition and a divisibility
+    test one addition and one mask.  Exponent tuples are built only for
+    leading terms, to form lcms and for the product criterion, and at the
+    end, to unpack the elements into Polynomials.
+
+    Packing is exact while no exponent passes the packing's limit of total
+    degree, and ``pack`` checks the inputs and every lcm against it.  That
+    bounds every exponent: the order is graded by total degree first, so a
+    leading term has the largest total degree of its polynomial.  A pair
+    candidate at lcm m has total degree at most sum(m), and a head-reduction
+    step subtracts a multiple of an element shifted to the current leading
+    term, which adds no term of larger degree.  So every exponent of one
+    pair reduction has total degree at most that of its lcm, and exactly
+    that for x-homogeneous inputs, whose homogenisations are homogeneous.
+    A completion that meets an exponent past the limit starts over with
+    slots twice that wide in degree; its decisions do not depend on the
+    packing, so it gives the same basis.
+
+    Pairs wait in a heap keyed by (P(lcm), i, j), so they are processed
+    smallest lcm first and, among equal lcms, by index; a pair is *treated*
+    once it has left the heap.  Each candidate is built straight into the
+    ``P -> coeff`` dict that ``_head_reduce`` works on, and a nonzero
+    remainder joins the reducer list, in place; the GCD-candidate of a pair
+    is reduced after its S-remainder has joined.
 
     A candidate is skipped, unbuilt, when one of the three pair criteria
     over Z below shows that it reduces to zero.  With a_i x^m_i the leading
@@ -363,57 +542,21 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     first = [normalize_element(ord_, f) for f in gens if not f.is_zero]
     if not first:
         raise InvalidInput("standard basis of the zero ideal is not represented")
-    keys = _KeyTable(ord_)
-    reducers: list[tuple[Term, Polynomial]] = []  # (leading term, element)
-    pending: list[tuple] = []  # heap of (keys[lcm], i, j)
-    treated: list[bytearray] = []  # treated[j][i] for i < j: (i, j) left the heap
-
-    def add(h):
-        lt = max(h.terms, key=lambda u: keys[u.exp])
-        j = len(reducers)
-        for i, (lt_i, _) in enumerate(reducers):
-            heappush(pending, (keys[exp_lcm(lt_i.exp, lt.exp)], i, j))
-        reducers.append((lt, h))
-        treated.append(bytearray(j))
-
-    def chained(i, j, c, m):
-        """Some k not in {i, j} whose leading term term-divides c*x^m, with
-        (i, k) and (j, k) treated."""
-        for k, (lt, _) in enumerate(reducers):
-            if c % lt.coeff == 0 and exp_divides(lt.exp, m) and k != i and k != j \
-                    and (treated[k][i] if i < k else treated[i][k]) \
-                    and (treated[k][j] if j < k else treated[j][k]):
-                return True
-        return False
-
+    inputs: list[Polynomial] = []
     for f in first:
         h = _homogenize(f)
-        if all(h != g for _, g in reducers):
-            add(h)
-    guard = 0
-    while pending:
-        _, i, j = heappop(pending)
-        treated[j][i] = 1
-        (lf, f), (lg, g) = reducers[i], reducers[j]
-        a, b = abs(lf.coeff), abs(lg.coeff)
-        d = _int_gcd(a, b)
-        m = exp_lcm(lf.exp, lg.exp)
-        pair_kinds = []
-        if (d != 1 or any(map(min, lf.exp, lg.exp))) and not chained(i, j, a // d * b, m):
-            pair_kinds.append(_s_pair)
-        if d != a and d != b and not chained(i, j, d, m):
-            pair_kinds.append(_gcd_pair)
-        for pair in pair_kinds:
-            acc = pair(f, lf, g, lg)
-            if acc:
-                r = _head_reduce(keys, acc, reducers)
-                if not r.is_zero:
-                    add(r)
-        guard += 1
-        if guard > STEP_CAP:
-            raise DivisionDiverged(f"pair processing exceeded {STEP_CAP} pairs")
+        if h not in inputs:
+            inputs.append(h)
+    pk = _Packing(ord_)
+    while True:
+        try:
+            reducers = _complete(pk, inputs)
+            break
+        except _PastLimit as exc:
+            pk = _Packing(ord_, 2 * exc.degree)
     out: list[Polynomial] = []
-    for _, h in reducers:
+    for _, _, _, terms in reducers:
+        h = Polynomial.from_terms((c, pk.unpack(p)) for p, c in terms)
         f = normalize_element(ord_, _dehomogenize(h))
         if f not in out:
             out.append(f)

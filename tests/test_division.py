@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import tfan.division
-from tfan.division import _dehomogenize, _homogenize, normalize_element, sorted_basis
+from tfan.division import (
+    _Packing,
+    _dehomogenize,
+    _homogenize,
+    normalize_element,
+    sorted_basis,
+)
 from tfan.exact import extended_gcd
 from tfan.poly import exp_div, exp_divides, exp_lcm
 from tfan import (
@@ -469,16 +476,22 @@ def standard_basis_oracle(ord_, gens):
 @settings(max_examples=30, deadline=None)
 @given(member=st.integers(0, 4), t_entry=negative_fractions,
        rest=st.lists(small_fractions, min_size=3, max_size=3),
-       tiebreak=st.permutations(range(3)))
+       tiebreak=st.permutations(range(3)),
+       second=st.none() | st.lists(small_fractions, min_size=3, max_size=3))
 # A pair whose GCD-candidate reduces by the S-remainder added just before it;
 # about one random draw in fifty has one.
 @example(member=1, t_entry=Fraction(-9, 7),
-         rest=[Fraction(-6, 7), Fraction(14, 3), Fraction(-19, 6)], tiebreak=[2, 0, 1])
-def test_standard_basis_matches_oracle(member, t_entry, rest, tiebreak):
+         rest=[Fraction(-6, 7), Fraction(14, 3), Fraction(-19, 6)], tiebreak=[2, 0, 1],
+         second=None)
+def test_standard_basis_matches_oracle(member, t_entry, rest, tiebreak, second):
+    """One weight, or two as ``fan.flip`` orders: a facet point w, then a
+    normal v with zero t-entry."""
     ideal = prime_stream_member(member)
     n = ideal.nvars
     o = MonomialOrdering(((t_entry,) + tuple(rest[:n]),),
                          tuple(i for i in tiebreak if i < n))
+    if second is not None:
+        o = o.with_weights(o.weights[0], (0,) + tuple(second[:n]))
     sb = standard_basis(o, ideal.gens)
     assert sb.elements == standard_basis_oracle(o, ideal.gens).elements
     elems = ideal.gens + sb.elements
@@ -487,6 +500,145 @@ def test_standard_basis_matches_oracle(member, t_entry, rest, tiebreak):
             lf, lg = leading_term(o, f), leading_term(o, g)
             assert spair(o, f, g) == old_s_poly(f, lf, g, lg)
             assert gpair(o, f, g) == old_gcd_poly(f, lf, g, lg)
+
+
+# --- packed exponents ------------------------------------------------------------
+
+wide_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=10**9)
+
+
+@st.composite
+def orderings(draw):
+    """Orderings in 1..4 variables with a random tiebreak and one weight, or
+    two as ``fan.flip`` builds them, the second with zero t-entry, or none.
+    Weight entries may have large denominators."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(small_fractions | wide_fractions, min_size=n, max_size=n)
+    weights = [(draw(negative_fractions),) + tuple(draw(entries))]
+    weights.append((0,) + tuple(draw(entries)))
+    weights = weights[:draw(st.sampled_from([1, 2, 0]))]
+    return MonomialOrdering(tuple(weights), tuple(draw(st.permutations(range(n)))))
+
+
+def corners(width, total):
+    """Exponents of the given total degree with all of it on one entry, or
+    all but one on one entry and one on another: the extremes of every key
+    field, where too small a radix would misorder."""
+    out = []
+    for i in range(width):
+        for j in range(width):
+            e = [0] * width
+            e[i] += total - (i != j)
+            e[j] += i != j
+            out.append(tuple(e))
+    return out
+
+
+def packed_divides(pk, d, e):
+    """The completion's divisibility test on packed exponents."""
+    low = pk.pack(e) & pk.mask
+    return (low + pk.guard - (pk.pack(d) & pk.mask)) & pk.guard == pk.guard
+
+
+@seed(16)
+@settings(max_examples=80, deadline=None)
+@given(o=orderings(), degree=st.sampled_from([0, 2**40]), data=st.data())
+def test_packing_matches_its_definition(o, degree, data):
+    pk = _Packing(o, degree)
+    width = o.nvars + 2
+    assert pk.limit >= degree
+    # small entries meet in ties of every key field; large ones and the
+    # corners reach the limit
+    entry = st.integers(0, 3) | st.integers(0, pk.limit // (2 * width))
+    exps = st.lists(entry, min_size=width, max_size=width).map(tuple)
+    es = data.draw(st.lists(exps, min_size=2, max_size=8)) + corners(width, pk.limit)
+    graded = sorted(es, key=lambda e: (sum(e),) + o.key(e[1:]))
+    assert sorted(es, key=pk.pack) == graded
+    for d in es:
+        for e in es:
+            assert packed_divides(pk, d, e) == exp_divides(d, e)
+    for e, m in zip(es, es[1:]):
+        em = tuple(a + b for a, b in zip(e, m))
+        if sum(em) <= pk.limit:
+            assert pk.unpack(pk.pack(e) + pk.pack(m)) == em
+            assert packed_divides(pk, e, em) and packed_divides(pk, m, em)
+    past = es[-1][:-1] + (es[-1][-1] + 1,)
+    with pytest.raises(DivisionDiverged, match=re.escape(str(past))):
+        pk.pack(past)
+
+
+def test_narrow_slots_widen_to_the_same_basis(monkeypatch):
+    """A completion that meets an exponent past its packing's limit starts
+    over with wider slots.  With slots of 3 bits (total degree at most 3)
+    every completion here does, and each gives the basis it gives with the
+    usual slots."""
+    cases = [(prime_stream_member(k), w) for k in range(4)
+             for w in ((-1, 1, 1, 1), (-3, 1, 2, Fraction(1, 5)))]
+    orderings_ = [MonomialOrdering((w[:1 + ideal.nvars],), tuple(range(ideal.nvars)))
+                  for ideal, w in cases]
+    wide = [standard_basis(o, ideal.gens) for o, (ideal, _) in zip(orderings_, cases)]
+    packings = []
+    packing = tfan.division._Packing
+
+    def counted(*args):
+        packings.append(args)
+        return packing(*args)
+
+    monkeypatch.setattr(tfan.division, "_SLOT_BITS", 3)
+    monkeypatch.setattr(tfan.division, "_Packing", counted)
+    for o, (ideal, _), sb in zip(orderings_, cases, wide):
+        assert standard_basis(o, ideal.gens) == sb
+    assert len(packings) >= 2 * len(cases)
+
+
+def test_lcm_past_the_limit_widens(monkeypatch):
+    """The inputs fit the usual slots, but the lcm x^N y^N of their leading
+    terms does not: the completion starts over once, wider, and gives the
+    basis that tuple exponents give."""
+    packings = []
+    packing = tfan.division._Packing
+
+    def counted(*args):
+        packings.append(args)
+        return packing(*args)
+
+    monkeypatch.setattr(tfan.division, "_Packing", counted)
+    N = 2**30
+    o = weighted_ordering((-1, 1, 1), 2)
+    F = polys(XY, "2 - t", f"x^{N} - t*y^{N}", f"y^{N} - t^2*x^{N}")
+    assert standard_basis(o, F) == standard_basis_oracle(o, F)
+    assert [args[1:] for args in packings] == [(), (2 * (2 * N + 2),)]
+
+
+def test_pair_loop_computes_no_ordering_keys(monkeypatch):
+    """Keys of the ordering are computed only to normalise and sort the
+    inputs and the output, none in the pair loop.  With the key table the
+    packed loop replaced, this completion computed 185 keys, 98 of them in
+    the pair loop; the packed loop computes none there."""
+    calls = {"all": 0, "loop": 0}
+    inside = []
+    key = MonomialOrdering.key
+    complete = tfan.division._complete
+
+    def counted_key(self, e):
+        calls["all"] += 1
+        calls["loop"] += bool(inside)
+        return key(self, e)
+
+    def counted_complete(*args):
+        inside.append(True)
+        try:
+            return complete(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MonomialOrdering, "key", counted_key)
+    monkeypatch.setattr(tfan.division, "_complete", counted_complete)
+    ideal = prime_stream_member(2)
+    sb = standard_basis(MonomialOrdering(((-1, 1, 1, 1),), (0, 1, 2)), ideal.gens)
+    assert len(sb.elements) == 14
+    assert calls["loop"] == 0
+    assert calls["all"] <= 90
 
 
 # --- pair criteria over Z ------------------------------------------------------
@@ -508,20 +660,25 @@ def test_coprime_leading_monomials_do_not_skip_the_s_pair():
 def test_gcd_pair_criterion_skips_a_pair(monkeypatch):
     # 4xy and 6xz need a GCD-pair with leading term 2xyz, which 2x divides;
     # the pairs of 2x with both are treated first (smaller lcm), so the
-    # GCD-candidate is never built.
+    # GCD-candidate is never built.  The completion takes the Bezout
+    # cofactors of a GCD-candidate from ``extended_gcd`` once per candidate
+    # it builds, so counting those calls counts the candidates.
     built = []
-    gcd_pair = tfan.division._gcd_pair
+    bezout = tfan.division.extended_gcd
 
-    def counted(*args):
-        built.append(args)
-        return gcd_pair(*args)
+    def counted(a, b):
+        built.append((a, b))
+        return bezout(a, b)
 
-    monkeypatch.setattr(tfan.division, "_gcd_pair", counted)
+    monkeypatch.setattr(tfan.division, "extended_gcd", counted)
     o = weighted_ordering((-1, 1, 1, 1), 3)
     F = polys(XYZ, "2*x", "4*x*y + t*y^2", "6*x*z + t*z^2")
     sb = standard_basis(o, F)
     assert built == []
     assert sb.elements == standard_basis_oracle(o, F).elements
+    # without 2x no third element covers the pair, and its candidate is built
+    standard_basis(o, F[1:])
+    assert built[0] == (4, 6)
 
 
 def _corpus_ideals(corpus, group):
