@@ -326,7 +326,7 @@ class _Packing:
             for k, c in enumerate(w, 1):
                 high[k] += c * place
             place *= limit * (max(0, *w) - min(0, *w)) + 1
-        high = [k + place for k in high]  # the total degree
+        high = [k + place for k in high]  # the total degree, most significant
         shift = b * width
         self.coeffs = tuple((k << shift) + (1 << b * i) for i, k in enumerate(high))
         self.mask = (1 << shift) - 1

@@ -567,47 +567,47 @@ def test_packing_matches_its_definition(o, degree, data):
         pk.pack(past)
 
 
+def record_packings(monkeypatch):
+    """The arguments of every ``_Packing`` made from here on."""
+    made = []
+    packing = tfan.division._Packing
+
+    def recorded(*args):
+        made.append(args)
+        return packing(*args)
+
+    monkeypatch.setattr(tfan.division, "_Packing", recorded)
+    return made
+
+
 def test_narrow_slots_widen_to_the_same_basis(monkeypatch):
     """A completion that meets an exponent past its packing's limit starts
     over with wider slots.  With slots of 3 bits (total degree at most 3)
     every completion here does, and each gives the basis it gives with the
     usual slots."""
-    cases = [(prime_stream_member(k), w) for k in range(4)
-             for w in ((-1, 1, 1, 1), (-3, 1, 2, Fraction(1, 5)))]
-    orderings_ = [MonomialOrdering((w[:1 + ideal.nvars],), tuple(range(ideal.nvars)))
-                  for ideal, w in cases]
-    wide = [standard_basis(o, ideal.gens) for o, (ideal, _) in zip(orderings_, cases)]
-    packings = []
-    packing = tfan.division._Packing
-
-    def counted(*args):
-        packings.append(args)
-        return packing(*args)
-
+    cases = []
+    for k in range(4):
+        ideal = prime_stream_member(k)
+        for w in ((-1, 1, 1, 1), (-3, 1, 2, Fraction(1, 5))):
+            o = MonomialOrdering((w[:1 + ideal.nvars],), tuple(range(ideal.nvars)))
+            cases.append((o, ideal.gens, standard_basis(o, ideal.gens)))
     monkeypatch.setattr(tfan.division, "_SLOT_BITS", 3)
-    monkeypatch.setattr(tfan.division, "_Packing", counted)
-    for o, (ideal, _), sb in zip(orderings_, cases, wide):
-        assert standard_basis(o, ideal.gens) == sb
-    assert len(packings) >= 2 * len(cases)
+    made = record_packings(monkeypatch)
+    for o, gens, sb in cases:
+        assert standard_basis(o, gens) == sb
+    assert len(made) >= 2 * len(cases)
 
 
 def test_lcm_past_the_limit_widens(monkeypatch):
     """The inputs fit the usual slots, but the lcm x^N y^N of their leading
     terms does not: the completion starts over once, wider, and gives the
     basis that tuple exponents give."""
-    packings = []
-    packing = tfan.division._Packing
-
-    def counted(*args):
-        packings.append(args)
-        return packing(*args)
-
-    monkeypatch.setattr(tfan.division, "_Packing", counted)
+    made = record_packings(monkeypatch)
     N = 2**30
     o = weighted_ordering((-1, 1, 1), 2)
     F = polys(XY, "2 - t", f"x^{N} - t*y^{N}", f"y^{N} - t^2*x^{N}")
     assert standard_basis(o, F) == standard_basis_oracle(o, F)
-    assert [args[1:] for args in packings] == [(), (2 * (2 * N + 2),)]
+    assert [args[1:] for args in made] == [(), (2 * (2 * N + 2),)]
 
 
 def test_pair_loop_computes_no_ordering_keys(monkeypatch):
