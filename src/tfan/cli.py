@@ -397,7 +397,7 @@ def run_check(problem: ProblemFile, seed: int, samples: int, out,
 
 
 def _weight_arg(problem: ProblemFile, args):
-    if args.weight:
+    if args.weight is not None:
         return parse_weight_vector(args.weight, 1 + problem.nvars)
     return None
 

@@ -50,8 +50,8 @@ tests do) lowers every cap, the one in ``inred`` included.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import gcd as _int_gcd
-from operator import add, mul, sub
+from math import gcd
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DivisionDiverged, InvalidInput
@@ -182,56 +182,6 @@ def _one_like(divisors, f):
     return Polynomial.zero()
 
 
-def spair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial over Z: cancel lcm of leading terms via coefficient lcm."""
-    return _from_dict(_s_pair(f, leading_term(ord_, f), g, leading_term(ord_, g)))
-
-
-def gpair(ord_: MonomialOrdering, f: Polynomial, g: Polynomial) -> Polynomial:
-    """GCD-polynomial: leading coefficient becomes gcd of the two lc's."""
-    return _from_dict(_gcd_pair(f, leading_term(ord_, f), g, leading_term(ord_, g)))
-
-
-def _s_pair(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> dict:
-    """The S-polynomial of f and g as a dict, given their leading terms."""
-    a, b = lf.coeff, lg.coeff
-    c = abs(a * b) // _gcd(a, b)
-    return _pair_dict(c // a, f, lf, -(c // b), g, lg)
-
-
-def _gcd_pair(f: Polynomial, lf: Term, g: Polynomial, lg: Term) -> dict:
-    """The GCD-polynomial of f and g as a dict, given their leading terms."""
-    _, u, v = extended_gcd(lf.coeff, lg.coeff)
-    return _pair_dict(u, f, lf, v, g, lg)
-
-
-def _pair_dict(u: int, f: Polynomial, lf: Term, v: int, g: Polynomial, lg: Term) -> dict:
-    """u*x^(m-lf)*f + v*x^(m-lg)*g as an ``exp -> coeff`` dict with no zero
-    coefficient, where m is the lcm of the two leading exponents."""
-    m = exp_lcm(lf.exp, lg.exp)
-    acc: dict[tuple, int] = {}
-    for k, h, lt in ((u, f, lf), (v, g, lg)):
-        if not k:
-            continue
-        shift = tuple(map(sub, m, lt.exp))
-        for c, e in h.terms:
-            e = tuple(map(add, e, shift))
-            c = acc.get(e, 0) + k * c
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
-    return acc
-
-
-def _from_dict(acc: dict) -> Polynomial:
-    return Polynomial.from_terms((c, e) for e, c in acc.items())
-
-
-def _gcd(a, b):
-    return _int_gcd(abs(a), abs(b))
-
-
 def sorted_basis(ord_: MonomialOrdering, elems) -> StandardBasis:
     """The one basis order: leading monomial descending, then terms."""
     elems = sorted(elems, key=lambda g: (ord_.key(leading_term(ord_, g).exp), g.terms),
@@ -339,10 +289,12 @@ class _Packing:
             raise _PastLimit(e, self.limit)
         return sum(map(mul, e, self.coeffs))
 
-    def unpack(self, p: int) -> tuple:
+    def unpack(self, p: int, start: int = 0) -> tuple:
+        """The entries of the exponent packed as p from entry ``start`` on:
+        with start 1, the dehomogenised exponent (beta, alpha...)."""
         b, low = self.bits, p & self.mask
         slot = (1 << b) - 1
-        return tuple([(low >> (b * i)) & slot for i in range(self.width)])
+        return tuple([(low >> (b * i)) & slot for i in range(start, self.width)])
 
 
 class _Remainder(NamedTuple):
@@ -354,15 +306,6 @@ class _Remainder(NamedTuple):
     @property
     def is_zero(self) -> bool:
         return self.lead is None
-
-
-def _homogenize(f: Polynomial) -> Polynomial:
-    top = max(t.exp[0] for t in f.terms)
-    return Polynomial.from_terms([(c, (top - e[0],) + e) for c, e in f.terms])
-
-
-def _dehomogenize(f: Polynomial) -> Polynomial:
-    return Polynomial.from_terms([(c, e[1:]) for c, e in f.terms])
 
 
 # A packed element of a completion is a tuple (leading coefficient, guard
@@ -422,9 +365,9 @@ def _head_reduce(pk: _Packing, acc: dict, basis) -> _Remainder:
 
 
 def _complete(pk: _Packing, inputs: Sequence[Polynomial]) -> list[tuple]:
-    """The packed elements of the completion of the homogenised ``inputs``;
-    see ``standard_basis``.  Raises ``_PastLimit`` if an input exponent or
-    an lcm passes the limit of ``pk``."""
+    """The packed elements of the completion of the t-degree homogenisations
+    of ``inputs``; see ``standard_basis``.  Raises ``_PastLimit`` if an
+    input exponent or an lcm passes the limit of ``pk``."""
     mask, guard = pk.mask, pk.guard
     reducers: list[tuple] = []  # packed elements
     lt_exps: list[tuple] = []  # their leading exponents
@@ -450,8 +393,9 @@ def _complete(pk: _Packing, inputs: Sequence[Polynomial]) -> list[tuple]:
                 return True
         return False
 
-    for h in inputs:
-        terms = {pk.pack(e): c for c, e in h.terms}
+    for f in inputs:
+        top = max(e[0] for _, e in f.terms)  # s^(top - beta) t^beta x^alpha
+        terms = {pk.pack((top - e[0],) + e): c for c, e in f.terms}
         add(max(terms), terms)
     popped = 0
     while pending:
@@ -459,7 +403,7 @@ def _complete(pk: _Packing, inputs: Sequence[Polynomial]) -> list[tuple]:
         treated[j][i] = 1
         f, g = reducers[i], reducers[j]
         a, b = abs(f[0]), abs(g[0])
-        d = _int_gcd(a, b)
+        d = gcd(a, b)
         low = pm & mask
         cofactors = []
         if d != 1 or any(map(min, lt_exps[i], lt_exps[j])):
@@ -489,9 +433,11 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     one int P(e) of a ``_Packing`` made for the ordering, whose order is the
     graded key ``(sum(e),) + ord_.key(e[1:])``: a leading exponent is the
     ``max`` of a dict's keys, a shift is one addition and a divisibility
-    test one addition and one mask.  Exponent tuples are built only for
+    test one addition and one mask.  Exponent tuples are built only to pack
+    the inputs, each term straight into its homogenised exponent, for
     leading terms, to form lcms and for the product criterion, and at the
-    end, to unpack the elements into Polynomials.
+    end, where each element is unpacked straight into dehomogenised
+    exponents and sorted once into a Polynomial.
 
     Packing is exact while no exponent passes the packing's limit of total
     degree, and ``pack`` checks the inputs and every lcm against it.  That
@@ -536,17 +482,19 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     criteria-free loop gives.  That identity is measured, not proved: the
     tests compare against the criteria-free loop and certify every pair.
 
-    The dehomogenised elements are normalised by stripping Z[[t]]-unit
-    content and fixing positive leading coefficients.
+    The generators and the dehomogenised elements are normalised by
+    stripping Z[[t]]-unit content and fixing positive leading coefficients;
+    generators that are equal once normalised (f, -f and (1 + t)*f, say)
+    enter the completion once, and the output keeps one of equal elements.
     """
-    first = [normalize_element(ord_, f) for f in gens if not f.is_zero]
-    if not first:
-        raise InvalidInput("standard basis of the zero ideal is not represented")
     inputs: list[Polynomial] = []
-    for f in first:
-        h = _homogenize(f)
-        if h not in inputs:
-            inputs.append(h)
+    for f in gens:
+        if not f.is_zero:
+            f = normalize_element(ord_, f)
+            if f not in inputs:
+                inputs.append(f)
+    if not inputs:
+        raise InvalidInput("standard basis of the zero ideal is not represented")
     pk = _Packing(ord_)
     while True:
         try:
@@ -556,8 +504,8 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
             pk = _Packing(ord_, 2 * exc.degree)
     out: list[Polynomial] = []
     for _, _, _, terms in reducers:
-        h = Polynomial.from_terms((c, pk.unpack(p)) for p, c in terms)
-        f = normalize_element(ord_, _dehomogenize(h))
+        f = Polynomial.from_terms((c, pk.unpack(p, 1)) for p, c in terms)
+        f = normalize_element(ord_, f)
         if f not in out:
             out.append(f)
     return sorted_basis(ord_, out)

@@ -1,12 +1,25 @@
-"""Shared test helpers: polynomial building and seeded random ideals."""
+"""Shared test helpers: polynomial building, seeded random ideals, and the
+pair builders and pair certificate that check completions."""
 
 import random
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
+from math import gcd
 
-from tfan import Fan, Ideal, Polynomial, groebner_fan, intersect, make_cone
+from tfan import (
+    Fan,
+    Ideal,
+    Polynomial,
+    groebner_fan,
+    intersect,
+    leading_term,
+    make_cone,
+    mora_weak_nf,
+)
 from tfan.cli import parse_poly
+from tfan.exact import extended_gcd
+from tfan.poly import exp_div, exp_lcm
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -102,3 +115,37 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# --- pairs by polynomial arithmetic ------------------------------------------
+
+
+def old_s_poly(f, lf, g, lg):
+    """The S-polynomial of f and g, given their leading terms, by
+    polynomial arithmetic."""
+    m = exp_lcm(lf.exp, lg.exp)
+    a, b = lf.coeff, lg.coeff
+    c = abs(a * b) // gcd(a, b)
+    return f.term_mul(c // a, exp_div(m, lf.exp)) - g.term_mul(c // b, exp_div(m, lg.exp))
+
+
+def old_gcd_poly(f, lf, g, lg):
+    """The GCD-polynomial of f and g, given their leading terms, by
+    polynomial arithmetic: its leading coefficient is the gcd of theirs."""
+    m = exp_lcm(lf.exp, lg.exp)
+    _, u, v = extended_gcd(lf.coeff, lg.coeff)
+    return f.term_mul(u, exp_div(m, lf.exp)) + g.term_mul(v, exp_div(m, lg.exp))
+
+
+def assert_pairs_reduce_to_zero(ord_, elements):
+    """The pair certificate of a strong standard basis over Z: every S-pair,
+    and every GCD-pair whose leading coefficients do not divide each other,
+    has weak normal form zero modulo the elements."""
+    for i, f in enumerate(elements):
+        for g in elements[i + 1:]:
+            lf, lg = leading_term(ord_, f), leading_term(ord_, g)
+            pairs = [old_s_poly(f, lf, g, lg)]
+            if lf.coeff % lg.coeff and lg.coeff % lf.coeff:
+                pairs.append(old_gcd_poly(f, lf, g, lg))
+            for h in pairs:
+                assert mora_weak_nf(ord_, h, elements).remainder.is_zero, (ord_, f, g)

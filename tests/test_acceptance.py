@@ -12,14 +12,11 @@ import pytest
 from tfan import (
     Ideal,
     InredContext,
-    Polynomial,
     StandardBasis,
-    boundary_cone,
     contains,
     dd_rays,
     equal,
     flip,
-    gpair,
     groebner_fan,
     ensure_initially_reduced,
     initial_form,
@@ -28,10 +25,7 @@ from tfan import (
     is_initially_reduced,
     leading_term,
     make_cone,
-    minimize,
-    mora_weak_nf,
     p_reduce,
-    spair,
     standard_basis,
     weighted_ordering,
 )
@@ -43,7 +37,15 @@ from tfan.fan import (
     unpaired_facets,
 )
 
-from helpers import P, XY, XYZ, polys, random_prime_ideal, time_limit
+from helpers import (
+    P,
+    XY,
+    XYZ,
+    assert_pairs_reduce_to_zero,
+    polys,
+    random_prime_ideal,
+    time_limit,
+)
 
 X123 = ["x1", "x2", "x3"]
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -134,17 +136,7 @@ def test_criterion_3_initial_ideal():
     ow = weighted_ordering(w, 3)
     sb = standard_basis(ow, H)
     assert set(sb.elements) == set(H)
-    for i in range(len(sb.elements)):
-        for j in range(i + 1, len(sb.elements)):
-            s = spair(ow, sb.elements[i], sb.elements[j])
-            if not s.is_zero:
-                assert mora_weak_nf(ow, s, sb.elements).remainder.is_zero
-            a = leading_term(ow, sb.elements[i]).coeff
-            b = leading_term(ow, sb.elements[j]).coeff
-            if a % b != 0 and b % a != 0:
-                g = gpair(ow, sb.elements[i], sb.elements[j])
-                if not g.is_zero:
-                    assert mora_weak_nf(ow, g, sb.elements).remainder.is_zero
+    assert_pairs_reduce_to_zero(ow, sb.elements)
     report(3, "initial ideal basis")
 
 

@@ -27,22 +27,49 @@ def modules():
                 yield fname, ast.parse(fh.read())
 
 
+def imported_names(tree):
+    """The names a module's imports bind, each with its import's line."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return imported
+
+
 def test_every_imported_name_is_used():
     """Each name a module other than ``__init__`` imports is read in that module."""
     unused = []
     for fname, tree in modules():
         if fname == "__init__.py":
             continue
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
-                    getattr(node, "module", None) != "__future__":
-                for alias in node.names:
-                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        imported = imported_names(tree)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{fname}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_imported_name_is_bound_again():
+    """No module binds an imported name a second time, by ``def``, ``class``,
+    argument or assignment.  Reads of the second binding would keep the
+    import looking used to the test above after it went dead."""
+    rebound = []
+    for fname, tree in modules():
+        imported = imported_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.arg):
+                name = node.arg
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            else:
+                continue
+            if name in imported:
+                rebound.append(f"{fname}:{node.lineno} {name}")
+    assert rebound == []
 
 
 def test_absolute_imports_are_standard_library():

@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps tfan names from outside the program.
 
 A traced run raises ``TraceError`` when a wrapped name is gone, and its pair
-counters need ``_head_reduce`` to return a Polynomial, but only a
+counters need what ``_head_reduce`` returns to have ``.is_zero``, but only a
 ``--trace 1`` run gets that far; these tests make either fault fail here too.
 """
 

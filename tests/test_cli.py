@@ -286,6 +286,18 @@ class TestCommands:
         assert main([args[0], str(f), *args[1:]]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["stdbasis"], ["inred"], ["initial"], ["cone"], ["fan"],
+        ["slice", "--fix=t=-1"], ["check", "--samples=10"],
+    ], ids=lambda args: args[0])
+    def test_empty_weight_is_parse_error(self, tmp_path, capsys, args):
+        # an empty --weight= names no weight, and no command falls back to
+        # the default weight for it
+        f = tmp_path / "fig1.ideal"
+        f.write_text(FIG1_FILE)
+        assert main([args[0], str(f), "--weight=", *args[1:]]) == 2
+        assert "weight vector has length 0" in capsys.readouterr().err
+
     def test_zero_denominator_in_order_weights_is_parse_error(self, tmp_path, capsys):
         f = tmp_path / "fig1.ideal"
         f.write_text(FIG1_FILE.replace("(-1,1,1)", "(-1,1/0,1)"))

@@ -4,40 +4,39 @@ import random
 import re
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import tfan.division
-from tfan.division import (
-    _Packing,
-    _dehomogenize,
-    _homogenize,
-    normalize_element,
-    sorted_basis,
-)
-from tfan.exact import extended_gcd
+from tfan.division import _Packing, normalize_element, sorted_basis
 from tfan.poly import exp_div, exp_divides, exp_lcm
 from tfan import (
     DivisionDiverged,
     MonomialOrdering,
     Polynomial,
     StandardBasis,
-    gpair,
     hddwr,
     leading_term,
     lex_ordering,
     minimize,
     mora_weak_nf,
-    spair,
     standard_basis,
     weighted_ordering,
 )
 
 from tfan.cli import format_poly, parse_problem
 
-from helpers import P, XY, XYZ, polys, prime_stream_member
+from helpers import (
+    P,
+    XY,
+    XYZ,
+    assert_pairs_reduce_to_zero,
+    old_gcd_poly,
+    old_s_poly,
+    polys,
+    prime_stream_member,
+)
 
 
 def check_division_identity(ord_, f, G, res):
@@ -148,20 +147,25 @@ class TestMora:
 
 
 class TestPairs:
+    """The pair builders of ``helpers``, which the oracle and the pair
+    certificate use."""
+
     def test_gpair_bezout(self):
         o = lex_ordering(2)
-        g = gpair(o, P("2*x", XY), P("3*x", XY))
-        assert leading_term(o, g) == (1, (0, 1, 0))
+        f, g = P("2*x", XY), P("3*x", XY)
+        h = old_gcd_poly(f, leading_term(o, f), g, leading_term(o, g))
+        assert leading_term(o, h) == (1, (0, 1, 0))
 
     def test_spair_self_cancels(self):
         o = lex_ordering(2)
         f = P("x*y + t*y^2", XY)
-        assert spair(o, f, f).is_zero
+        lf = leading_term(o, f)
+        assert old_s_poly(f, lf, f, lf).is_zero
 
     def test_spair_frozen_value_and_membership(self):
         o = weighted_ordering((-1, 1, 1), 2)
         f, g = polys(XY, "2 - t", "x + t^2*y")
-        s = spair(o, f, g)
+        s = old_s_poly(f, leading_term(o, f), g, leading_term(o, g))
         assert s == P("-t*x - 2*t^2*y", XY)
         sb = standard_basis(o, [f, g])
         assert mora_weak_nf(o, s, sb.elements).remainder.is_zero
@@ -200,18 +204,7 @@ class TestStandardBasis:
     def test_pairs_reduce_to_zero(self):
         o = weighted_ordering((-1, 1, 1), 2)
         sb = standard_basis(o, polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2"))
-        els = sb.elements
-        for i in range(len(els)):
-            for j in range(i + 1, len(els)):
-                s = spair(o, els[i], els[j])
-                if not s.is_zero:
-                    assert mora_weak_nf(o, s, els).remainder.is_zero
-                a = leading_term(o, els[i]).coeff
-                b = leading_term(o, els[j]).coeff
-                if a % b != 0 and b % a != 0:
-                    gp = gpair(o, els[i], els[j])
-                    if not gp.is_zero:
-                        assert mora_weak_nf(o, gp, els).remainder.is_zero
+        assert_pairs_reduce_to_zero(o, sb.elements)
 
 
 class TestMinimize:
@@ -377,23 +370,6 @@ def test_ordering_equality_ignores_integer_weights():
 # --- completion against the loop it replaced ----------------------------------
 
 
-def old_s_poly(f, lf, g, lg):
-    """The S-polynomial of f and g, given their leading terms, by
-    polynomial arithmetic."""
-    m = exp_lcm(lf.exp, lg.exp)
-    a, b = lf.coeff, lg.coeff
-    c = abs(a * b) // gcd(a, b)
-    return f.term_mul(c // a, exp_div(m, lf.exp)) - g.term_mul(c // b, exp_div(m, lg.exp))
-
-
-def old_gcd_poly(f, lf, g, lg):
-    """The GCD-polynomial of f and g, given their leading terms, by
-    polynomial arithmetic."""
-    m = exp_lcm(lf.exp, lg.exp)
-    _, u, v = extended_gcd(lf.coeff, lg.coeff)
-    return f.term_mul(u, exp_div(m, lf.exp)) + g.term_mul(v, exp_div(m, lg.exp))
-
-
 def _hom_key(ord_):
     """The graded key (sum(e),) + ord_.key(e[1:]), memoised for one
     completion."""
@@ -432,11 +408,25 @@ def _head_reduce_oracle(key, h, basis):
     return Polynomial.zero()
 
 
+def homogenize(f):
+    """f with each term t^beta x^alpha as s^(top - beta) t^beta x^alpha,
+    top the largest t-power of f; the exponent gains s in front."""
+    top = max(e[0] for _, e in f.terms)
+    return Polynomial.from_terms([(c, (top - e[0],) + e) for c, e in f.terms])
+
+
+def dehomogenize(h):
+    """h at s = 1."""
+    return Polynomial.from_terms([(c, e[1:]) for c, e in h.terms])
+
+
 def standard_basis_oracle(ord_, gens):
     """The completion loop with a key closure, candidates built as
     Polynomials by ``old_s_poly``/``old_gcd_poly`` and the reducer
     list rebuilt for every candidate: the oracle for ``standard_basis``,
-    which must give the same elements in the same order."""
+    which must give the same elements in the same order.  It shares only
+    the normalisation and the final order of the elements with the code it
+    checks."""
     first = [normalize_element(ord_, f) for f in gens if not f.is_zero]
     key = _hom_key(ord_)
     G, lts, pending = [], [], []
@@ -449,7 +439,7 @@ def standard_basis_oracle(ord_, gens):
             heappush(pending, (key(exp_lcm(lts[i].exp, lts[j].exp)), i, j))
 
     for f in first:
-        h = _homogenize(f)
+        h = homogenize(f)
         if h not in G:
             add(h)
     while pending:
@@ -466,7 +456,7 @@ def standard_basis_oracle(ord_, gens):
                 add(r)
     out = []
     for h in G:
-        f = normalize_element(ord_, _dehomogenize(h))
+        f = normalize_element(ord_, dehomogenize(h))
         if f not in out:
             out.append(f)
     return sorted_basis(ord_, out)
@@ -494,12 +484,27 @@ def test_standard_basis_matches_oracle(member, t_entry, rest, tiebreak, second):
         o = o.with_weights(o.weights[0], (0,) + tuple(second[:n]))
     sb = standard_basis(o, ideal.gens)
     assert sb.elements == standard_basis_oracle(o, ideal.gens).elements
-    elems = ideal.gens + sb.elements
-    for f in elems:
-        for g in elems:
-            lf, lg = leading_term(o, f), leading_term(o, g)
-            assert spair(o, f, g) == old_s_poly(f, lf, g, lg)
-            assert gpair(o, f, g) == old_gcd_poly(f, lf, g, lg)
+
+
+def test_generators_equal_once_normalised_enter_once(monkeypatch):
+    """f, -f and (1 + t)*f normalise to f (the unit 1 + t is stripped, the
+    sign fixed) and 0 is dropped, so the completion packs two inputs and
+    gives the basis of <f, g>."""
+    o = weighted_ordering((-1, 1, 1), 2)
+    f, g = polys(XY, "x*y^2 - t^2*y^3", "x^2 - t^3*y^2")
+    F = [f, -f, P("1 + t", XY) * f, Polynomial.zero(), g]
+    packed = []
+    complete = tfan.division._complete
+
+    def recorded(pk, inputs):
+        packed.append(list(inputs))
+        return complete(pk, inputs)
+
+    monkeypatch.setattr(tfan.division, "_complete", recorded)
+    sb = standard_basis(o, F)
+    assert packed == [[f, g]]
+    assert sb == standard_basis(o, [f, g])
+    assert sb == standard_basis_oracle(o, F)
 
 
 # --- packed exponents ------------------------------------------------------------
@@ -724,15 +729,7 @@ def test_pair_certificate_on_benchmark_cones(name, monkeypatch):
     for rays, lin in ref["fans"][name]["cones"]:
         w = checks.interior_weight(rays, lin, rng)
         o = MonomialOrdering((w,), problem.tiebreak)
-        els = standard_basis(o, problem.gens).elements
-        for i, f in enumerate(els):
-            for g in els[i + 1:]:
-                lf, lg = leading_term(o, f), leading_term(o, g)
-                pairs = [old_s_poly(f, lf, g, lg)]
-                if lf.coeff % lg.coeff and lg.coeff % lf.coeff:
-                    pairs.append(old_gcd_poly(f, lf, g, lg))
-                for h in pairs:
-                    assert mora_weak_nf(o, h, els).remainder.is_zero, (w, f, g)
+        assert_pairs_reduce_to_zero(o, standard_basis(o, problem.gens).elements)
 
 
 def test_pair_criteria_halve_head_reductions(monkeypatch):
