@@ -23,6 +23,17 @@ Two regimes:
   elimination resolves the common benign loops (for example a pair like
   {x + t*y, y + t*x} reduces to {x, y} instead of cycling).
 
+Both regimes compute on Z[t]-coefficient views: an element is held as the
+dict ``{alpha: [(beta, c), ...]}`` of ``t_coefficients`` (betas ascending,
+coefficients nonzero, no key for a vanished x-monomial), with its leading
+exponent carried beside it, since no reduction step moves a leading term.
+One kernel, ``_cross_eliminate``, makes every combination of two views; one
+scan, ``_reducible_tail``, finds reducible skeleton tail terms.  Polynomials
+become views on entry to ``p_reduce``, ``inred_same_degree``,
+``inred_step_by_step`` and ``generic_initial_reduce``, and views become
+polynomials once, when those return; the loops between sort no terms and
+search no leading term.
+
 ``initially_reduce`` is the one path from a known standard basis to an
 initially reduced one, in either regime; it never completes again and
 expects elements normalised as ``standard_basis`` leaves them.  The fan
@@ -36,6 +47,7 @@ calls ``initially_reduce``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 from . import division
@@ -55,16 +67,12 @@ from .poly import (
     exp_divides,
     is_x_homogeneous,
     leading_term,
-    mul_tpoly,
     p_minus_t,
-    strip_unit_t_content,
-    t_coefficient,
+    strip_unit_t_content_view,
     t_coefficients,
     t_skeleton,
     term_div,
     term_divides,
-    tpoly_min_beta,
-    tpoly_shift,
     x_degree,
 )
 
@@ -81,6 +89,98 @@ class InredContext:
             raise InvalidInput(f"{self.p} is not prime")
 
 
+# ---------------------------------------------------------------------------
+# Views: {alpha: [(beta, c), ...]}, the leading exponent carried beside
+# ---------------------------------------------------------------------------
+
+
+def _polynomial(view: dict) -> Polynomial:
+    """The polynomial of a view, its terms in canonical order (x-degree,
+    then alpha, descending; beta ascending)."""
+    return Polynomial(tuple([Term(c, (b,) + a)
+                             for a in sorted(view, key=lambda a: (sum(a), a), reverse=True)
+                             for b, c in view[a]]))
+
+
+def _polynomials(ord_, views, lms) -> list[Polynomial]:
+    """The polynomials of views whose leading exponents are ``lms``."""
+    out = [_polynomial(v) for v in views]
+    for f, lm in zip(out, lms):
+        assert leading_term(ord_, f).exp == lm, "reduction must preserve leading terms"
+    return out
+
+
+def _term_mul(view: dict, e) -> dict:
+    """The view times the monomial t^e[0] * x^e[1:]."""
+    b0, a0 = e[0], e[1:]
+    return {tuple(map(add, a, a0)): [(b + b0, c) for b, c in tp] for a, tp in view.items()}
+
+
+def _cross_eliminate(g: dict, c_g, h: dict, c_h, beta: int) -> dict:
+    """The view of c_h(t)/t^beta * g - c_g(t)/t^beta * h.
+
+    c_g and c_h are Z[t]-coefficients, t^beta divides both, and h's leading
+    term sits at t^beta in c_h.  Taking c_g and c_h at the x-monomial being
+    cleared, the combination has no term there.  This is the one
+    cross-multiplication step of initial reduction, in both regimes.
+    """
+    u = [(b - beta, c) for b, c in c_h]
+    v = [(b - beta, -c) for b, c in c_g]
+    out = {}
+    for alpha in {**g, **h}:
+        acc: dict[int, int] = {}
+        for f, m in ((g, u), (h, v)):
+            for b1, c1 in f.get(alpha, ()):
+                for b2, c2 in m:
+                    acc[b1 + b2] = acc.get(b1 + b2, 0) + c1 * c2
+        tp = sorted([bc for bc in acc.items() if bc[1]])
+        if tp:
+            out[alpha] = tp
+    return out
+
+
+def _reducible_tail(ord_, view, lm, lts):
+    """Yield (key, term, j) for each skeleton tail term of a view, greatest
+    first, and each ``lts[j]`` that term-divides it; ``lm`` is the view's
+    leading exponent and ``key`` the term's ordering key."""
+    key = ord_.key
+    gamma = lm[1:]
+    tail = sorted([(key(e), Term(tp[0][1], e))
+                   for a, tp in view.items() if a != gamma
+                   for e in ((tp[0][0],) + a,)], reverse=True)
+    for k, term in tail:
+        for j, lt in enumerate(lts):
+            if term_divides(lt, term):
+                yield k, term, j
+
+
+# ---------------------------------------------------------------------------
+# Prime regime
+# ---------------------------------------------------------------------------
+
+
+def _p_reduce_view(p: int, view: dict, gamma) -> None:
+    """``p_reduce`` on a view, in place; gamma is the leading x-monomial.
+
+    An x-monomial whose coefficient the lifts cancel entirely loses its key.
+    """
+    for alpha, tp in list(view.items()):
+        if alpha == gamma or tp[0][1] % p:
+            continue
+        coeff = dict(tp)
+        while coeff and coeff[min(coeff)] % p == 0:
+            b = min(coeff)
+            c = coeff.pop(b)
+            l = p_valuation(c, p)
+            v = coeff.pop(b + l, 0) + c // p**l
+            if v:
+                coeff[b + l] = v
+        if coeff:
+            view[alpha] = sorted(coeff.items())
+        else:
+            del view[alpha]
+
+
 def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
     """Reduce g initially with respect to p - t.
 
@@ -95,22 +195,9 @@ def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
         raise InvalidInput("p_reduce of the zero polynomial")
     if not is_x_homogeneous(g):
         raise InvalidInput("p_reduce input must be x-homogeneous")
-    p = ctx.p
-    gamma = leading_term(ctx.ord, g).exp[1:]
-    terms = []
-    for alpha, tp in t_coefficients(g).items():
-        if alpha != gamma:
-            coeff = dict(tp)
-            while coeff and coeff[min(coeff)] % p == 0:
-                b = min(coeff)
-                c = coeff.pop(b)
-                l = p_valuation(c, p)
-                v = coeff.pop(b + l, 0) + c // p**l
-                if v:
-                    coeff[b + l] = v
-            tp = sorted(coeff.items())
-        terms.extend(Term(c, (b,) + alpha) for b, c in tp)
-    return Polynomial(tuple(terms))
+    view = t_coefficients(g)
+    _p_reduce_view(ctx.p, view, leading_term(ctx.ord, g).exp[1:])
+    return _polynomial(view)
 
 
 def _check_block(ord_, G):
@@ -135,6 +222,60 @@ def _check_block(ord_, G):
         raise InvalidInput("block elements must have distinct leading x-monomials")
 
 
+def _check_block_views(views, lms):
+    """``_check_block`` on views with carried leading exponents: one x-degree,
+    distinct leading x-monomials, coefficient 1 at each t-minimal leading
+    position."""
+    if len({sum(a) for v in views for a in v}) > 1:
+        raise InvalidInput("block elements must share one x-degree")
+    for v, lm in zip(views, lms):
+        if lm[1:] not in v or v[lm[1:]][0] != (lm[0], 1):
+            raise InvalidInput("block elements must have leading coefficient 1")
+    if len({lm[1:] for lm in lms}) != len(lms):
+        raise InvalidInput("block elements must have distinct leading x-monomials")
+
+
+def _reduce_block(ctx: InredContext, views: list, lms: list) -> list[int]:
+    """``inred_same_degree`` on views, in place.
+
+    Element i stays at position i; the returned positions list the block by
+    decreasing leading monomial, the order both passes walk.
+    """
+    _check_block_views(views, lms)
+    p = ctx.p
+    for v, lm in zip(views, lms):
+        _p_reduce_view(p, v, lm[1:])
+    key = ctx.ord.key
+    order = sorted(range(len(views)), key=lambda i: key(lms[i]), reverse=True)
+    for n, i in enumerate(order):
+        beta, alpha = lms[i][0], lms[i][1:]
+        for j in order[n + 1:]:
+            cj = views[j].get(alpha)
+            if not cj:
+                continue
+            assert cj[0][0] >= beta, "t-divisibility guaranteed by ordering"
+            views[j] = _cross_eliminate(views[j], cj, views[i], views[i][alpha], beta)
+            _p_reduce_view(p, views[j], lms[j][1:])
+    for n, i in enumerate(order):
+        for j in order[n + 1:]:
+            beta, alpha = lms[j][0], lms[j][1:]
+            ci = views[i].get(alpha)
+            if not ci or ci[0][0] < beta:
+                continue
+            views[i] = _cross_eliminate(views[i], ci, views[j], views[j][alpha], beta)
+            _p_reduce_view(p, views[i], lms[i][1:])
+    return order
+
+
+def _reduced_views(ctx: InredContext, G: Sequence[Polynomial]) -> tuple[list, list]:
+    """The views and leading exponents of a checked block after
+    ``_reduce_block``, by decreasing leading monomial."""
+    lms = [leading_term(ctx.ord, g).exp for g in G]
+    views = [t_coefficients(g) for g in G]
+    order = _reduce_block(ctx, views, lms)
+    return [views[i] for i in order], [lms[i] for i in order]
+
+
 def inred_same_degree(ctx: InredContext, G: Sequence[Polynomial]) -> list[Polynomial]:
     """Initially reduce a block of equal x-degree against itself and p - t.
 
@@ -143,43 +284,12 @@ def inred_same_degree(ctx: InredContext, G: Sequence[Polynomial]) -> list[Polyno
     all later elements, the second clears reducible skeleton terms of earlier
     elements against later leading terms.  Every combination is (p - t)-
     reduced immediately.  Leading terms are preserved and the ideal generated
-    together with p - t is unchanged.
+    together with p - t is unchanged.  The block is checked and turned into
+    views once, reduced on the views (``_reduce_block``), and returned as
+    polynomials once, in that order.
     """
-    ord_ = ctx.ord
-    _check_block(ord_, G)
-    g = [p_reduce(ctx, x) for x in G]
-    g.sort(key=lambda f: ord_.key(leading_term(ord_, f).exp), reverse=True)
-    k = len(g)
-    lts = [leading_term(ord_, f) for f in g]
-    beta = [lt.exp[0] for lt in lts]
-    alpha = [lt.exp[1:] for lt in lts]
-    for i in range(k):
-        for j in range(i + 1, k):
-            cj = t_coefficient(g[j], alpha[i])
-            if not cj:
-                continue
-            ci = t_coefficient(g[i], alpha[i])
-            assert tpoly_min_beta(cj) >= beta[i], "t-divisibility guaranteed by ordering"
-            g[j] = p_reduce(ctx, _cross_eliminate(g[j], cj, g[i], ci, beta[i]))
-    for i in range(k):
-        for j in range(i + 1, k):
-            ci = t_coefficient(g[i], alpha[j])
-            if not ci or tpoly_min_beta(ci) < beta[j]:
-                continue
-            cj = t_coefficient(g[j], alpha[j])
-            g[i] = p_reduce(ctx, _cross_eliminate(g[i], ci, g[j], cj, beta[j]))
-    return g
-
-
-def _cross_eliminate(g: Polynomial, c_g, h: Polynomial, c_h, beta: int) -> Polynomial:
-    """c_h(t)/t^beta * g - c_g(t)/t^beta * h.
-
-    c_g and c_h are the Z[t]-coefficients of g and h at the x-monomial being
-    cleared, h's leading term sits at t^beta there, and t^beta divides c_g;
-    the combination has no term at that x-monomial.  This is the one
-    cross-multiplication step of initial reduction.
-    """
-    return mul_tpoly(g, tpoly_shift(c_h, -beta)) - mul_tpoly(h, tpoly_shift(c_g, -beta))
+    _check_block(ctx.ord, G)
+    return _polynomials(ctx.ord, *_reduced_views(ctx, G))
 
 
 def _check_cross(ord_, G, H):
@@ -202,22 +312,6 @@ def _check_cross(ord_, G, H):
     return d
 
 
-def _split_by_lm(ord_, combined, h_lms, e_lms):
-    by_lm = {leading_term(ord_, f).exp: f for f in combined}
-    return [by_lm[lm] for lm in h_lms], [by_lm[lm] for lm in e_lms]
-
-
-def _reducible_tail(ord_, f, lt_f, lts):
-    """Yield (term, j) for each skeleton tail term of f, greatest first, and
-    each ``lts[j]`` that term-divides it; ``lt_f`` is f's leading term."""
-    tail = sorted((t for t in t_skeleton(f).terms if t.exp != lt_f.exp),
-                  key=lambda t: ord_.key(t.exp), reverse=True)
-    for term in tail:
-        for j, lt in enumerate(lts):
-            if term_divides(lt, term):
-                yield term, j
-
-
 def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
                        H: Sequence[Polynomial]) -> list[Polynomial]:
     """Cross-degree reduction, one reducible skeleton term at a time.
@@ -229,35 +323,38 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
     set and the whole block is re-reduced.  The loop ends when no such term
     is left.  Only the term's exponent matters: lower leading coefficients
     are 1, so divisibility is a question of exponents.
+
+    The block and the lower elements become views once; each helper
+    multiple is a shifted view of its lower element, whose leading exponent
+    is the term it was made for.  The block (first ``len(H)`` positions)
+    and the helpers are re-reduced in place, and the block is returned as
+    polynomials once, by decreasing leading monomial.
     """
     ord_ = ctx.ord
     if not G:
         return inred_same_degree(ctx, H)
     _check_cross(ord_, G, H)
-    h = inred_same_degree(ctx, H)
-    h_lts = [leading_term(ord_, f) for f in h]
-    h_lms = [lt.exp for lt in h_lts]
+    views, lms = _reduced_views(ctx, H)
+    k = len(views)
     glts = [leading_term(ord_, g) for g in G]
-    E: list[Polynomial] = []
-    e_lms: list[tuple] = []
+    g_views = [t_coefficients(g) for g in G]
     below = None  # ordering key of the term the last step handled
     while True:
         hits = []
-        for f, lt_f in zip(h, h_lts):
-            for term, j in _reducible_tail(ord_, f, lt_f, glts):
-                key = ord_.key(term.exp)
+        for v, lm in zip(views[:k], lms[:k]):
+            for key, term, j in _reducible_tail(ord_, v, lm, glts):
                 if below is None or key < below:
                     hits.append((key, term.exp, j))
                     break
         if not hits:
-            return h
+            return _polynomials(ord_, views[:k], lms[:k])
         below, s, j = max(hits)
-        mult = G[j].term_mul(1, tuple(a - b for a, b in zip(s, glts[j].exp)))
-        lm = leading_term(ord_, mult).exp
-        assert lm not in e_lms
-        E.append(mult)
-        e_lms.append(lm)
-        h, E = _split_by_lm(ord_, inred_same_degree(ctx, h + E), h_lms, e_lms)
+        # an ordering is multiplicative, so this multiple's leading exponent is s
+        mult = _term_mul(g_views[j], tuple(map(sub, s, glts[j].exp)))
+        assert s not in lms[k:]
+        views.append(mult)
+        lms.append(s)
+        _reduce_block(ctx, views, lms)
 
 
 def initially_reduce(basis: StandardBasis, prime: int | None = None) -> StandardBasis:
@@ -293,18 +390,18 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
             g = g * a + pt.term_mul(b, lm)
             assert leading_term(ord_, g).coeff == 1
         monic.append(g)
-    remaining = list(minimize(StandardBasis(tuple(monic), ord_)).elements)
+    strata: dict[int, list[Polynomial]] = {}
+    for g in minimize(StandardBasis(tuple(monic), ord_)).elements:
+        strata.setdefault(x_degree(g), []).append(g)
     done: list[Polynomial] = []
-    while remaining:
-        d = min(x_degree(g) for g in remaining)
-        stratum = [g for g in remaining if x_degree(g) == d]
-        remaining = [g for g in remaining if x_degree(g) > d]
-        done.extend(inred_step_by_step(ctx, done, stratum))
+    for d in sorted(strata):
+        done.extend(inred_step_by_step(ctx, done, strata[d]))
     return StandardBasis(tuple(done) + (pt,), ord_)
 
 
-def _eliminate_tail(ord_, g, lt_g, term, h, lt_h):
-    """One elimination of a reducible skeleton tail term of g against h.
+def _eliminate_tail(g: dict, term: Term, h: dict, lt_h: Term) -> dict:
+    """One elimination of a reducible skeleton tail term of the view g
+    against the view h, whose leading term ``lt_h`` term-divides ``term``.
 
     When h is monic up to sign, the whole Z[t]-coefficient of the offending
     x-monomial is cleared by cross-multiplication: (b/t^beta) * g minus
@@ -313,20 +410,18 @@ def _eliminate_tail(ord_, g, lt_g, term, h, lt_h):
     so the ideal and (after a sign fix) the leading term are unchanged.  This
     is what finds polynomial reduced forms such as (1+t)*g - t*h where plain
     term-by-term subtraction would climb in t forever.  Reducers with bigger
-    leading coefficients fall back to single-term subtraction.
+    leading coefficients fall back to single-term subtraction, the same
+    kernel with multipliers 1 and the quotient term.
     """
+    alpha, gamma = term.exp[1:], lt_h.exp[1:]
+    shifted = _term_mul(h, (0,) + tuple(map(sub, alpha, gamma)))
     if abs(lt_h.coeff) == 1:
-        alpha = term.exp[1:]
-        a = t_coefficient(g, alpha)
-        b = t_coefficient(h, lt_h.exp[1:])
-        beta = lt_h.exp[0]
-        shift = (0,) + tuple(x - y for x, y in zip(alpha, lt_h.exp[1:]))
-        out = _cross_eliminate(g, a, h.term_mul(1, shift), b, beta)
+        out = _cross_eliminate(g, g[alpha], shifted, h[gamma], lt_h.exp[0])
         if lt_h.coeff < 0:
-            out = -out
+            out = {a: [(b, -c) for b, c in tp] for a, tp in out.items()}
         return out
     m = term_div(term, lt_h)
-    return g - h.term_mul(m.coeff, m.exp)
+    return _cross_eliminate(g, ((m.exp[0], m.coeff),), shifted, ((0, 1),), 0)
 
 
 def _fmt_vector(v) -> str:
@@ -355,7 +450,8 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
     reducible skeleton tail term against the first other element whose
     leading term divides it (whole-coefficient elimination against monic
     reducers, single-term subtraction otherwise); unit t-content is stripped
-    after every step.
+    after every step.  Each element is reduced as a view, its leading term
+    carried beside it, and becomes a polynomial once, when its chase ends.
     Termination is not guaranteed in this regime, so the loop is bounded by
     a t-degree limit and by ``division.STEP_CAP``; ``InredDiverged`` names
     the bound that tripped.
@@ -368,22 +464,22 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
     # step cap on ever-larger polynomials.
     degree_limit = 32 + 8 * max(
         (t.exp[0] for g in elems for t in g.terms), default=0)
-    # Leading terms never change (checked after every step), and whether an
-    # element has a reducible skeleton term depends only on that element and
-    # the leading terms, so one pass over the elements finishes the job.
+    # Leading terms never change (checked on each changed element), and
+    # whether an element has a reducible skeleton term depends only on that
+    # element and the leading terms, so one pass over the elements finishes
+    # the job.
     lts = [leading_term(ord_, g) for g in elems]
+    views = [t_coefficients(g) for g in elems]
     steps = 0
     for i, lt_g in enumerate(lts):
-        while hit := next(((term, j) for term, j in _reducible_tail(ord_, elems[i], lt_g, lts)
-                           if j != i), None):
+        first = steps
+        while hit := next(((term, j) for _, term, j in
+                           _reducible_tail(ord_, views[i], lt_g.exp, lts) if j != i), None):
             term, j = hit
-            g = strip_unit_t_content(
-                _eliminate_tail(ord_, elems[i], lt_g, term, elems[j], lts[j]))
-            assert leading_term(ord_, g) == lt_g, \
-                "initial reduction must preserve leading terms"
-            elems[i] = g
+            v = views[i] = strip_unit_t_content_view(
+                _eliminate_tail(views[i], term, views[j], lts[j]))
             steps += 1
-            degree = max(t.exp[0] for t in g.terms)
+            degree = max(tp[-1][0] for tp in v.values())
             if degree > degree_limit:
                 raise _diverged(ord_, term, lt_g,
                                 f"its t-degree reached {degree}, past the "
@@ -392,6 +488,10 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
                 raise _diverged(ord_, term, lt_g,
                                 f"the reduction passed {division.STEP_CAP} "
                                 "elimination steps")
+        if steps > first:
+            elems[i] = _polynomial(views[i])
+            assert leading_term(ord_, elems[i]) == lt_g, \
+                "initial reduction must preserve leading terms"
     return sorted_basis(ord_, elems)
 
 

@@ -225,14 +225,6 @@ def tpoly_min_beta(tp: TPoly) -> int:
     return tp[0][0]
 
 
-def mul_tpoly(f: Polynomial, tp: TPoly) -> Polynomial:
-    """f * sum_i c_i t^{beta_i}."""
-    if not tp or f.is_zero:
-        return Polynomial.zero()
-    return Polynomial.from_terms((c1 * c, (e1[0] + beta,) + e1[1:])
-                                 for beta, c in tp for c1, e1 in f.terms)
-
-
 def t_skeleton(f: Polynomial) -> Polynomial:
     """Keep, for each x-monomial, only the term of minimal t-power.
 
@@ -496,34 +488,43 @@ def tpoly_divexact(p: TPoly, d: TPoly) -> TPoly:
     return _dense_tp(q)
 
 
-def strip_unit_t_content(f: Polynomial) -> Polynomial:
-    """Divide f by the Z[[t]]-unit part of its Z[t]-content.
+def strip_unit_t_content_view(coeffs: dict) -> dict:
+    """Divide a Z[t]-coefficient view {alpha: TPoly} by the Z[[t]]-unit part
+    of its content.
 
     The content factors as t^k * u(t) * rest; whenever the t-free part u has
     u(0) = 1 (``tpoly_gcd`` makes it positive) it is a unit of Z[[t]], so
     dividing by it changes neither the ideal generated nor any leading term.
-    Contents whose t-free part has a nontrivial constant are left alone.
-    The running gcd of the coefficients stops early once it is a single term
-    c*t^k: the content divides it, so it is a single term too and has no
-    unit part to strip.
+    Contents whose t-free part has a nontrivial constant are left alone, and
+    then ``coeffs`` itself is returned.  The running gcd of the coefficients
+    stops early once it is a single term c*t^k: the content divides it, so
+    it is a single term too and has no unit part to strip.
     """
-    if f.is_zero:
-        return f
-    coeffs = t_coefficients(f)
     content: TPoly = ()
     for tp in coeffs.values():
         content = tpoly_gcd(content, tp)
         if len(content) == 1:
-            return f
+            return coeffs
     k = tpoly_min_beta(content)
     unit = tpoly_shift(content, -k)
     c0 = unit[0][1]
     if c0 != 1 or len(unit) == 1:
+        return coeffs
+    return {a: tpoly_divexact(tp, unit) for a, tp in coeffs.items()}
+
+
+def strip_unit_t_content(f: Polynomial) -> Polynomial:
+    """``strip_unit_t_content_view`` on a polynomial; f itself when nothing
+    is stripped."""
+    if f.is_zero:
+        return f
+    coeffs = t_coefficients(f)
+    out = strip_unit_t_content_view(coeffs)
+    if out is coeffs:
         return f
     # alphas in canonical order, each quotient's betas ascending: canonical
     return Polynomial(tuple(Term(c, (beta,) + a)
-                            for a, tp in coeffs.items()
-                            for beta, c in tpoly_divexact(tp, unit)))
+                            for a, tp in out.items() for beta, c in tp))
 
 
 # ---------------------------------------------------------------------------

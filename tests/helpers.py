@@ -1,5 +1,7 @@
-"""Shared test helpers: polynomial building, seeded random ideals, and the
-pair builders and pair certificate that check completions."""
+"""Shared test helpers: polynomial building, seeded random ideals, the
+pair builders and pair certificate that check completions, and the
+polynomial product by a Z[t] coefficient that the initial-reduction oracles
+use."""
 
 import random
 import signal
@@ -31,6 +33,13 @@ def P(text, names):
 
 def polys(names, *texts):
     return tuple(parse_poly(t, names) for t in texts)
+
+
+def mul_tpoly(f, tp):
+    """f * sum_i c_i t^{beta_i} for tp = ((beta_i, c_i), ...), by polynomial
+    arithmetic."""
+    return Polynomial.from_terms((c1 * c, (e1[0] + beta,) + e1[1:])
+                                 for beta, c in tp for c1, e1 in f.terms)
 
 
 def doctored_fig1_fans():

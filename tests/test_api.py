@@ -10,6 +10,7 @@ import types
 import tfan
 
 SRC = os.path.dirname(os.path.abspath(tfan.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_all_lists_every_imported_name_and_no_submodule():
@@ -19,11 +20,12 @@ def test_all_lists_every_imported_name_and_no_submodule():
     assert set(tfan.__all__) == public
 
 
-def modules():
-    """(file name, syntax tree) of every module of the package."""
-    for fname in sorted(os.listdir(SRC)):
+def modules(directory=SRC):
+    """(file name, syntax tree) of every module in ``directory``, by default
+    the package's."""
+    for fname in sorted(os.listdir(directory)):
         if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
                 yield fname, ast.parse(fh.read())
 
 
@@ -39,15 +41,17 @@ def imported_names(tree):
 
 
 def test_every_imported_name_is_used():
-    """Each name a module other than ``__init__`` imports is read in that module."""
+    """Each name that a package module other than ``__init__``, or a test
+    module, imports is read in that module."""
     unused = []
-    for fname, tree in modules():
-        if fname == "__init__.py":
-            continue
-        imported = imported_names(tree)
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{fname}:{line} {name}" for name, line in imported.items()
-                   if name not in used]
+    for directory in (SRC, TESTS):
+        for fname, tree in modules(directory):
+            if directory == SRC and fname == "__init__.py":
+                continue
+            imported = imported_names(tree)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{os.path.basename(directory)}/{fname}:{line} {name}"
+                       for name, line in imported.items() if name not in used]
     assert unused == []
 
 

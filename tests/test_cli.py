@@ -18,7 +18,7 @@ from tfan.cli import (
     render_polys,
 )
 
-from helpers import DOCTORED_FLAGS, P, XY, XYZ, doctored_fig1_fans
+from helpers import DOCTORED_FLAGS, P, XY, doctored_fig1_fans
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_IDEALS = sorted(glob.glob(os.path.join(REPO, "demos", "ideals", "*.ideal")))

@@ -28,7 +28,7 @@ from tfan import cone
 from tfan.cli import parse_problem, render_cone
 from tfan.exact import dot, primitive, vneg, vscale, vsub
 
-from helpers import P, XY, XYZ, polys, prime_stream_member
+from helpers import XY, XYZ, polys, prime_stream_member
 from test_exact import kernel_oracle, rref_oracle
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -5,7 +5,6 @@ import pytest
 
 from tfan import (
     Ideal,
-    Polynomial,
     StandardBasis,
     WitnessFailed,
     boundary_fan,
@@ -21,7 +20,6 @@ from tfan import (
     leading_term,
     lift,
     make_cone,
-    max_weight_part,
     relative_interior_point,
     weighted_ordering,
     witness,

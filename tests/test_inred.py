@@ -23,10 +23,18 @@ from tfan import (
     weighted_ordering,
 )
 from tfan.exact import p_valuation
-from tfan.inred import _check_cross, _split_by_lm
-from tfan.poly import exp_divides, mul_tpoly, p_minus_t, t_coefficient, tpoly_shift
+from tfan.inred import _check_block, _check_cross, _p_reduce_view
+from tfan.poly import (
+    exp_divides,
+    p_minus_t,
+    t_coefficient,
+    t_coefficients,
+    term_divides,
+    tpoly_min_beta,
+    tpoly_shift,
+)
 
-from helpers import P, XY, XYZ, polys
+from helpers import P, XY, XYZ, mul_tpoly, polys
 
 X123 = ["x1", "x2", "x3"]
 
@@ -180,6 +188,90 @@ def _replay_row_operations(g1, g2, g3):
     return [g1, g2, g3]
 
 
+# --- the polynomial loop: the oracle of the view kernel ------------------------
+#
+# The block reduction written on ``Polynomial`` values, sharing no arithmetic
+# with the view kernel: every combination is two ``mul_tpoly`` products and a
+# subtraction, every coefficient is looked up afresh, and the leading terms
+# are searched again after every re-reduction.
+
+
+def old_cross_eliminate(g, c_g, h, c_h, beta):
+    """c_h(t)/t^beta * g - c_g(t)/t^beta * h, by polynomial arithmetic."""
+    return mul_tpoly(g, tpoly_shift(c_h, -beta)) - mul_tpoly(h, tpoly_shift(c_g, -beta))
+
+
+def old_inred_same_degree(ctx, G):
+    ord_ = ctx.ord
+    _check_block(ord_, G)
+    g = [p_reduce(ctx, x) for x in G]
+    g.sort(key=lambda f: ord_.key(leading_term(ord_, f).exp), reverse=True)
+    k = len(g)
+    lts = [leading_term(ord_, f) for f in g]
+    beta = [lt.exp[0] for lt in lts]
+    alpha = [lt.exp[1:] for lt in lts]
+    for i in range(k):
+        for j in range(i + 1, k):
+            cj = t_coefficient(g[j], alpha[i])
+            if not cj:
+                continue
+            ci = t_coefficient(g[i], alpha[i])
+            assert tpoly_min_beta(cj) >= beta[i]
+            g[j] = p_reduce(ctx, old_cross_eliminate(g[j], cj, g[i], ci, beta[i]))
+    for i in range(k):
+        for j in range(i + 1, k):
+            ci = t_coefficient(g[i], alpha[j])
+            if not ci or tpoly_min_beta(ci) < beta[j]:
+                continue
+            cj = t_coefficient(g[j], alpha[j])
+            g[i] = p_reduce(ctx, old_cross_eliminate(g[i], ci, g[j], cj, beta[j]))
+    return g
+
+
+def _split_by_lm(ord_, combined, h_lms, e_lms):
+    by_lm = {leading_term(ord_, f).exp: f for f in combined}
+    return [by_lm[lm] for lm in h_lms], [by_lm[lm] for lm in e_lms]
+
+
+def old_reducible_tail(ord_, f, lt_f, lts):
+    tail = sorted((t for t in t_skeleton(f).terms if t.exp != lt_f.exp),
+                  key=lambda t: ord_.key(t.exp), reverse=True)
+    for term in tail:
+        for j, lt in enumerate(lts):
+            if term_divides(lt, term):
+                yield term, j
+
+
+def old_inred_step_by_step(ctx, G, H):
+    ord_ = ctx.ord
+    if not G:
+        return old_inred_same_degree(ctx, H)
+    _check_cross(ord_, G, H)
+    h = old_inred_same_degree(ctx, H)
+    h_lts = [leading_term(ord_, f) for f in h]
+    h_lms = [lt.exp for lt in h_lts]
+    glts = [leading_term(ord_, g) for g in G]
+    E, e_lms = [], []
+    below = None
+    while True:
+        hits = []
+        for f, lt_f in zip(h, h_lts):
+            for term, j in old_reducible_tail(ord_, f, lt_f, glts):
+                key = ord_.key(term.exp)
+                if below is None or key < below:
+                    hits.append((key, term.exp, j))
+                    break
+        if not hits:
+            return h
+        below, s, j = max(hits)
+        mult = G[j].term_mul(1, tuple(a - b for a, b in zip(s, glts[j].exp)))
+        lm = leading_term(ord_, mult).exp
+        assert lm not in e_lms
+        E.append(mult)
+        e_lms.append(lm)
+        h, E = _split_by_lm(ord_, old_inred_same_degree(ctx, h + E), h_lms, e_lms)
+
+
 def inred_all_at_once(ctx, G, H):
     """Cross-degree reduction by brute force: the oracle for
     ``inred_step_by_step``.
@@ -253,6 +345,109 @@ class TestCrossDegree:
             for out in (lazy, brute):
                 full = list(out) + G + [p_minus_t(ctx.p, 2)]
                 assert is_initially_reduced(ctx.ord, full)
+
+
+# --- the view kernel against the polynomial loop ------------------------------
+
+
+def test_p_reduction_that_empties_an_x_monomial_drops_its_key():
+    # 2*x2^2 - t*x2^2 lifts to (1 - 1)*t*x2^2: the whole coefficient cancels
+    ctx = ctx123()
+    g = P("x1^2 + 2*x2^2 - t*x2^2", X123)
+    assert inred_same_degree(ctx, [g]) == [P("x1^2", X123)]
+    assert old_inred_same_degree(ctx, [g]) == [P("x1^2", X123)]
+    view = t_coefficients(g)
+    _p_reduce_view(2, view, (2, 0, 0))
+    assert view == {(2, 0, 0): ((0, 1),)}
+
+
+def _monic(draw, ord_, p, alphas, lm):
+    """lm with coefficient 1 plus up to six smaller terms at the given
+    x-monomials, with coefficients u * p^k so that p-reduction lifts them."""
+    terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2, 3]), st.integers(0, 2),
+                                    st.integers(0, 3), st.sampled_from(alphas)),
+                          max_size=6))
+    key = ord_.key
+    return Polynomial.from_terms([(1, lm)] + [
+        (u * p**k, (b,) + a) for u, k, b, a in terms if key((b,) + a) < key(lm)])
+
+
+def _alphas(n, d):
+    return [tuple(combo.count(v) for v in range(n))
+            for combo in combinations_with_replacement(range(n), d)]
+
+
+@st.composite
+def prime_blocks(draw):
+    """A prime, an ordering, an initially reduced lower stratum of x-degree 1
+    (possibly empty) and a block of x-degree 2 whose leading monomials are
+    distinct in x and lie outside the lower leading ideal."""
+    n = draw(st.integers(2, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    weight = (draw(st.integers(-3, -1)),) + tuple(draw(st.lists(st.integers(-2, 2),
+                                                                min_size=n, max_size=n)))
+    ctx = InredContext(p, weighted_ordering(weight, n))
+    lower = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_alphas(n, 1))),
+                          max_size=n, unique_by=lambda e: e[1]))
+    G = [_monic(draw, ctx.ord, p, _alphas(n, 1), (b,) + a) for b, a in lower]
+    G = old_inred_same_degree(ctx, G)
+    free = [(b,) + a for b in range(3) for a in _alphas(n, 2)
+            if not any(exp_divides(leading_term(ctx.ord, g).exp, (b,) + a) for g in G)]
+    assume(free)
+    lms = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3,
+                        unique_by=lambda e: e[1:]))
+    H = [_monic(draw, ctx.ord, p, _alphas(n, 2), lm) for lm in lms]
+    return ctx, G, H
+
+
+@seed(18)
+@settings(max_examples=150, deadline=None)
+@given(prime_blocks())
+def test_view_kernel_matches_polynomial_loop(case):
+    ctx, G, H = case
+    assert inred_same_degree(ctx, H) == old_inred_same_degree(ctx, H)
+    out = inred_step_by_step(ctx, G, H)
+    assert out == old_inred_step_by_step(ctx, G, H)
+    n = H[0].nvars
+    assert is_initially_reduced(ctx.ord, out + G + [p_minus_t(ctx.p, n)])
+
+
+def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
+    """At one interior weight of each maximal cone of every prime-regime
+    benchmark fan, initial reduction of the standard basis gives the same
+    basis through the view kernel as through the polynomial loop."""
+    import json
+    import os
+
+    import tfan.inred
+    from tfan import MonomialOrdering, initially_reduce
+    from tfan.cli import parse_problem
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    monkeypatch.syspath_prepend(bench)
+    import checks
+    import corpus
+
+    with open(os.path.join(bench, "reference.json"), encoding="utf-8") as fh:
+        ref = json.load(fh)
+    params = ref["params"]
+    cases = corpus.prime_cases(params["prime_corpus_seed"], params["scaling_seeds"],
+                               ref["prime_keep"])
+    rng = random.Random(18)
+    compared = 0
+    for name, text in cases:
+        problem = parse_problem(text)
+        for rays, lin in ref["fans"][name]["cones"]:
+            w = checks.interior_weight(rays, lin, rng)
+            sb = standard_basis(MonomialOrdering((w,), problem.tiebreak), problem.gens)
+            new = initially_reduce(sb, problem.prime)
+            with monkeypatch.context() as m:
+                m.setattr(tfan.inred, "inred_step_by_step", old_inred_step_by_step)
+                old = initially_reduce(sb, problem.prime)
+            assert new.elements == old.elements, (name, w)
+            assert is_initially_reduced(sb.ordering, new.elements), (name, w)
+            compared += 1
+    assert compared == sum(len(ref["fans"][name]["cones"]) for name, _ in cases)
 
 
 class TestDriver:

@@ -28,7 +28,6 @@ from tfan import (
 )
 from tfan.cli import parse_problem
 from tfan.poly import (
-    mul_tpoly,
     strip_unit_t_content,
     t_coefficient,
     t_coefficients,
@@ -36,7 +35,7 @@ from tfan.poly import (
     tpoly_gcd,
 )
 
-from helpers import P, XY, XYZ, polys
+from helpers import P, XY, XYZ, mul_tpoly, polys
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "demos", "ideals")
