@@ -28,11 +28,14 @@ dict ``{alpha: [(beta, c), ...]}`` of ``t_coefficients`` (betas ascending,
 coefficients nonzero, no key for a vanished x-monomial), with its leading
 exponent carried beside it, since no reduction step moves a leading term.
 One kernel, ``_cross_eliminate``, makes every combination of two views; one
-scan, ``_reducible_tail``, finds reducible skeleton tail terms.  Polynomials
-become views on entry to ``p_reduce``, ``inred_same_degree``,
-``inred_step_by_step`` and ``generic_initial_reduce``, and views become
-polynomials once, when those return; the loops between sort no terms and
-search no leading term.
+scan, ``_reducible_tail``, finds reducible skeleton tail terms.  In the
+prime regime ``_views`` is the one way in: it turns the polynomials given to
+``p_reduce`` and ``inred_step_by_step`` (``inred_same_degree`` is that with
+no lower elements) into views, and the block and lower-element rules are
+checked once, on the views; each rejection names the rule, the element's
+position and its leading exponent.  Views become polynomials once, when an
+entry point returns, through ``poly.from_t_coefficients``; the loops between
+sort no terms and search no leading term.
 
 ``initially_reduce`` is the one path from a known standard basis to an
 initially reduced one, in either regime; it never completes again and
@@ -65,7 +68,7 @@ from .poly import (
     Polynomial,
     Term,
     exp_divides,
-    is_x_homogeneous,
+    from_t_coefficients,
     leading_term,
     p_minus_t,
     strip_unit_t_content_view,
@@ -94,17 +97,30 @@ class InredContext:
 # ---------------------------------------------------------------------------
 
 
-def _polynomial(view: dict) -> Polynomial:
-    """The polynomial of a view, its terms in canonical order (x-degree,
-    then alpha, descending; beta ascending)."""
-    return Polynomial(tuple([Term(c, (b,) + a)
-                             for a in sorted(view, key=lambda a: (sum(a), a), reverse=True)
-                             for b, c in view[a]]))
+def _fault(what: str, i: int, lm, rule: str) -> InvalidInput:
+    """The error for element i, leading exponent lm, of the list ``what``."""
+    return InvalidInput(f"{what} element {i} (leading exponent {lm}) must {rule}")
+
+
+def _views(ord_, F: Sequence[Polynomial], what: str) -> tuple[list, list]:
+    """The views and leading exponents of nonzero x-homogeneous polynomials:
+    the one way into the prime-regime kernel."""
+    views, lms = [], []
+    for i, f in enumerate(F):
+        if f.is_zero:
+            raise InvalidInput(f"{what} element {i} must be nonzero")
+        lm = leading_term(ord_, f).exp
+        view = t_coefficients(f)
+        if len({sum(a) for a in view}) > 1:
+            raise _fault(what, i, lm, "be x-homogeneous")
+        views.append(view)
+        lms.append(lm)
+    return views, lms
 
 
 def _polynomials(ord_, views, lms) -> list[Polynomial]:
     """The polynomials of views whose leading exponents are ``lms``."""
-    out = [_polynomial(v) for v in views]
+    out = [from_t_coefficients(v) for v in views]
     for f, lm in zip(out, lms):
         assert leading_term(ord_, f).exp == lm, "reduction must preserve leading terms"
     return out
@@ -189,57 +205,61 @@ def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
     (c/p^l)*t^{b+l}, p^l the exact power of p in c (a multiple of p^l - t^l
     apart), merging with any term already at t^{b+l}.  Leading term and the
     ideal generated together with p - t are unchanged, and no tail term of
-    the result's skeleton is divisible by p.
+    the result's skeleton is divisible by p.  g must be nonzero and
+    x-homogeneous.
     """
-    if g.is_zero:
-        raise InvalidInput("p_reduce of the zero polynomial")
-    if not is_x_homogeneous(g):
-        raise InvalidInput("p_reduce input must be x-homogeneous")
-    view = t_coefficients(g)
-    _p_reduce_view(ctx.p, view, leading_term(ctx.ord, g).exp[1:])
-    return _polynomial(view)
+    (view,), (lm,) = _views(ctx.ord, [g], "p_reduce")
+    _p_reduce_view(ctx.p, view, lm[1:])
+    return from_t_coefficients(view)
 
 
-def _check_block(ord_, G):
-    """Shared preconditions of the same-degree reducers."""
-    if not G:
-        return
-    degs = set()
-    lms = []
-    for g in G:
-        if g.is_zero or not is_x_homogeneous(g):
-            raise InvalidInput("block elements must be nonzero and x-homogeneous")
-        degs.add(x_degree(g))
-        lt = leading_term(ord_, g)
-        if lt.coeff != 1:
-            raise InvalidInput("block elements must have leading coefficient 1")
-        lms.append(lt.exp)
-    if len(degs) > 1:
-        raise InvalidInput("block elements must share one x-degree")
-    if len(set(lms)) != len(lms):
-        raise InvalidInput("block elements must have distinct leading monomials")
-    if len({lm[1:] for lm in lms}) != len(lms):
-        raise InvalidInput("block elements must have distinct leading x-monomials")
-
-
-def _check_block_views(views, lms):
-    """``_check_block`` on views with carried leading exponents: one x-degree,
-    distinct leading x-monomials, coefficient 1 at each t-minimal leading
-    position."""
-    if len({sum(a) for v in views for a in v}) > 1:
-        raise InvalidInput("block elements must share one x-degree")
-    for v, lm in zip(views, lms):
+def _check_monic(what: str, views, lms) -> None:
+    """Coefficient 1 at each carried leading exponent."""
+    for i, (v, lm) in enumerate(zip(views, lms)):
         if lm[1:] not in v or v[lm[1:]][0] != (lm[0], 1):
-            raise InvalidInput("block elements must have leading coefficient 1")
-    if len({lm[1:] for lm in lms}) != len(lms):
-        raise InvalidInput("block elements must have distinct leading x-monomials")
+            raise _fault(what, i, lm, "have leading coefficient 1")
+
+
+def _check_block_views(views, lms) -> None:
+    """The block rules, on views with carried leading exponents: one
+    x-degree, leading coefficient 1, and distinct leading x-monomials.
+    ``_reduce_block`` checks them on entry and at every re-reduction."""
+    d = sum(lms[0][1:])
+    first: dict[tuple, int] = {}
+    for i, lm in enumerate(lms):
+        if sum(lm[1:]) != d:
+            raise _fault("block", i, lm, f"have the block's x-degree {d}")
+        j = first.setdefault(lm[1:], i)
+        if j != i:
+            raise _fault("block", i, lm,
+                         f"have a leading x-monomial other than block element {j}'s")
+    _check_monic("block", views, lms)
+
+
+def _check_lower(g_views, g_lms, lms) -> None:
+    """The lower-element rules against a block with leading exponents
+    ``lms``: x-degree below the block's, no leading monomial dividing a block
+    one, and leading coefficient 1."""
+    d = sum(lms[0][1:])
+    for j, g_lm in enumerate(g_lms):
+        if sum(g_lm[1:]) >= d:
+            raise _fault("lower", j, g_lm, f"have x-degree below the block's {d}")
+        for i, lm in enumerate(lms):
+            if exp_divides(g_lm, lm):
+                raise _fault("block", i, lm, "lie outside the lower leading ideal; "
+                             f"lower element {j}'s leading exponent {g_lm} divides it")
+    _check_monic("lower", g_views, g_lms)
 
 
 def _reduce_block(ctx: InredContext, views: list, lms: list) -> list[int]:
-    """``inred_same_degree`` on views, in place.
+    """Reduce a block of views against itself and p - t, in place.
 
-    Element i stays at position i; the returned positions list the block by
-    decreasing leading monomial, the order both passes walk.
+    Two triangular passes over the block ordered by decreasing leading
+    monomial: the first eliminates the x-monomial of each leading term from
+    all later elements, the second clears reducible skeleton terms of earlier
+    elements against later leading terms.  Every combination is (p - t)-
+    reduced immediately.  Element i stays at position i; the returned
+    positions list the block by decreasing leading monomial.
     """
     _check_block_views(views, lms)
     p = ctx.p
@@ -267,49 +287,15 @@ def _reduce_block(ctx: InredContext, views: list, lms: list) -> list[int]:
     return order
 
 
-def _reduced_views(ctx: InredContext, G: Sequence[Polynomial]) -> tuple[list, list]:
-    """The views and leading exponents of a checked block after
-    ``_reduce_block``, by decreasing leading monomial."""
-    lms = [leading_term(ctx.ord, g).exp for g in G]
-    views = [t_coefficients(g) for g in G]
-    order = _reduce_block(ctx, views, lms)
-    return [views[i] for i in order], [lms[i] for i in order]
-
-
 def inred_same_degree(ctx: InredContext, G: Sequence[Polynomial]) -> list[Polynomial]:
     """Initially reduce a block of equal x-degree against itself and p - t.
 
-    Two triangular passes over the block ordered by decreasing leading
-    monomial: the first eliminates the x-monomial of each leading term from
-    all later elements, the second clears reducible skeleton terms of earlier
-    elements against later leading terms.  Every combination is (p - t)-
-    reduced immediately.  Leading terms are preserved and the ideal generated
-    together with p - t is unchanged.  The block is checked and turned into
-    views once, reduced on the views (``_reduce_block``), and returned as
-    polynomials once, in that order.
+    Leading terms are preserved and the ideal generated together with p - t
+    is unchanged; the block comes back by decreasing leading monomial.  This
+    is ``inred_step_by_step`` with no lower elements, so one body checks,
+    reduces (``_reduce_block``) and converts both.
     """
-    _check_block(ctx.ord, G)
-    return _polynomials(ctx.ord, *_reduced_views(ctx, G))
-
-
-def _check_cross(ord_, G, H):
-    _check_block(ord_, H)
-    if not H:
-        raise InvalidInput("nothing to reduce")
-    d = x_degree(H[0])
-    for g in G:
-        if g.is_zero or not is_x_homogeneous(g):
-            raise InvalidInput("lower-degree elements must be nonzero and x-homogeneous")
-        if x_degree(g) >= d:
-            raise InvalidInput("lower-degree elements must have x-degree < the block's")
-        if leading_term(ord_, g).coeff != 1:
-            raise InvalidInput("lower-degree elements must have leading coefficient 1")
-    glts = [leading_term(ord_, g) for g in G]
-    for h in H:
-        lm = leading_term(ord_, h).exp
-        if any(exp_divides(lt.exp, lm) for lt in glts):
-            raise InvalidInput("block leading monomial lies in the lower leading ideal")
-    return d
+    return inred_step_by_step(ctx, (), G)
 
 
 def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
@@ -324,20 +310,22 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
     is left.  Only the term's exponent matters: lower leading coefficients
     are 1, so divisibility is a question of exponents.
 
-    The block and the lower elements become views once; each helper
-    multiple is a shifted view of its lower element, whose leading exponent
-    is the term it was made for.  The block (first ``len(H)`` positions)
-    and the helpers are re-reduced in place, and the block is returned as
-    polynomials once, by decreasing leading monomial.
+    H and G become views once, are checked once on those views, and the
+    block is returned as polynomials once, by decreasing leading monomial;
+    an empty block gives [].  Each helper is a shifted view of its lower
+    element, whose leading exponent is the term it was made for; the block
+    (first ``len(H)`` positions) and the helpers are re-reduced in place.
     """
     ord_ = ctx.ord
-    if not G:
-        return inred_same_degree(ctx, H)
-    _check_cross(ord_, G, H)
-    views, lms = _reduced_views(ctx, H)
+    views, lms = _views(ord_, H, "block")
+    g_views, g_lms = _views(ord_, G, "lower")
+    if not views:
+        return []
+    order = _reduce_block(ctx, views, lms)
+    _check_lower(g_views, g_lms, lms)
+    views, lms = [views[i] for i in order], [lms[i] for i in order]
     k = len(views)
-    glts = [leading_term(ord_, g) for g in G]
-    g_views = [t_coefficients(g) for g in G]
+    glts = [Term(1, g_lm) for g_lm in g_lms]
     below = None  # ordering key of the term the last step handled
     while True:
         hits = []
@@ -350,7 +338,7 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
             return _polynomials(ord_, views[:k], lms[:k])
         below, s, j = max(hits)
         # an ordering is multiplicative, so this multiple's leading exponent is s
-        mult = _term_mul(g_views[j], tuple(map(sub, s, glts[j].exp)))
+        mult = _term_mul(g_views[j], tuple(map(sub, s, g_lms[j])))
         assert s not in lms[k:]
         views.append(mult)
         lms.append(s)
@@ -489,7 +477,7 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
                                 f"the reduction passed {division.STEP_CAP} "
                                 "elimination steps")
         if steps > first:
-            elems[i] = _polynomial(views[i])
+            elems[i] = from_t_coefficients(views[i])
             assert leading_term(ord_, elems[i]) == lt_g, \
                 "initial reduction must preserve leading terms"
     return sorted_basis(ord_, elems)

@@ -203,9 +203,14 @@ def t_coefficients(f: Polynomial) -> dict[tuple, TPoly]:
     return {a: tuple(tp) for a, tp in out.items()}
 
 
-def t_coefficient(f: Polynomial, alpha: tuple) -> TPoly:
-    """The Z[t] coefficient of x^alpha in f, as ((beta, c), ...) ascending."""
-    return t_coefficients(f).get(tuple(alpha), ())
+def from_t_coefficients(coeffs: dict) -> Polynomial:
+    """The polynomial of a Z[t]-coefficient view, the inverse of
+    ``t_coefficients``: alphas in canonical order (x-degree, then alpha,
+    descending), each coefficient's betas ascending as the view keeps them.
+    The view's alphas may come in any order."""
+    return Polynomial(tuple([Term(c, (b,) + a)
+                             for a in sorted(coeffs, key=lambda a: (sum(a), a), reverse=True)
+                             for b, c in coeffs[a]]))
 
 
 def tpoly_shift(tp: TPoly, k: int) -> TPoly:
@@ -520,11 +525,7 @@ def strip_unit_t_content(f: Polynomial) -> Polynomial:
         return f
     coeffs = t_coefficients(f)
     out = strip_unit_t_content_view(coeffs)
-    if out is coeffs:
-        return f
-    # alphas in canonical order, each quotient's betas ascending: canonical
-    return Polynomial(tuple(Term(c, (beta,) + a)
-                            for a, tp in out.items() for beta, c in tp))
+    return f if out is coeffs else from_t_coefficients(out)
 
 
 # ---------------------------------------------------------------------------

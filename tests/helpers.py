@@ -1,7 +1,7 @@
 """Shared test helpers: polynomial building, seeded random ideals, the
 pair builders and pair certificate that check completions, and the
-polynomial product by a Z[t] coefficient that the initial-reduction oracles
-use."""
+polynomial product by a Z[t] coefficient and the coefficient lookup that the
+initial-reduction oracles use."""
 
 import random
 import signal
@@ -21,7 +21,7 @@ from tfan import (
 )
 from tfan.cli import parse_poly
 from tfan.exact import extended_gcd
-from tfan.poly import exp_div, exp_lcm
+from tfan.poly import exp_div, exp_lcm, t_coefficients
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -40,6 +40,11 @@ def mul_tpoly(f, tp):
     arithmetic."""
     return Polynomial.from_terms((c1 * c, (e1[0] + beta,) + e1[1:])
                                  for beta, c in tp for c1, e1 in f.terms)
+
+
+def t_coefficient(f, alpha):
+    """The Z[t] coefficient of x^alpha in f, as ((beta, c), ...) ascending."""
+    return t_coefficients(f).get(tuple(alpha), ())
 
 
 def doctored_fig1_fans():

@@ -117,3 +117,29 @@ def test_no_function_passes_an_ordering_beside_a_basis():
                     or annotation_names(node.returns) >= both:
                 restated.append(f"{fname}:{node.lineno} {node.name}")
     assert restated == []
+
+
+def referenced_names(node):
+    """Every name and attribute a syntax tree reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def test_every_definition_is_public_or_used():
+    """Each top-level function or class of a package module other than
+    ``cli.py`` is in ``tfan.__all__`` or read by some other top-level
+    statement of the package, so no definition lives on for the tests
+    alone."""
+    statements = [(fname, node) for fname, tree in modules() for node in tree.body]
+    unused = []
+    for fname, node in statements:
+        if fname == "cli.py" or not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name in tfan.__all__ or any(
+                node.name in referenced_names(other)
+                for _, other in statements if other is not node):
+            continue
+        unused.append(f"{fname}:{node.lineno} {node.name}")
+    assert unused == []

@@ -23,18 +23,19 @@ from tfan import (
     weighted_ordering,
 )
 from tfan.exact import p_valuation
-from tfan.inred import _check_block, _check_cross, _p_reduce_view
+from tfan.inred import _p_reduce_view
 from tfan.poly import (
     exp_divides,
+    is_x_homogeneous,
     p_minus_t,
-    t_coefficient,
     t_coefficients,
     term_divides,
     tpoly_min_beta,
     tpoly_shift,
+    x_degree,
 )
 
-from helpers import P, XY, XYZ, mul_tpoly, polys
+from helpers import P, XY, XYZ, mul_tpoly, polys, t_coefficient
 
 X123 = ["x1", "x2", "x3"]
 
@@ -173,6 +174,56 @@ class TestSameDegree:
             inred_same_degree(ctx, polys(X123, "2*x1^2"))
 
 
+# One row per precondition rule and entry point: the entry point, its
+# polynomial arguments (after the context) and a fragment of the message.
+REJECTIONS = [
+    (p_reduce, ["0"],
+     "p_reduce element 0 must be nonzero"),
+    (p_reduce, ["x1^2 + x2"],
+     "p_reduce element 0 (leading exponent (0, 2, 0, 0)) must be x-homogeneous"),
+    (inred_same_degree, [["x1^2", "0"]],
+     "block element 1 must be nonzero"),
+    (inred_same_degree, [["x1^2", "x2 + t*x3"]],
+     "block element 1 (leading exponent (0, 0, 1, 0)) must have the block's x-degree 2"),
+    (inred_same_degree, [["x1^2", "x2^2 + x3"]],
+     "block element 1 (leading exponent (0, 0, 2, 0)) must be x-homogeneous"),
+    (inred_same_degree, [["2*x1^2"]],
+     "block element 0 (leading exponent (0, 2, 0, 0)) must have leading coefficient 1"),
+    (inred_same_degree, [["x1^2", "t*x1^2 + t^2*x2^2"]],
+     "block element 1 (leading exponent (1, 2, 0, 0)) must have a leading x-monomial "
+     "other than block element 0's"),
+    (inred_same_degree, [["x1^2", "x1^2 + t*x2^2"]],
+     "block element 1 (leading exponent (0, 2, 0, 0)) must have a leading x-monomial "
+     "other than block element 0's"),
+    (inred_step_by_step, [["0"], ["x2^2"]],
+     "lower element 0 must be nonzero"),
+    (inred_step_by_step, [["x1^2"], ["x2^2"]],
+     "lower element 0 (leading exponent (0, 2, 0, 0)) must have x-degree below the block's 2"),
+    (inred_step_by_step, [["2*x1"], ["x2^2"]],
+     "lower element 0 (leading exponent (0, 1, 0, 0)) must have leading coefficient 1"),
+    (inred_step_by_step, [["x1 + x2^2"], ["x3^2"]],
+     "lower element 0 (leading exponent (0, 0, 2, 0)) must be x-homogeneous"),
+    (inred_step_by_step, [["x2", "x1"], ["x2^2", "x1^2 + t*x3^2"]],
+     "block element 0 (leading exponent (0, 0, 2, 0)) must lie outside the lower leading "
+     "ideal; lower element 0's leading exponent (0, 0, 1, 0) divides it"),
+]
+
+
+@pytest.mark.parametrize("entry, args, message", REJECTIONS)
+def test_rejection_names_rule_position_and_leading_exponent(entry, args, message):
+    args = [P(a, X123) if isinstance(a, str) else [P(f, X123) for f in a] for a in args]
+    with pytest.raises(InvalidInput) as err:
+        entry(ctx123(), *args)
+    assert message in str(err.value)
+
+
+def test_empty_block_is_already_reduced():
+    ctx = ctx123()
+    assert inred_same_degree(ctx, []) == []
+    assert inred_step_by_step(ctx, [], []) == []
+    assert inred_step_by_step(ctx, polys(X123, "x1"), []) == []
+
+
 def _replay_row_operations(g1, g2, g3):
     """The two-pass elimination, written directly in polynomial arithmetic."""
     t = lambda k: ((k, 1),)
@@ -199,6 +250,50 @@ def _replay_row_operations(g1, g2, g3):
 def old_cross_eliminate(g, c_g, h, c_h, beta):
     """c_h(t)/t^beta * g - c_g(t)/t^beta * h, by polynomial arithmetic."""
     return mul_tpoly(g, tpoly_shift(c_h, -beta)) - mul_tpoly(h, tpoly_shift(c_g, -beta))
+
+
+def _check_block(ord_, G):
+    """The block preconditions, written on polynomials."""
+    if not G:
+        return
+    degs = set()
+    lms = []
+    for g in G:
+        if g.is_zero or not is_x_homogeneous(g):
+            raise InvalidInput("block elements must be nonzero and x-homogeneous")
+        degs.add(x_degree(g))
+        lt = leading_term(ord_, g)
+        if lt.coeff != 1:
+            raise InvalidInput("block elements must have leading coefficient 1")
+        lms.append(lt.exp)
+    if len(degs) > 1:
+        raise InvalidInput("block elements must share one x-degree")
+    if len(set(lms)) != len(lms):
+        raise InvalidInput("block elements must have distinct leading monomials")
+    if len({lm[1:] for lm in lms}) != len(lms):
+        raise InvalidInput("block elements must have distinct leading x-monomials")
+
+
+def _check_cross(ord_, G, H):
+    """The block and lower-element preconditions, written on polynomials;
+    the block's x-degree."""
+    _check_block(ord_, H)
+    if not H:
+        raise InvalidInput("nothing to reduce")
+    d = x_degree(H[0])
+    for g in G:
+        if g.is_zero or not is_x_homogeneous(g):
+            raise InvalidInput("lower-degree elements must be nonzero and x-homogeneous")
+        if x_degree(g) >= d:
+            raise InvalidInput("lower-degree elements must have x-degree < the block's")
+        if leading_term(ord_, g).coeff != 1:
+            raise InvalidInput("lower-degree elements must have leading coefficient 1")
+    glts = [leading_term(ord_, g) for g in G]
+    for h in H:
+        lm = leading_term(ord_, h).exp
+        if any(exp_divides(lt.exp, lm) for lt in glts):
+            raise InvalidInput("block leading monomial lies in the lower leading ideal")
+    return d
 
 
 def old_inred_same_degree(ctx, G):
@@ -435,15 +530,24 @@ def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
                                ref["prime_keep"])
     rng = random.Random(18)
     compared = 0
+    calls = []
+
+    def counted_old_inred_step_by_step(ctx, G, H):
+        calls.append(len(H))
+        return old_inred_step_by_step(ctx, G, H)
+
     for name, text in cases:
         problem = parse_problem(text)
         for rays, lin in ref["fans"][name]["cones"]:
             w = checks.interior_weight(rays, lin, rng)
             sb = standard_basis(MonomialOrdering((w,), problem.tiebreak), problem.gens)
             new = initially_reduce(sb, problem.prime)
+            made = len(calls)
             with monkeypatch.context() as m:
-                m.setattr(tfan.inred, "inred_step_by_step", old_inred_step_by_step)
+                m.setattr(tfan.inred, "inred_step_by_step", counted_old_inred_step_by_step)
                 old = initially_reduce(sb, problem.prime)
+            # the oracle ran, so the comparison is not the new code against itself
+            assert len(calls) > made, (name, w)
             assert new.elements == old.elements, (name, w)
             assert is_initially_reduced(sb.ordering, new.elements), (name, w)
             compared += 1

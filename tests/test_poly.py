@@ -29,13 +29,12 @@ from tfan import (
 from tfan.cli import parse_problem
 from tfan.poly import (
     strip_unit_t_content,
-    t_coefficient,
     t_coefficients,
     tpoly_divexact,
     tpoly_gcd,
 )
 
-from helpers import P, XY, XYZ, mul_tpoly, polys
+from helpers import P, XY, XYZ, mul_tpoly, polys, t_coefficient
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "demos", "ideals")
