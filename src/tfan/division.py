@@ -63,8 +63,11 @@ from .poly import (
     exp_div,
     exp_lcm,
     exp_x_degree,
+    from_t_coefficients,
     leading_term,
+    record_leading_term,
     strip_unit_t_content,
+    strip_unit_t_content_view,
     term_divides,
 )
 
@@ -118,7 +121,8 @@ def hddwr(ord_: MonomialOrdering, f: Polynomial,
                 f"determinate division exceeded {STEP_CAP} steps",
                 trace=[str(t.exp) for t in h.terms[:4]],
             )
-    return DivisionResult(tuple(Polynomial.from_terms(q) for q in quotient_parts),
+    return DivisionResult(tuple(Polynomial.from_terms(q) if q else Polynomial.zero()
+                                for q in quotient_parts),
                           Polynomial.from_terms(rem_parts))
 
 
@@ -190,10 +194,13 @@ def sorted_basis(ord_: MonomialOrdering, elems) -> StandardBasis:
 
 
 def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
-    """Basis-element normalisation: strip unit t-content, make lc positive."""
+    """Basis-element normalisation: strip unit t-content, make lc positive.
+
+    A negated element keeps the leading term, negated, under ``ord_``."""
     f = strip_unit_t_content(f)
-    if leading_term(ord_, f).coeff < 0:
-        f = -f
+    lt = leading_term(ord_, f)
+    if lt.coeff < 0:
+        f = record_leading_term(ord_, -f, Term(-lt.coeff, lt.exp))
     return f
 
 
@@ -437,7 +444,7 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     the inputs, each term straight into its homogenised exponent, for
     leading terms, to form lcms and for the product criterion, and at the
     end, where each element is unpacked straight into dehomogenised
-    exponents and sorted once into a Polynomial.
+    exponents (see the last paragraph).
 
     Packing is exact while no exponent passes the packing's limit of total
     degree, and ``pack`` checks the inputs and every lcm against it.  That
@@ -486,6 +493,19 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     stripping Z[[t]]-unit content and fixing positive leading coefficients;
     generators that are equal once normalised (f, -f and (1 + t)*f, say)
     enter the completion once, and the output keeps one of equal elements.
+
+    Each element is built once, from its packed terms: they are unpacked
+    straight into a Z[t]-coefficient view, signed by the packed leading
+    coefficient, stripped of unit content on the view, and turned into a
+    Polynomial by ``from_t_coefficients``, which sorts only the x-monomials.
+    Its leading term is not searched for: it is the packed leading term,
+    dehomogenised and signed, kept on the element.  That is the leading term
+    under ``ord_``: the element is homogeneous, so the graded key's first
+    field, the total degree, is the same on every term, the packed maximum
+    is the maximum of ``ord_.key`` over the dehomogenised exponents, and
+    dehomogenising merges no terms.  Dividing by a content u with u(0) = 1
+    keeps the lowest term of every Z[t]-coefficient, and under a t-local
+    ordering the leading term is the lowest term of its coefficient.
     """
     inputs: list[Polynomial] = []
     for f in gens:
@@ -503,11 +523,17 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
         except _PastLimit as exc:
             pk = _Packing(ord_, 2 * exc.degree)
     out: list[Polynomial] = []
-    for _, _, _, terms in reducers:
-        f = Polynomial.from_terms((c, pk.unpack(p, 1)) for p, c in terms)
-        f = normalize_element(ord_, f)
+    for lc, _, lead, terms in reducers:
+        sign = 1 if lc > 0 else -1
+        view: dict[tuple, list] = {}
+        for p, c in terms:
+            e = pk.unpack(p, 1)
+            view.setdefault(e[1:], []).append((e[0], sign * c))
+        for tp in view.values():
+            tp.sort()
+        f = from_t_coefficients(strip_unit_t_content_view(view))
         if f not in out:
-            out.append(f)
+            out.append(record_leading_term(ord_, f, Term(sign * lc, pk.unpack(lead, 1))))
     return sorted_basis(ord_, out)
 
 

@@ -61,6 +61,7 @@ from .poly import (
     exp_mul,
     initial_form,
     leading_term,
+    record_leading_term,
 )
 
 
@@ -98,8 +99,15 @@ def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> Sta
     standard basis w.r.t. ``H_new``'s ordering with the same leading terms
     as ``H_new``.  It is initially reduced, without a new completion, by the
     cone constructor.
+
+    Each witness keeps the leading term of its h, which is not searched for
+    again: its initial form at the shared weight w is h, and ``H_new``'s
+    ordering refines w, so its leading term lies among the terms of h and
+    is h's.
     """
-    return StandardBasis(tuple(witness(h, H, G) for h in H_new.elements), H_new.ordering)
+    ord_ = H_new.ordering
+    return StandardBasis(tuple(record_leading_term(ord_, witness(h, H, G), leading_term(ord_, h))
+                               for h in H_new.elements), ord_)
 
 
 def flip(G: StandardBasis, v, w) -> StandardBasis:

@@ -71,6 +71,7 @@ from .poly import (
     from_t_coefficients,
     leading_term,
     p_minus_t,
+    record_leading_term,
     strip_unit_t_content_view,
     t_coefficients,
     t_skeleton,
@@ -359,6 +360,15 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
     Bezout combination with p - t, minimises, then reduces the x-degree
     strata bottom up against everything already finished; the result always
     contains p - t.  Generic regime: ``generic_initial_reduce``.
+
+    Before the Bezout step, an element whose leading monomial another
+    element's strictly divides is dropped, since ``minimize`` would drop it
+    whatever the tie-breaks: it sorts a divisor of strictly smaller x-degree
+    or t-power first, and keeps that divisor or an element whose leading
+    monomial divides it in turn.  Elements with equal leading monomials all
+    stay, as ``minimize`` decides among them on their monic terms.  The
+    Bezout combination a*g + b*x^lm*(p - t) has the leading term 1*x^lm,
+    which is kept on it.
     """
     if not basis.elements:
         raise InvalidInput("empty standard basis")
@@ -367,16 +377,17 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
     ord_ = basis.ordering
     ctx = InredContext(prime, ord_)
     pt = p_minus_t(prime, basis.elements[0].nvars)
+    lts = [leading_term(ord_, g) for g in basis.elements]
+    lms = {lm for lc, lm in lts if lc % ctx.p}
     monic: list[Polynomial] = []
-    for g in basis.elements:
-        lc = leading_term(ord_, g).coeff
-        if lc % ctx.p == 0:
+    for g, (lc, lm) in zip(basis.elements, lts):
+        if lc % ctx.p == 0 or any(m != lm and exp_divides(m, lm) for m in lms):
             continue
         if lc != 1:
-            lm = leading_term(ord_, g).exp
             _, a, b = extended_gcd(lc, ctx.p)
             g = g * a + pt.term_mul(b, lm)
-            assert leading_term(ord_, g).coeff == 1
+            assert Term(1, lm) in g.terms, "Bezout leading coefficient must be 1"
+            g = record_leading_term(ord_, g, Term(1, lm))
         monic.append(g)
     strata: dict[int, list[Polynomial]] = {}
     for g in minimize(StandardBasis(tuple(monic), ord_)).elements:

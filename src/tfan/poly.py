@@ -371,8 +371,20 @@ def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
         raise InvalidInput("leading term of the zero polynomial is undefined")
     key = ord_.key
     lt = max(f.terms, key=lambda t: key(t.exp))
-    object.__setattr__(f, "_lt", (ord_, lt))
+    record_leading_term(ord_, f, lt)
     return lt
+
+
+def record_leading_term(ord_: MonomialOrdering, f: Polynomial, lt: Term) -> Polynomial:
+    """f, with ``lt`` kept as its leading term under ``ord_``, as a
+    ``leading_term`` call would keep it.
+
+    For callers that already know the leading term from how they built f;
+    ``lt`` must be the term ``leading_term`` would find, which nothing here
+    checks.
+    """
+    object.__setattr__(f, "_lt", (ord_, lt))
+    return f
 
 
 def tail(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
@@ -501,10 +513,15 @@ def strip_unit_t_content_view(coeffs: dict) -> dict:
     u(0) = 1 (``tpoly_gcd`` makes it positive) it is a unit of Z[[t]], so
     dividing by it changes neither the ideal generated nor any leading term.
     Contents whose t-free part has a nontrivial constant are left alone, and
-    then ``coeffs`` itself is returned.  The running gcd of the coefficients
-    stops early once it is a single term c*t^k: the content divides it, so
-    it is a single term too and has no unit part to strip.
+    then ``coeffs`` itself is returned.
+
+    Most views have a coefficient of a single term c*t^k, and then no gcd is
+    computed: the content divides that term, so it is a single term too and
+    has no unit part to strip.  For the same reason the running gcd of the
+    coefficients stops once it is a single term.
     """
+    if any(len(tp) == 1 for tp in coeffs.values()):
+        return coeffs
     content: TPoly = ()
     for tp in coeffs.values():
         content = tpoly_gcd(content, tp)

@@ -1,8 +1,12 @@
 """Shared test helpers: polynomial building, seeded random ideals, the
-pair builders and pair certificate that check completions, and the
-polynomial product by a Z[t] coefficient and the coefficient lookup that the
-initial-reduction oracles use."""
+pair builders and pair certificate that check completions, the polynomial
+product by a Z[t] coefficient and the coefficient lookup that the
+initial-reduction oracles use, the gcd loop that checks the content
+strip, and one query weight per maximal cone of the prime-regime benchmark
+fans."""
 
+import json
+import os
 import random
 import signal
 from contextlib import contextmanager
@@ -19,12 +23,22 @@ from tfan import (
     make_cone,
     mora_weak_nf,
 )
-from tfan.cli import parse_poly
+from tfan.cli import parse_poly, parse_problem
 from tfan.exact import extended_gcd
-from tfan.poly import exp_div, exp_lcm, t_coefficients
+from tfan.poly import (
+    exp_div,
+    exp_lcm,
+    t_coefficients,
+    tpoly_divexact,
+    tpoly_gcd,
+    tpoly_min_beta,
+    tpoly_shift,
+)
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def P(text, names):
@@ -45,6 +59,22 @@ def mul_tpoly(f, tp):
 def t_coefficient(f, alpha):
     """The Z[t] coefficient of x^alpha in f, as ((beta, c), ...) ascending."""
     return t_coefficients(f).get(tuple(alpha), ())
+
+
+def old_strip_unit_t_content_view(coeffs):
+    """The content strip of a Z[t]-coefficient view by its gcd loop alone:
+    the running gcd of the coefficients, stopped once it is a single term,
+    then division by its t-free part when that part is not constant and has
+    constant term 1."""
+    content = ()
+    for tp in coeffs.values():
+        content = tpoly_gcd(content, tp)
+        if len(content) == 1:
+            return coeffs
+    unit = tpoly_shift(content, -tpoly_min_beta(content))
+    if unit[0][1] != 1 or len(unit) == 1:
+        return coeffs
+    return {a: tpoly_divexact(tp, unit) for a, tp in coeffs.items()}
 
 
 def doctored_fig1_fans():
@@ -113,6 +143,27 @@ def prime_stream_member(k: int) -> Ideal:
     for _ in range(k):
         random_prime_ideal(rng)
     return random_prime_ideal(rng)
+
+
+def prime_benchmark_cones(monkeypatch, rng):
+    """(case name, parsed problem, weight) for one interior weight, drawn
+    with ``rng``, of each maximal cone of every prime-regime benchmark fan
+    that ``bench/reference.json`` records; ``bench`` is only read."""
+    monkeypatch.syspath_prepend(BENCH)
+    import checks
+    import corpus
+
+    with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as fh:
+        ref = json.load(fh)
+    params = ref["params"]
+    cases = corpus.prime_cases(params["prime_corpus_seed"], params["scaling_seeds"],
+                               ref["prime_keep"])
+    out = []
+    for name, text in cases:
+        problem = parse_problem(text)
+        for rays, lin in ref["fans"][name]["cones"]:
+            out.append((name, problem, checks.interior_weight(rays, lin, rng)))
+    return out
 
 
 @contextmanager

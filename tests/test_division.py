@@ -616,10 +616,12 @@ def test_lcm_past_the_limit_widens(monkeypatch):
 
 
 def test_pair_loop_computes_no_ordering_keys(monkeypatch):
-    """Keys of the ordering are computed only to normalise and sort the
-    inputs and the output, none in the pair loop.  With the key table the
-    packed loop replaced, this completion computed 185 keys, 98 of them in
-    the pair loop; the packed loop computes none there."""
+    """Keys of the ordering are computed only to normalise the inputs and
+    to sort the output, one per element, none in the pair loop and none to
+    find the output's leading terms.  With the key table the packed loop
+    replaced, this completion computed 185 keys, 98 of them in the pair
+    loop; the packed loop computes none there.  Searching the output for
+    its leading terms took 87 keys in all; carrying them takes 23."""
     calls = {"all": 0, "loop": 0}
     inside = []
     key = MonomialOrdering.key
@@ -643,7 +645,7 @@ def test_pair_loop_computes_no_ordering_keys(monkeypatch):
     sb = standard_basis(MonomialOrdering(((-1, 1, 1, 1),), (0, 1, 2)), ideal.gens)
     assert len(sb.elements) == 14
     assert calls["loop"] == 0
-    assert calls["all"] <= 90
+    assert calls["all"] <= 23
 
 
 # --- pair criteria over Z ------------------------------------------------------

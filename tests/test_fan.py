@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import tfan.fan
+import tfan.inred
 from tfan import (
     Ideal,
+    MonomialOrdering,
     StandardBasis,
     WitnessFailed,
     boundary_fan,
@@ -39,6 +42,7 @@ from helpers import (
     XYZ,
     doctored_fig1_fans,
     polys,
+    prime_benchmark_cones,
     random_prime_ideal,
 )
 
@@ -341,3 +345,45 @@ class TestInvariantsFlagDoctoredFans:
         flagged = unpaired_facets(doctored["facet-pairs"])
         assert [c for c, _ in flagged] == [0, 1]
         assert flagged[0][1] == tuple(-x for x in flagged[1][1])
+
+
+def test_carried_leading_terms_match_recomputed(monkeypatch):
+    """The leading terms that ``standard_basis``, ``lift`` and the prime
+    Bezout step keep on the elements they build, without searching for
+    them, are the terms a search over each element finds: at one query per
+    benchmark cone, and along the whole benchmark fans and the fans of
+    seeded random prime ideals.  The Bezout step's elements are what
+    ``initially_reduce`` hands to ``minimize``."""
+    checked = {"standard_basis": 0, "lift": 0, "bezout": 0}
+
+    def assert_carried(stage, basis):
+        ord_ = basis.ordering
+        for f in basis.elements:
+            assert f._lt is not None and f._lt[0] is ord_, (stage, f)
+            assert f._lt[1] == max(f.terms, key=lambda t: ord_.key(t.exp)), (stage, f)
+            checked[stage] += 1
+
+    def checking(stage, fn, result=True):
+        def wrapper(*args):
+            out = fn(*args)
+            assert_carried(stage, out if result else args[0])
+            return out
+        return wrapper
+
+    for module in (tfan.fan, tfan.inred):
+        monkeypatch.setattr(module, "standard_basis",
+                            checking("standard_basis", module.standard_basis))
+    monkeypatch.setattr(tfan.fan, "lift", checking("lift", tfan.fan.lift))
+    monkeypatch.setattr(tfan.inred, "minimize",
+                        checking("bezout", tfan.inred.minimize, result=False))
+    cones = prime_benchmark_cones(monkeypatch, random.Random(20))
+    ideals = {}
+    for _, problem, w in cones:
+        groebner_cone_at(MonomialOrdering((w,), problem.tiebreak), problem.gens, problem.prime)
+        ideals[problem.ideal()] = problem.tiebreak
+    rng = random.Random(20)
+    for _ in range(8):
+        ideals[random_prime_ideal(rng)] = None
+    for ideal, tiebreak in ideals.items():
+        groebner_fan(ideal, tiebreak=tiebreak)
+    assert len(cones) == 42 and all(checked.values()), checked

@@ -4,13 +4,16 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+import tfan.inred
 from tfan import (
     InredContext,
     InvalidInput,
+    MonomialOrdering,
     Polynomial,
     StandardBasis,
     ensure_initially_reduced,
     generic_initial_reduce,
+    initially_reduce,
     inred_same_degree,
     inred_step_by_step,
     is_initially_reduced,
@@ -22,7 +25,8 @@ from tfan import (
     t_skeleton,
     weighted_ordering,
 )
-from tfan.exact import p_valuation
+from tfan.division import sorted_basis
+from tfan.exact import extended_gcd, p_valuation
 from tfan.inred import _p_reduce_view
 from tfan.poly import (
     exp_divides,
@@ -35,7 +39,16 @@ from tfan.poly import (
     x_degree,
 )
 
-from helpers import P, XY, XYZ, mul_tpoly, polys, t_coefficient
+from helpers import (
+    P,
+    XY,
+    XYZ,
+    mul_tpoly,
+    polys,
+    prime_benchmark_cones,
+    random_prime_ideal,
+    t_coefficient,
+)
 
 X123 = ["x1", "x2", "x3"]
 
@@ -511,47 +524,104 @@ def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
     """At one interior weight of each maximal cone of every prime-regime
     benchmark fan, initial reduction of the standard basis gives the same
     basis through the view kernel as through the polynomial loop."""
-    import json
-    import os
-
-    import tfan.inred
-    from tfan import MonomialOrdering, initially_reduce
-    from tfan.cli import parse_problem
-
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-    monkeypatch.syspath_prepend(bench)
-    import checks
-    import corpus
-
-    with open(os.path.join(bench, "reference.json"), encoding="utf-8") as fh:
-        ref = json.load(fh)
-    params = ref["params"]
-    cases = corpus.prime_cases(params["prime_corpus_seed"], params["scaling_seeds"],
-                               ref["prime_keep"])
-    rng = random.Random(18)
-    compared = 0
     calls = []
 
     def counted_old_inred_step_by_step(ctx, G, H):
         calls.append(len(H))
         return old_inred_step_by_step(ctx, G, H)
 
-    for name, text in cases:
-        problem = parse_problem(text)
-        for rays, lin in ref["fans"][name]["cones"]:
-            w = checks.interior_weight(rays, lin, rng)
-            sb = standard_basis(MonomialOrdering((w,), problem.tiebreak), problem.gens)
-            new = initially_reduce(sb, problem.prime)
-            made = len(calls)
-            with monkeypatch.context() as m:
-                m.setattr(tfan.inred, "inred_step_by_step", counted_old_inred_step_by_step)
-                old = initially_reduce(sb, problem.prime)
-            # the oracle ran, so the comparison is not the new code against itself
-            assert len(calls) > made, (name, w)
-            assert new.elements == old.elements, (name, w)
-            assert is_initially_reduced(sb.ordering, new.elements), (name, w)
-            compared += 1
-    assert compared == sum(len(ref["fans"][name]["cones"]) for name, _ in cases)
+    cones = prime_benchmark_cones(monkeypatch, random.Random(18))
+    for name, problem, w in cones:
+        sb = standard_basis(MonomialOrdering((w,), problem.tiebreak), problem.gens)
+        new = initially_reduce(sb, problem.prime)
+        made = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(tfan.inred, "inred_step_by_step", counted_old_inred_step_by_step)
+            old = initially_reduce(sb, problem.prime)
+        # the oracle ran, so the comparison is not the new code against itself
+        assert len(calls) > made, (name, w)
+        assert new.elements == old.elements, (name, w)
+        assert is_initially_reduced(sb.ordering, new.elements), (name, w)
+    assert len(cones) == 42
+
+
+def old_initially_reduce(basis, prime, egcd=extended_gcd):
+    """Prime-regime ``initially_reduce`` by Bezout-normalising every
+    candidate, then minimising.  The elements are copied first, so no
+    leading term kept on them is used."""
+    ord_ = basis.ordering
+    ctx = InredContext(prime, ord_)
+    pt = p_minus_t(prime, basis.elements[0].nvars)
+    monic = []
+    for g in (Polynomial(g.terms) for g in basis.elements):
+        lc = leading_term(ord_, g).coeff
+        if lc % prime == 0:
+            continue
+        if lc != 1:
+            lm = leading_term(ord_, g).exp
+            _, a, b = egcd(lc, prime)
+            g = g * a + pt.term_mul(b, lm)
+            assert leading_term(ord_, g).coeff == 1
+        monic.append(g)
+    strata = {}
+    for g in minimize(StandardBasis(tuple(monic), ord_)).elements:
+        strata.setdefault(x_degree(g), []).append(g)
+    done = []
+    for d in sorted(strata):
+        done.extend(inred_step_by_step(ctx, done, strata[d]))
+    return StandardBasis(tuple(done) + (pt,), ord_)
+
+
+def counting(calls, fn):
+    """fn, appending each call's arguments to ``calls``."""
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+def test_filter_before_bezout_keeps_the_survivors(monkeypatch):
+    """Dropping candidates whose leading monomial another's strictly divides
+    before the Bezout step gives the bases that Bezout-normalising every
+    candidate gives, with fewer Bezout steps: at one weight per benchmark
+    cone, and at the start and two random weights of seeded random prime
+    ideals."""
+    new_calls, old_calls = [], []
+    monkeypatch.setattr(tfan.inred, "extended_gcd", counting(new_calls, extended_gcd))
+    old_egcd = counting(old_calls, extended_gcd)
+    cases = [(problem.gens, problem.prime, MonomialOrdering((w,), problem.tiebreak))
+             for _, problem, w in prime_benchmark_cones(monkeypatch, random.Random(20))]
+    rng = random.Random(20)
+    for _ in range(12):
+        ideal = random_prime_ideal(rng)
+        n = ideal.nvars
+        weights = [(-1,) + (1,) * n] + [
+            (-rng.randint(1, 4),) + tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(2)]
+        cases.extend((ideal.gens, ideal.prime, weighted_ordering(w, n)) for w in weights)
+    for gens, prime, ord_ in cases:
+        sb = standard_basis(ord_, gens)
+        assert initially_reduce(sb, prime).elements == \
+            old_initially_reduce(sb, prime, old_egcd).elements, (gens, ord_)
+    assert 0 < len(new_calls) < len(old_calls)
+
+
+def test_bezout_tie_is_broken_on_the_monic_terms(monkeypatch):
+    """Two candidates share the leading monomial x with leading coefficients
+    1 and 2 (p = 3).  The Bezout combination of the second, x - t*x -
+    t^2*y, sorts before x + t*y in ``minimize`` and survives, so both must
+    reach the Bezout step; 2*x^2 + t*y^2, whose leading monomial x^2 is
+    strictly divided by x, is dropped before it.  The basis is made by hand
+    for the tie; ``initially_reduce`` does not check that it is standard."""
+    o = weighted_ordering((-1, 1, 1), 2)
+    basis = sorted_basis(o, polys(XY, "3 - t", "x + t*y", "2*x + t^2*y", "2*x^2 + t*y^2"))
+    new_calls, old_calls = [], []
+    monkeypatch.setattr(tfan.inred, "extended_gcd", counting(new_calls, extended_gcd))
+    new = initially_reduce(basis, 3)
+    old = old_initially_reduce(basis, 3, counting(old_calls, extended_gcd))
+    assert new.elements == old.elements == polys(XY, "x - t*x - t^2*y", "3 - t")
+    assert [args[0] for args in new_calls] == [2]
+    assert sorted(args[0] for args in old_calls) == [2, 2]
 
 
 class TestDriver:

@@ -29,12 +29,21 @@ from tfan import (
 from tfan.cli import parse_problem
 from tfan.poly import (
     strip_unit_t_content,
+    strip_unit_t_content_view,
     t_coefficients,
     tpoly_divexact,
     tpoly_gcd,
 )
 
-from helpers import P, XY, XYZ, mul_tpoly, polys, t_coefficient
+from helpers import (
+    P,
+    XY,
+    XYZ,
+    mul_tpoly,
+    old_strip_unit_t_content_view,
+    polys,
+    t_coefficient,
+)
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "demos", "ideals")
@@ -277,6 +286,46 @@ def test_strip_unit_t_content():
     assert strip_unit_t_content(f) == P("t^3*y^4", XY)
     g = P("2 - t", XY)  # constant part 2: no unit factor
     assert strip_unit_t_content(g) == g
+
+
+def content_view(content, cofactors):
+    """The view {alpha_i: content * cofactors[i]} over the x-monomials
+    x^i, with every Z[t] polynomial given as a dense list."""
+    return {(i,): tp(dense_mul(content, c)) for i, c in enumerate(cofactors)}
+
+
+@pytest.mark.parametrize("content, cofactors, stripped", [
+    # a single-term coefficient after multi-term ones: nothing to strip
+    ([1], [[1, 1], [2, 0, 1], [0, 0, 3]], False),
+    # a shared unit content 1 + t
+    ([1, 1], [[1], [2, 1], [0, -3, 1]], True),
+    # content t^2 * (1 + t): the unit part goes, the power of t stays
+    ([0, 0, 1, 1], [[1, 2], [3], [1, 0, -1]], True),
+    # content 2 + t is not a unit of Z[[t]] and stays
+    ([2, 1], [[1], [1, 1], [-1, 0, 2]], False),
+])
+def test_strip_unit_t_content_view_cases(content, cofactors, stripped):
+    view = content_view(content, cofactors)
+    out = strip_unit_t_content_view(view)
+    assert out == old_strip_unit_t_content_view(view)
+    assert (out is not view) == stripped
+    if stripped:
+        k = next(i for i, c in enumerate(content) if c)
+        assert out == {a: tp([0] * k + c) for a, c in zip(view, cofactors)}
+
+
+@seed(20)
+@settings(max_examples=200, deadline=None)
+@given(content=st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+       cofactors=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+                          min_size=1, max_size=4),
+       shift=st.integers(0, 2))
+def test_strip_unit_t_content_view_matches_gcd_loop(content, cofactors, shift):
+    view = content_view([0] * shift + content, cofactors)
+    out = strip_unit_t_content_view(view)
+    old = old_strip_unit_t_content_view(view)
+    assert out == old
+    assert (out is view) == (old is view)
 
 
 def tp(dense):
