@@ -74,6 +74,13 @@ class Facet(NamedTuple):
     outer_normal: Vec
     in_boundary: bool  # facet contained in {0} x R^n
 
+    @property
+    def key(self) -> tuple:
+        """The facet cone's canonical key (rays, lineality), read off the
+        V-description that ``facets`` sets on it, so it costs no sweep."""
+        data = self.cone._data
+        return (data.rays, data.lineality)
+
 
 def _dedupe_rows(rows):
     seen = set()
@@ -217,9 +224,15 @@ def facets(cone: HCone) -> list[Facet]:
     parent: the tight rays (still sorted), the parent's lineality and one
     dimension less, so it is never swept.  Facets inside {0} x R^n are
     flagged so fan traversal can skip them.
+
+    The parent's rows are made canonical once: a facet cone is the parent's
+    deduplicated inequalities with its row a added to the deduplicated
+    equations, which is ``make_cone``'s cone for it since a is one of the
+    deduplicated rows already.
     """
     data = dd_rays(cone)
     rows = _dedupe_rows(cone.all_ineq_rows())
+    ineqs, eqs = _dedupe_rows(cone.ineqs), set(_dedupe_rows(cone.eqs))
     masks = [sum(1 << i for i, r in enumerate(data.rays) if dot(a, r) == 0) for a in rows]
     proper = set(masks) - {(1 << len(data.rays)) - 1}
     maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
@@ -229,7 +242,7 @@ def facets(cone: HCone) -> list[Facet]:
             continue
         maximal.discard(m)  # later rows with this tight set repeat the facet
         tight = tuple(r for i, r in enumerate(data.rays) if m >> i & 1)
-        fc = make_cone(cone.dim_ambient, cone.ineqs, cone.eqs + (a,))
+        fc = HCone(cone.dim_ambient, ineqs, tuple(sorted(eqs | {a})))
         object.__setattr__(fc, "_data", ConeData(tight, data.lineality, data.dim - 1))
         out.append(Facet(fc, primitive(vneg(a)), all(r[0] == 0 for r in tight)))
     out.sort(key=lambda f: f.outer_normal)

@@ -8,7 +8,10 @@ Three engines live here:
   divisibility over Z: coefficient divides and exponents are componentwise
   <=).  Terms nobody divides move to the remainder.  Termination is
   guaranteed when dividend and divisors are x-homogeneous and weighted
-  homogeneous for one weight with negative t-entry.
+  homogeneous for one weight with negative t-entry.  The running remainder
+  is an ``exp -> coeff`` dict whose exponents each get their ordering key
+  once, so a step builds no Polynomial and searches no leading term again.
+  The flip's lift is its one caller in a computation.
 
 * ``mora_weak_nf`` -- weak normal form with a unit multiplier u, lt(u) = 1.
   t-local orderings are not well-founded (1 > t > t^2 > ...), so plain tail
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DivisionDiverged, InvalidInput
@@ -61,7 +64,9 @@ from .poly import (
     Polynomial,
     Term,
     exp_div,
+    exp_divides,
     exp_lcm,
+    exp_mul,
     exp_x_degree,
     from_t_coefficients,
     leading_term,
@@ -98,28 +103,50 @@ def ecart(ord_: MonomialOrdering, f: Polynomial) -> int:
 
 def hddwr(ord_: MonomialOrdering, f: Polynomial,
           divisors: Sequence[Polynomial]) -> DivisionResult:
-    """Determinate division f = sum q_i g_i + r, no term of r divisible."""
+    """Determinate division f = sum q_i g_i + r, no term of r divisible.
+
+    The running remainder is an ``exp -> coeff`` dict, and the ``ord_.key``
+    of each exponent it holds is computed once, when the exponent first
+    enters it.  Each step takes the exponent of greatest key, which is the
+    term ``leading_term`` would pick, since the key orders exponents
+    totally.
+    """
     lts = [leading_term(ord_, g) for g in divisors]
-    quotient_parts: list[list[Term]] = [[] for _ in divisors]
-    rem_parts: list[Term] = []
-    h = f
+    key = ord_.key
+    h = {e: c for c, e in f.terms}
+    keys = {e: key(e) for e in h}
+    quotient_parts: list[list[tuple]] = [[] for _ in divisors]
+    rem_parts: list[tuple] = []
     steps = 0
     while h:
-        t = leading_term(ord_, h)
+        e = max(h, key=keys.__getitem__)
+        c = h[e]
         for i, lt in enumerate(lts):
-            if term_divides(lt, t):
-                m = Term(t.coeff // lt.coeff, exp_div(t.exp, lt.exp))
-                quotient_parts[i].append(m)
-                h = h - divisors[i].term_mul(m.coeff, m.exp)
+            if c % lt.coeff == 0 and exp_divides(lt.exp, e):
+                q, m = c // lt.coeff, tuple(map(sub, e, lt.exp))
+                quotient_parts[i].append((q, m))
+                # the leading term's image is e, where q*lt.coeff cancels c
+                for gc, ge in divisors[i].terms:
+                    p, d = exp_mul(ge, m), q * gc
+                    v = h.get(p)
+                    if v is None:
+                        h[p] = -d
+                        if p not in keys:
+                            keys[p] = key(p)
+                    elif v == d:
+                        del h[p]
+                    else:
+                        h[p] = v - d
                 break
         else:
-            rem_parts.append(t)
-            h = Polynomial(tuple(u for u in h.terms if u.exp != t.exp))
+            rem_parts.append((c, e))
+            del h[e]
         steps += 1
         if steps > STEP_CAP:
             raise DivisionDiverged(
                 f"determinate division exceeded {STEP_CAP} steps",
-                trace=[str(t.exp) for t in h.terms[:4]],
+                trace=[str(t.exp) for t in
+                       Polynomial.from_terms((c, e) for e, c in h.items()).terms[:4]],
             )
     return DivisionResult(tuple(Polynomial.from_terms(q) if q else Polynomial.zero()
                                 for q in quotient_parts),

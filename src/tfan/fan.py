@@ -7,10 +7,15 @@ Groebner fans", 2007): take initial forms of the basis at a relative
 interior point w of the facet, compute a standard basis of the (much
 simpler, weighted homogeneous) initial ideal under the weight-chain
 ordering (w, outer normal), and pull each of its elements back to the full
-ideal with a determinate division witness.  The next cone is read off the
-initially reduced lifted basis.  Facets whose relative interior already
-lies in a known cone are recorded as adjacencies and skipped, and facets
-inside the boundary hyperplane {0} x R^n are never crossed.
+ideal with a determinate division witness; an element that is one of the
+initial forms, and that no earlier form's leading term divides, needs no
+division (see ``lift``).  The next cone is read off the initially reduced
+lifted basis.  As in that paper, cones are told apart by their facets, not
+by containment: each facet is registered under its canonical key when its
+cone is made, and a facet whose key another known cone has is recorded as
+an adjacency and skipped.  Only a facet whose key no other cone has gets a
+relative interior point and a containment scan, so no cone is added twice.
+Facets inside the boundary hyperplane {0} x R^n are never crossed.
 
 The lift already is a standard basis of the full ideal for the new
 ordering, so the adjacent cone's constructor only initially reduces it
@@ -39,6 +44,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cone import (
+    Facet,
     GroebnerCone,
     HCone,
     boundary_cone,
@@ -53,7 +59,7 @@ from .cone import (
 from .division import StandardBasis, hddwr, minimize, normalize_element, standard_basis
 from .errors import InvalidInput, NonGenericWeight, WitnessFailed
 from .exact import dot, rank
-from .inred import ensure_initially_reduced, initially_reduce
+from .inred import _fmt_term, _fmt_vector, ensure_initially_reduced, initially_reduce
 from .poly import (
     Ideal,
     MonomialOrdering,
@@ -62,6 +68,7 @@ from .poly import (
     initial_form,
     leading_term,
     record_leading_term,
+    term_divides,
 )
 
 
@@ -85,7 +92,10 @@ def witness(h: Polynomial, H: Sequence[Polynomial], G: StandardBasis) -> Polynom
         raise InvalidInput("initial forms and basis differ in length")
     q, r = hddwr(G.ordering, h, H)
     if not r.is_zero:
-        raise WitnessFailed("division by the initial forms left a remainder")
+        raise WitnessFailed(
+            "division by the initial forms left a remainder: lifting the form with "
+            f"leading term {_fmt_term(leading_term(G.ordering, h))} left the term "
+            f"{_fmt_term(leading_term(G.ordering, r))} undivided")
     return Polynomial.from_terms((c1 * c2, exp_mul(e1, e2))
                                  for qi, gi in zip(q, G.elements)
                                  for c1, e1 in qi.terms for c2, e2 in gi.terms)
@@ -100,14 +110,30 @@ def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> Sta
     as ``H_new``.  It is initially reduced, without a new completion, by the
     cone constructor.
 
-    Each witness keeps the leading term of its h, which is not searched for
-    again: its initial form at the shared weight w is h, and ``H_new``'s
-    ordering refines w, so its leading term lies among the terms of h and
-    is h's.
+    An element h that is an initial form H_k, where no earlier H_i has a
+    leading term (under G's ordering) that term-divides H_k's, passes
+    through: it lifts to a copy of G_k with no division.  That is what the
+    division gives.  Its first step reduces h's leading term, H_k's, by the
+    first initial form whose leading term term-divides it, which is H_k,
+    and leaves zero; so the only quotient is 1, at k, and the witness is
+    G_k.  Every other element is witnessed by ``witness``.
+
+    Each lifted element keeps the leading term of its h, which is not
+    searched for again: its initial form at the shared weight w is h, and
+    ``H_new``'s ordering refines w, so its leading term lies among the terms
+    of h and is h's.
     """
-    ord_ = H_new.ordering
-    return StandardBasis(tuple(record_leading_term(ord_, witness(h, H, G), leading_term(ord_, h))
-                               for h in H_new.elements), ord_)
+    if len(H) != len(G.elements):
+        raise InvalidInput("initial forms and basis differ in length")
+    ord_, lts = H_new.ordering, [leading_term(G.ordering, f) for f in H]
+    through = {f: k for k, f in enumerate(H)
+               if not any(term_divides(lt, lts[k]) for lt in lts[:k])}
+    out = []
+    for h in H_new.elements:
+        k = through.get(h)
+        g = witness(h, H, G) if k is None else Polynomial(G.elements[k].terms)
+        out.append(record_leading_term(ord_, g, leading_term(ord_, h)))
+    return StandardBasis(tuple(out), ord_)
 
 
 def flip(G: StandardBasis, v, w) -> StandardBasis:
@@ -159,10 +185,12 @@ def _cone_from_adjacent(G_new: StandardBasis, prime: int | None) -> GroebnerCone
     assert not hc.eqs, "leading terms cannot produce equations"
     u = relative_interior_point(hc)
     if u[0] >= 0:
-        raise NonGenericWeight("adjacent cone has no interior weight below the boundary")
+        raise NonGenericWeight("adjacent cone has no interior weight below the boundary: "
+                               f"the re-anchored weight {_fmt_vector(u)} has t-entry >= 0")
     cone = GroebnerCone(hc, StandardBasis(basis.elements, ord_new.with_weights(u)))
     if cone.initial_forms != lts:
-        raise NonGenericWeight("re-anchored weight is not interior")
+        raise NonGenericWeight(f"re-anchored weight {_fmt_vector(u)} is not interior: "
+                               "its initial forms are not the leading terms")
     return cone
 
 
@@ -186,41 +214,64 @@ def _perturbed(base, k):
     )
 
 
+# Start weights tried by ``groebner_fan``: the base weight, then perturbations.
+_START_ATTEMPTS = 200
+
+
 def groebner_fan(ideal: Ideal, tiebreak=None, start_weight=None) -> Fan:
     """All maximal Groebner cones of an x-homogeneous ideal, with adjacency.
 
-    Breadth-first facet traversal with containment-based deduplication: a
-    facet is crossed only when its relative interior point is in no known
-    cone; otherwise the containing cone is recorded as adjacent.
+    Breadth-first facet traversal that tells cones apart by their facets.
+    Each cone's facets are computed once, when the cone is created, and
+    every facet off the boundary is registered under its canonical key
+    (rays, lineality), which it carries from its cone's sweep.  In a
+    face-to-face fan the cone across a facet has that same facet, so a facet
+    met again from its other side finds its neighbour by a dict lookup.
+    Only a key miss computes the facet's relative interior point and scans
+    the known cones for it; the facet is crossed when no cone contains the
+    point, and otherwise the containing cone is its neighbour.  So no cone is
+    added twice even where cones meet in a face that is not a facet of both.
     """
     n = ideal.nvars
     perm = tuple(tiebreak) if tiebreak is not None else tuple(range(n))
     base_w = tuple(start_weight) if start_weight is not None else default_weight(n)
-    for k in range(200):
+    for k in range(_START_ATTEMPTS):
         w = base_w if k == 0 else _perturbed(base_w, k)
         start = groebner_cone_at(MonomialOrdering((w,), perm), ideal.gens, ideal.prime)
         if not start.hcone.eqs:
             break
     else:
-        raise NonGenericWeight("could not find a generic starting weight")
+        raise NonGenericWeight(
+            f"could not find a generic starting weight: the base weight {_fmt_vector(base_w)} "
+            f"and its perturbations gave a cone with equations in all {_START_ATTEMPTS} attempts")
 
-    cones: list[GroebnerCone] = [start]
+    cones: list[GroebnerCone] = []
+    interior_facets: list[list[Facet]] = []  # per cone, the facets off the boundary
+    owners: dict[tuple, list[int]] = {}  # facet key -> the cones having that facet
+    queue: deque[int] = deque()
+
+    def add(cone: GroebnerCone) -> int:
+        j = len(cones)
+        cones.append(cone)
+        interior_facets.append([f for f in facets(cone.hcone) if not f.in_boundary])
+        for facet in interior_facets[j]:
+            owners.setdefault(facet.key, []).append(j)
+        queue.append(j)
+        return j
+
+    add(start)
     adjacency: dict[frozenset, HCone] = {}
-    queue: deque[int] = deque([0])
     while queue:
         idx = queue.popleft()
-        cone = cones[idx]
-        for facet in facets(cone.hcone):
-            if facet.in_boundary:
-                continue
-            wpt = relative_interior_point(facet.cone)
-            j = next((k for k, c in enumerate(cones)
-                      if k != idx and contains(c.hcone, wpt)), None)
+        for facet in interior_facets[idx]:
+            j = next((k for k in owners[facet.key] if k != idx), None)
             if j is None:
-                flipped = flip(cone.basis, facet.outer_normal, wpt)
-                cones.append(_cone_from_adjacent(flipped, ideal.prime))
-                j = len(cones) - 1
-                queue.append(j)
+                wpt = relative_interior_point(facet.cone)
+                j = next((k for k, c in enumerate(cones)
+                          if k != idx and contains(c.hcone, wpt)), None)
+                if j is None:
+                    flipped = flip(cones[idx].basis, facet.outer_normal, wpt)
+                    j = add(_cone_from_adjacent(flipped, ideal.prime))
             adjacency.setdefault(frozenset((idx, j)), facet.cone)
 
     order = sorted(range(len(cones)), key=lambda i: cones[i].canonical_key())
@@ -299,7 +350,9 @@ def unpaired_facets(fan: Fan) -> list[tuple[int, tuple]]:
 
     A facet off the boundary hyperplane must have its relative interior
     point in exactly one other maximal cone, and that pair of cones must be
-    recorded in ``fan.adjacency``.
+    recorded in ``fan.adjacency``.  The partners are found by containment,
+    not by the facet keys ``groebner_fan`` pairs facets with, so this check
+    shares no code with the traversal it checks.
     """
     hcones = [c.hcone for c in fan.maximal_cones]
     pairs = {frozenset((i, j)) for i, j, _ in fan.adjacency}

@@ -2,8 +2,9 @@
 pair builders and pair certificate that check completions, the polynomial
 product by a Z[t] coefficient and the coefficient lookup that the
 initial-reduction oracles use, the gcd loop that checks the content
-strip, and one query weight per maximal cone of the prime-regime benchmark
-fans."""
+strip, the determinate division by polynomial arithmetic that checks
+``hddwr``, the demo problems, and one query weight per maximal cone of the
+prime-regime benchmark fans."""
 
 import json
 import os
@@ -14,9 +15,11 @@ from dataclasses import replace
 from math import gcd
 
 from tfan import (
+    DivisionResult,
     Fan,
     Ideal,
     Polynomial,
+    Term,
     groebner_fan,
     intersect,
     leading_term,
@@ -29,6 +32,7 @@ from tfan.poly import (
     exp_div,
     exp_lcm,
     t_coefficients,
+    term_divides,
     tpoly_divexact,
     tpoly_gcd,
     tpoly_min_beta,
@@ -38,7 +42,8 @@ from tfan.poly import (
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(REPO, "bench")
 
 
 def P(text, names):
@@ -75,6 +80,47 @@ def old_strip_unit_t_content_view(coeffs):
     if unit[0][1] != 1 or len(unit) == 1:
         return coeffs
     return {a: tpoly_divexact(tp, unit) for a, tp in coeffs.items()}
+
+
+def demo_problem(name):
+    """The parsed problem of ``demos/ideals/<name>.ideal``."""
+    with open(os.path.join(REPO, "demos", "ideals", name + ".ideal"), encoding="utf-8") as fh:
+        return parse_problem(fh.read())
+
+
+def bench_modules(monkeypatch):
+    """The benchmark's ``corpus`` and ``checks`` modules; ``bench`` is only
+    read."""
+    monkeypatch.syspath_prepend(BENCH)
+    import checks
+    import corpus
+
+    return corpus, checks
+
+
+def old_hddwr(ord_, f, divisors):
+    """Determinate division by polynomial arithmetic: each step searches the
+    running remainder for its leading term and subtracts the first divisor
+    whose leading term term-divides it, shifted, as a Polynomial; a term
+    no divisor's leading term divides moves to the remainder."""
+    lts = [leading_term(ord_, g) for g in divisors]
+    quotient_parts = [[] for _ in divisors]
+    rem_parts = []
+    h = f
+    while h:
+        t = leading_term(ord_, h)
+        for i, lt in enumerate(lts):
+            if term_divides(lt, t):
+                m = Term(t.coeff // lt.coeff, exp_div(t.exp, lt.exp))
+                quotient_parts[i].append(m)
+                h = h - divisors[i].term_mul(m.coeff, m.exp)
+                break
+        else:
+            rem_parts.append(t)
+            h = Polynomial(tuple(u for u in h.terms if u.exp != t.exp))
+    return DivisionResult(tuple(Polynomial.from_terms(q) if q else Polynomial.zero()
+                                for q in quotient_parts),
+                          Polynomial.from_terms(rem_parts))
 
 
 def doctored_fig1_fans():
@@ -149,10 +195,7 @@ def prime_benchmark_cones(monkeypatch, rng):
     """(case name, parsed problem, weight) for one interior weight, drawn
     with ``rng``, of each maximal cone of every prime-regime benchmark fan
     that ``bench/reference.json`` records; ``bench`` is only read."""
-    monkeypatch.syspath_prepend(BENCH)
-    import checks
-    import corpus
-
+    corpus, checks = bench_modules(monkeypatch)
     with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as fh:
         ref = json.load(fh)
     params = ref["params"]

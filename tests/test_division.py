@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import mul
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -33,6 +34,7 @@ from helpers import (
     XYZ,
     assert_pairs_reduce_to_zero,
     old_gcd_poly,
+    old_hddwr,
     old_s_poly,
     polys,
     prime_stream_member,
@@ -747,3 +749,52 @@ def test_pair_criteria_halve_head_reductions(monkeypatch):
     sb = standard_basis(MonomialOrdering(((-1, 1, 1, 1),), (0, 1, 2)), ideal.gens)
     assert len(sb.elements) == 14
     assert len(calls) <= 55  # 110 without the criteria
+
+
+@st.composite
+def division_problems(draw):
+    """(ordering, dividend, divisors) on which determinate division ends,
+    in two or three variables.  Every divisor is x-homogeneous and weighted
+    homogeneous for one weight w = (-1, a) (the initial forms the lift
+    divides by are, for a facet point), so a step keeps the x-degree and
+    w-degree of the term it reduces, and only finitely many terms share
+    them; a dividend is a sum of terms, each its own such class.  The
+    ordering is any t-local one.  The dividend mixes free terms, which may
+    stay in the remainder, with term multiples of the divisors;
+    coefficients take both signs."""
+    n = draw(st.integers(2, 3))
+    coeff = st.integers(-4, 4).filter(bool)
+    a = draw(st.tuples(*[st.integers(0, 3)] * n))
+    o = MonomialOrdering(((draw(st.integers(-3, -1)),)
+                          + draw(st.tuples(*[st.integers(-3, 3)] * n)),),
+                         tuple(draw(st.permutations(range(n)))))
+    divisors = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 2))
+        alphas = draw(st.lists(st.tuples(*[st.integers(0, d)] * n).filter(
+            lambda al: sum(al) == d), min_size=1, max_size=3, unique=True))
+        degs = [sum(map(mul, a, al)) for al in alphas]
+        low = min(degs) - draw(st.integers(0, 2))
+        divisors.append(Polynomial.from_terms((draw(coeff), (deg - low,) + al)
+                                              for al, deg in zip(alphas, degs)))
+    exps = st.tuples(*[st.integers(0, 3)] * (1 + n))
+    f = Polynomial.from_terms((c, e) for e, c in draw(
+        st.dictionaries(exps, coeff, max_size=5)).items())
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(divisors))
+        f = f + g.term_mul(draw(coeff), draw(st.tuples(*[st.integers(0, 2)] * (1 + n))))
+    return o, f, tuple(divisors)
+
+
+@seed(21)
+@settings(max_examples=300, deadline=None)
+@given(problem=division_problems())
+@example(problem=(lex_ordering(2), P("3*x^2*y + 2*x*y - t*y^2 + 5", XY),
+                  polys(XY, "2*x + y", "-3*y", "x")))
+def test_hddwr_matches_polynomial_division(problem):
+    """The dict kernel of ``hddwr`` takes the oracle's steps: the same
+    quotients and the same remainder."""
+    o, f, G = problem
+    res = hddwr(o, f, G)
+    assert res == old_hddwr(o, f, G)
+    check_division_identity(o, f, G, res)

@@ -1,13 +1,18 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import tfan.cone
 import tfan.fan
 import tfan.inred
 from tfan import (
     Ideal,
     MonomialOrdering,
+    NonGenericWeight,
+    Polynomial,
     StandardBasis,
     WitnessFailed,
     boundary_fan,
@@ -27,6 +32,7 @@ from tfan import (
     weighted_ordering,
     witness,
 )
+from tfan.cli import parse_problem
 from tfan.fan import (
     bad_meets,
     lineality_misses,
@@ -40,10 +46,14 @@ from helpers import (
     P,
     XY,
     XYZ,
+    bench_modules,
+    demo_problem,
     doctored_fig1_fans,
+    old_hddwr,
     polys,
     prime_benchmark_cones,
     random_prime_ideal,
+    time_limit,
 )
 
 
@@ -387,3 +397,205 @@ def test_carried_leading_terms_match_recomputed(monkeypatch):
     for ideal, tiebreak in ideals.items():
         groebner_fan(ideal, tiebreak=tiebreak)
     assert len(cones) == 42 and all(checked.values()), checked
+
+
+# --- the flip path: pass-through lift, facet keys, errors -------------------
+
+
+def flip_cases(monkeypatch):
+    """(name, ideal, tiebreak) of the four demo fans, eight seeded random
+    prime-regime ideals and the first twelve members of the generic stream
+    ``corpus.generic_ideals(9)``."""
+    out = []
+    for name in ("fig1", "flip", "linear", "worked3"):
+        problem = demo_problem(name)
+        out.append((name, problem.ideal(), problem.tiebreak))
+    rng = random.Random(20)
+    out += [(f"prime20-{k}", random_prime_ideal(rng), None) for k in range(8)]
+    corpus, _ = bench_modules(monkeypatch)
+    for k, spec in enumerate(itertools.islice(corpus.generic_ideals(9), 12)):
+        problem = parse_problem(corpus.problem_text(*spec))
+        out.append((f"generic9-{k}", problem.ideal(), problem.tiebreak))
+    return out
+
+
+def division_only_lift(H_new, H, G):
+    """Every element of ``H_new`` witnessed through G by the polynomial
+    division oracle, with no element passed through."""
+    out = []
+    for h in H_new.elements:
+        q, r = old_hddwr(G.ordering, h, H)
+        assert r.is_zero
+        out.append(sum((qi * gi for qi, gi in zip(q, G.elements)), Polynomial.zero()))
+    return tuple(out)
+
+
+def test_lift_equals_division_only_lift(monkeypatch):
+    """Along every flip, each lifted element is the witness the division
+    oracle gives, and ``witness`` runs once for each element of ``H_new``
+    that is not among the initial forms H: every other one passes
+    through."""
+    original_lift, original_witness = tfan.fan.lift, tfan.fan.witness
+    counts = {"witness": 0, "not in H": 0, "in H": 0, "lifts": 0}
+
+    def counting_witness(*args):
+        counts["witness"] += 1
+        return original_witness(*args)
+
+    def checking_lift(H_new, H, G):
+        out = original_lift(H_new, H, G)
+        assert out.ordering is H_new.ordering
+        assert out.elements == division_only_lift(H_new, H, G)
+        counts["not in H"] += sum(h not in H for h in H_new.elements)
+        counts["in H"] += sum(h in H for h in H_new.elements)
+        counts["lifts"] += 1
+        return out
+
+    monkeypatch.setattr(tfan.fan, "witness", counting_witness)
+    monkeypatch.setattr(tfan.fan, "lift", checking_lift)
+    for name, ideal, tiebreak in flip_cases(monkeypatch):
+        before = dict(counts)
+        fan = groebner_fan(ideal, tiebreak=tiebreak)
+        assert counts["lifts"] - before["lifts"] == len(fan.maximal_cones) - 1, name
+        witnessed = counts["witness"] - before["witness"]
+        assert witnessed == counts["not in H"] - before["not in H"], name
+    assert counts["witness"] and counts["in H"], counts
+
+
+def test_lift_divides_a_kept_form_whose_leading_term_an_earlier_one_divides(monkeypatch):
+    """x*y is an initial form, but the earlier form x has a leading term that
+    term-divides its own, so division reduces it by x first and the
+    witness is y*(x + t*y), not the basis element x*y it came from."""
+    o = weighted_ordering((-1, 1, 1), 2)
+    G = StandardBasis(polys(XY, "x + t*y", "x*y"), o)
+    H = tuple(initial_form((-1, 1, 1), g) for g in G.elements)
+    assert H == polys(XY, "x", "x*y")
+    witnessed = []
+    original = tfan.fan.witness
+
+    def counting(*args):
+        witnessed.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(tfan.fan, "witness", counting)
+    lifted = lift(StandardBasis(H[1:], o), H, G)
+    assert lifted.elements == polys(XY, "x*y + t*y^2")
+    assert witnessed == [H[1]]
+    # with the forms the other way round, x*y passes through to its element
+    witnessed.clear()
+    G2 = StandardBasis(G.elements[::-1], o)
+    assert lift(StandardBasis(H[1:], o), H[::-1], G2).elements == polys(XY, "x*y")
+    assert witnessed == []
+
+
+def test_facet_key_misses_fall_back_to_the_same_fan(monkeypatch):
+    """With a key that never finds a neighbour, every facet takes the
+    containment scan, and the traversal gives the same fan with no cone
+    twice."""
+    cases = flip_cases(monkeypatch)
+    _, checks = bench_modules(monkeypatch)
+    want = [checks.fingerprint(groebner_fan(ideal, tiebreak=tiebreak))
+            for _, ideal, tiebreak in cases]
+    # each facet object's key is its own, so only its own cone registers it
+    monkeypatch.setattr(tfan.cone.Facet, "key", property(lambda facet: (id(facet),)))
+    scans = []
+    original = tfan.fan.contains
+
+    def counting(*args):
+        scans.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(tfan.fan, "contains", counting)
+    for (name, ideal, tiebreak), expected in zip(cases, want):
+        with time_limit(30):  # a fallback that added cones twice would never end
+            fan = groebner_fan(ideal, tiebreak=tiebreak)
+        assert checks.fingerprint(fan) == expected, name
+        keys = [c.canonical_key() for c in fan.maximal_cones]
+        assert len(set(keys)) == len(keys), name
+    assert scans
+
+
+@pytest.mark.parametrize("name", ["fig1", "flip", "worked3"])
+def test_facet_points_only_on_key_misses(monkeypatch, name):
+    """A facet's relative interior point is computed once per flip, and the
+    containment scan tests no other point: every facet met from its second
+    side finds its neighbour by key."""
+    flips, points, scanned = [], [], []
+    original_flip = tfan.fan.flip
+    original_point = tfan.fan.relative_interior_point
+    original_contains = tfan.fan.contains
+
+    def counting_flip(*args):
+        flips.append(args)
+        return original_flip(*args)
+
+    def recording_point(cone):
+        w = original_point(cone)
+        if cone.eqs:  # a facet; the adjacent cone's own point has no equation rows
+            points.append(w)
+        return w
+
+    def recording_contains(cone, w):
+        scanned.append(w)
+        return original_contains(cone, w)
+
+    monkeypatch.setattr(tfan.fan, "flip", counting_flip)
+    monkeypatch.setattr(tfan.fan, "relative_interior_point", recording_point)
+    monkeypatch.setattr(tfan.fan, "contains", recording_contains)
+    problem = demo_problem(name)
+    fan = groebner_fan(problem.ideal(), tiebreak=problem.tiebreak)
+    assert len(points) == len(flips) == len(fan.maximal_cones) - 1
+    assert all(w in points for w in scanned)
+
+
+def test_witness_failure_names_the_form_and_the_remainder_term():
+    o, G, w, H = section3_data()
+    with pytest.raises(WitnessFailed, match=re.escape(
+            "lifting the form with leading term 1*t^0*x^(0, 0, 1) left the term "
+            "1*t^0*x^(0, 0, 1) undivided")):
+        witness(P("z", XYZ), H, G)
+    with pytest.raises(WitnessFailed, match=re.escape(
+            "lifting the form with leading term 1*t^0*x^(1, 0, 0) left the term "
+            "-1*t^0*x^(0, 0, 1) undivided")):
+        witness(P("x - z", XYZ), H, G)
+
+
+@pytest.mark.parametrize("point, message", [
+    ((0, 1, 1), "no interior weight below the boundary: the re-anchored weight "
+                "(0, 1, 1) has t-entry >= 0"),
+    ((-1, 1, 2), "re-anchored weight (-1, 1, 2) is not interior"),
+], ids=["boundary", "not-interior"])
+def test_adjacent_cone_errors_name_the_reanchored_weight(monkeypatch, point, message):
+    """fig1's middle cone crossed to a side cone, re-anchored at a weight on
+    the boundary hyperplane or at one on the facet just crossed."""
+    from tfan.cone import facets
+    from tfan.fan import _cone_from_adjacent
+    fan = groebner_fan(Ideal(polys(XY, "t*x^2 + x*y + t*y^2"), 2))
+    mid = next(c for c in fan.maximal_cones if c.initial_forms[0] == P("x*y", XY))
+    facet = next(f for f in facets(mid.hcone) if not f.in_boundary)
+    w = relative_interior_point(facet.cone)
+    flipped = flip(mid.basis, facet.outer_normal, w)
+    assert contains(facet.cone, point) or point[0] == 0
+    monkeypatch.setattr(tfan.fan, "relative_interior_point", lambda cone: point)
+    with pytest.raises(NonGenericWeight, match=re.escape(message)):
+        _cone_from_adjacent(flipped, None)
+
+
+def test_start_weight_error_names_the_base_weight_and_the_attempts(monkeypatch):
+    """Every start attempt reads a cone with equation rows."""
+    gens = polys(XYZ, "x - t^3*x + t^3*z - t^4*z", "y - t^3*y + t^2*z - t^4*z")
+    lower = groebner_cone_at(weighted_ordering((-1, 2, -1, 1), 3), gens)
+    assert lower.hcone.eqs
+    attempts = []
+
+    def lower_cone(ordering, *args):
+        attempts.append(ordering.weights[0])
+        return lower
+
+    monkeypatch.setattr(tfan.fan, "groebner_cone_at", lower_cone)
+    with pytest.raises(NonGenericWeight, match=re.escape(
+            "the base weight (-2, 5, 1, 3) and its perturbations gave a cone with "
+            "equations in all 200 attempts")):
+        groebner_fan(Ideal(gens, 3), start_weight=(-2, 5, 1, 3))
+    assert len(attempts) == len(set(attempts)) == 200
+    assert attempts[0] == (-2, 5, 1, 3)

@@ -1,0 +1,90 @@
+"""Whole-fan fuzz gate: every fan of fixed seeded streams ends, under a time
+limit, in a fan that passes checks sharing no code with the traversal.
+
+The streams and sizes are fixed before running; no member is dropped
+because it fails.  The members of the generic stream that raise
+``InredDiverged`` are pinned, so a new divergence fails as surely as a hang
+or a broken fan does.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from tfan import InredDiverged, groebner_fan
+from tfan.cli import parse_problem
+from tfan.fan import sampled_weights, uncovered_weights, unpaired_facets
+
+from helpers import bench_modules, time_limit
+
+# Seconds one fan of the gate may take; each takes at most about a second.
+FAN_LIMIT = 10
+
+# Members of corpus.generic_ideals(9), counting from 0, that raise InredDiverged.
+GENERIC9_DIVERGENT = {34, 36, 40, 52, 54, 58}
+
+
+def stream(corpus, name):
+    """(member, problem) of a gate stream, in order; a scaling member is
+    named by its seed."""
+    if name == "prime77":
+        rng = random.Random(77)
+        specs = ((k, corpus.random_prime_ideal(rng)) for k in range(60))
+    elif name == "generic9":
+        specs = enumerate(itertools.islice(corpus.generic_ideals(9), 60))
+    else:
+        specs = ((seed, corpus.scaling_ideal(4, seed)) for seed in (1, 2, 4, 5))
+    for k, spec in specs:
+        yield k, parse_problem(corpus.problem_text(*spec))
+
+
+def run_stream(monkeypatch, name, full_check):
+    """The members that raise InredDiverged, and {member: faults} of the
+    rest: any other error, or what the checks find.  ``full_check(k)`` says
+    whether member k's fan gets ``bench/checks.check_fan`` or only the
+    facet-pair and sampled-coverage checks."""
+    corpus, checks = bench_modules(monkeypatch)
+    diverged, faults = set(), {}
+    for k, problem in stream(corpus, name):
+        ideal = problem.ideal()
+        try:
+            with time_limit(FAN_LIMIT):
+                fan = groebner_fan(ideal, tiebreak=problem.tiebreak)
+        except InredDiverged:
+            diverged.add(k)
+            continue
+        except Exception as exc:  # a hang or any other fault, kept with its member
+            faults[k] = [repr(exc)]
+            continue
+        if full_check(k):
+            bad = checks.check_fan(f"{name}-{k}", fan, random.Random(k), samples=100)
+        else:
+            weights = sampled_weights(random.Random(k), ideal.nvars, 100)
+            bad = unpaired_facets(fan) + uncovered_weights(
+                [c.hcone for c in fan.maximal_cones], weights)
+        if bad:
+            faults[k] = bad
+    return diverged, faults
+
+
+@pytest.mark.parametrize("name, divergent", [
+    ("prime77", set()),
+    ("generic9", GENERIC9_DIVERGENT),
+], ids=["prime77", "generic9"])
+def test_random_streams_end_in_checked_fans(monkeypatch, name, divergent):
+    """Member 3 of the prime stream (prime 3; 3 - t, -3yz^2 - 3t^3xy^2,
+    -3z^2 - 2xy - t^3x^2 + 3xz) and member 47 of the generic stream
+    (-t^2x + y + ty, -3xy - 2tz^2 + 2z^2) are the two that a basis change
+    once sent into a hang and into InredDiverged."""
+    diverged, faults = run_stream(monkeypatch, name, lambda k: True)
+    assert faults == {}
+    assert diverged == divergent
+
+
+def test_scaling_fans_end_in_checked_fans(monkeypatch):
+    """n = 4 scaling seeds 1, 2, 4 and 5 (seed 2 has 77 cones); only seed 1
+    is small enough for the full check."""
+    diverged, faults = run_stream(monkeypatch, "scale4", lambda k: k == 1)
+    assert faults == {}
+    assert diverged == set()
