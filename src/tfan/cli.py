@@ -119,6 +119,8 @@ def parse_poly(text: str, names, line_no=None) -> Polynomial:
 
 
 def format_frac(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -337,34 +339,76 @@ def render_slice(sl) -> str:
     return "\n".join(lines)
 
 
+def _count(no: int, line: str, least: int = 0) -> int:
+    """The count on a head line ``LABEL count``: an integer of at least
+    ``least``."""
+    head = line.split()
+    label = head[0]
+    if len(head) != 2:
+        raise ParseError(f"{label} line must look like '{label} <count>', got {line!r}", no)
+    try:
+        count = int(head[1])
+    except ValueError:
+        raise ParseError(f"{label} count {head[1]!r} is not an integer", no)
+    if count < least:
+        raise ParseError(f"{label} count {count} is below {least}", no)
+    return count
+
+
+def _block(text: str, label: str, least: int = 0) -> tuple[int, list[tuple[int, str]]]:
+    """The count on the head line of a ``label`` block and the nonblank
+    lines between it and the closing ``END label`` line, which must be the
+    last, as (line number, stripped text)."""
+    lines = [(no, l.strip()) for no, l in enumerate(text.splitlines(), start=1) if l.strip()]
+    if not lines or lines[0][1].split()[0] != label:
+        raise ParseError(f"expected a block starting with {label!r}")
+    count = _count(*lines[0], least)
+    if len(lines) < 2 or lines[-1][1] != f"END {label}":
+        raise ParseError(f"{label} block not closed with 'END {label}'", lines[-1][0])
+    return count, lines[1:-1]
+
+
 def parse_sb_block(text: str, names):
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "SB":
-        raise ParseError("not an SB block")
-    count = int(head[1])
-    return tuple(parse_poly(l.strip(), names) for l in lines[1:1 + count])
+    """The polynomials of an ``SB`` block as ``render_polys`` writes it."""
+    count, body = _block(text, "SB")
+    if len(body) != count:
+        raise ParseError(f"SB block declares {count} polynomials, found {len(body)}")
+    return tuple(parse_poly(l, names, no) for no, l in body)
+
+
+_CONE_SECTIONS = ("DIM", "LINEALITY", "RAYS", "INEQ", "EQ")
 
 
 def parse_cone_block(text: str) -> HCone:
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("CONE"):
-        raise ParseError("not a CONE block")
-    ambient = int(lines[0].split()[1])
+    """The HCone of a ``CONE`` block as ``render_cone`` writes it: its
+    ``INEQ`` and ``EQ`` rows.  The ``DIM`` line and the V-data sections are
+    checked for form but not used."""
+    ambient, body = _block(text, "CONE", 1)
     sections: dict[str, list[tuple]] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "END CONE":
-        head = lines[i].split()
-        label = head[0]
+    i = 0
+    while i < len(body):
+        no, line = body[i]
+        label = line.split()[0]
+        if label not in _CONE_SECTIONS:
+            raise ParseError(f"unknown CONE section {label!r}", no)
+        count = _count(no, line)
+        i += 1
         if label == "DIM":
-            i += 1
             continue
-        count = int(head[1])
         rows = []
-        for j in range(count):
-            rows.append(tuple(Fraction(x) for x in lines[i + 1 + j].split()))
+        while i < len(body) and len(rows) < count and body[i][1].split()[0] not in _CONE_SECTIONS:
+            rno, row = body[i]
+            try:
+                vec = tuple(Fraction(x) for x in row.split())
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad {label} row {row!r}", rno)
+            if len(vec) != ambient:
+                raise ParseError(f"{label} row has {len(vec)} entries, expected {ambient}", rno)
+            rows.append(vec)
+            i += 1
+        if len(rows) != count:
+            raise ParseError(f"{label} section declares {count} rows, found {len(rows)}", no)
         sections[label] = rows
-        i += 1 + count
     return make_cone(ambient, sections.get("INEQ", ()), sections.get("EQ", ()))
 
 

@@ -18,11 +18,14 @@ Groebner fans", 2007).
 initially reduced standard basis: for each element the exponent vectors of
 minimal t-power per x-monomial are collected; differences from the leading
 exponent give inequality rows, differences within each initial form's
-support give equation rows.
+support give equation rows.  Those exponents are read straight off the
+canonical term order, which keeps each x-monomial's terms together with the
+lowest t-power first.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +34,7 @@ from typing import NamedTuple, Sequence
 from .division import StandardBasis
 from .errors import InvalidInput
 from .exact import dot, integral, kernel_basis, primitive, rank, rref, vneg, vscale, vsub
-from .poly import Polynomial, initial_form, leading_term, t_skeleton
+from .poly import Polynomial, initial_forms_at, leading_term
 
 Vec = tuple
 
@@ -228,11 +231,17 @@ def facets(cone: HCone) -> list[Facet]:
     The parent's rows are made canonical once: a facet cone is the parent's
     deduplicated inequalities with its row a added to the deduplicated
     equations, which is ``make_cone``'s cone for it since a is one of the
-    deduplicated rows already.
+    deduplicated rows already.  The rows swept for facets are those same
+    inequalities with the implicit halfspace row put in its sorted place,
+    which is what deduplicating all of them gives: the halfspace row is
+    primitive.
     """
     data = dd_rays(cone)
-    rows = _dedupe_rows(cone.all_ineq_rows())
     ineqs, eqs = _dedupe_rows(cone.ineqs), set(_dedupe_rows(cone.eqs))
+    rows = list(ineqs)
+    halfspace = _halfspace_row(cone.dim_ambient)
+    if halfspace not in rows:
+        insort(rows, halfspace)
     masks = [sum(1 << i for i, r in enumerate(data.rays) if dot(a, r) == 0) for a in rows]
     proper = set(masks) - {(1 << len(data.rays)) - 1}
     maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
@@ -307,7 +316,8 @@ def cone_from_basis(basis: StandardBasis, initial_forms: Sequence[Polynomial]) -
     x-monomial matter (higher t-powers give redundant rows).  Leading
     exponent minus any other skeleton exponent is an inequality row; within
     each initial form, differences of its skeleton exponents are equation
-    rows.
+    rows.  The skeleton exponents are read off the canonical term order
+    (``_skeleton_exps``), and the leading term is the one the basis keeps.
     """
     if len(basis.elements) != len(initial_forms):
         raise InvalidInput("basis and initial forms differ in length")
@@ -318,17 +328,26 @@ def cone_from_basis(basis: StandardBasis, initial_forms: Sequence[Polynomial]) -
     eqs: list[Vec] = []
     for g in basis.elements:
         lead = leading_term(basis.ordering, g).exp
-        for term in t_skeleton(g).terms:
-            if term.exp != lead:
-                ineqs.append(vsub(lead, term.exp))
+        ineqs += [vsub(lead, e) for e in _skeleton_exps(g) if e != lead]
     for h in initial_forms:
         if h.is_zero:
             raise InvalidInput("zero initial form")
-        lam = [t.exp for t in t_skeleton(h).terms]
-        base = lam[0]
-        for other in lam[1:]:
-            eqs.append(vsub(base, other))
+        base, *others = _skeleton_exps(h)
+        eqs += [vsub(base, e) for e in others]
     return make_cone(d, ineqs, eqs)
+
+
+def _skeleton_exps(f: Polynomial) -> list:
+    """The exponents of f's t-skeleton (``poly.t_skeleton``) in canonical
+    order: the first term of each x-monomial's run of terms, which the
+    canonical order keeps together, lowest t-power first."""
+    out = []
+    alpha = None
+    for _, e in f.terms:
+        if e[1:] != alpha:
+            alpha = e[1:]
+            out.append(e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -345,7 +364,7 @@ class GroebnerCone:
 
     @cached_property
     def initial_forms(self) -> tuple[Polynomial, ...]:
-        return tuple(initial_form(self.interior_weight, g) for g in self.basis.elements)
+        return initial_forms_at(self.interior_weight, self.basis.elements)
 
     @property
     def data(self) -> ConeData:

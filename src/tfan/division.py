@@ -69,6 +69,7 @@ from .poly import (
     exp_mul,
     exp_x_degree,
     from_t_coefficients,
+    leading_key,
     leading_term,
     record_leading_term,
     strip_unit_t_content,
@@ -214,20 +215,21 @@ def _one_like(divisors, f):
 
 
 def sorted_basis(ord_: MonomialOrdering, elems) -> StandardBasis:
-    """The one basis order: leading monomial descending, then terms."""
-    elems = sorted(elems, key=lambda g: (ord_.key(leading_term(ord_, g).exp), g.terms),
-                   reverse=True)
+    """The one basis order: leading monomial descending, then terms.  Each
+    element's leading key is read where it is kept (``leading_key``)."""
+    elems = sorted(elems, key=lambda g: (leading_key(ord_, g), g.terms), reverse=True)
     return StandardBasis(tuple(elems), ord_)
 
 
 def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
     """Basis-element normalisation: strip unit t-content, make lc positive.
 
-    A negated element keeps the leading term, negated, under ``ord_``."""
+    A negated element keeps the leading term, negated, and its key under
+    ``ord_``: negation moves no exponent."""
     f = strip_unit_t_content(f)
     lt = leading_term(ord_, f)
     if lt.coeff < 0:
-        f = record_leading_term(ord_, -f, Term(-lt.coeff, lt.exp))
+        f = record_leading_term(ord_, -f, Term(-lt.coeff, lt.exp), leading_key(ord_, f))
     return f
 
 
@@ -398,10 +400,27 @@ def _head_reduce(pk: _Packing, acc: dict, basis) -> _Remainder:
     return _Remainder(None, acc)
 
 
-def _complete(pk: _Packing, inputs: Sequence[Polynomial]) -> list[tuple]:
-    """The packed elements of the completion of the t-degree homogenisations
-    of ``inputs``; see ``standard_basis``.  Raises ``_PastLimit`` if an
-    input exponent or an lcm passes the limit of ``pk``."""
+def _packed_inputs(pk: _Packing, gens: Sequence[Polynomial]) -> list[dict]:
+    """The t-degree homogenisations of nonzero polynomials as ``P -> coeff``
+    dicts, each term packed straight into its homogenised exponent
+    s^(top - beta) t^beta x^alpha, negated where the packed leading
+    coefficient is negative; equal ones are kept once, the first.  Raises
+    ``_PastLimit`` if an exponent passes the limit of ``pk``."""
+    out: list[dict] = []
+    for f in gens:
+        top = max(e[0] for _, e in f.terms)
+        terms = {pk.pack((top - e[0],) + e): c for c, e in f.terms}
+        if terms[max(terms)] < 0:
+            terms = {p: -c for p, c in terms.items()}
+        if terms not in out:
+            out.append(terms)
+    return out
+
+
+def _complete(pk: _Packing, inputs: Sequence[dict]) -> list[tuple]:
+    """The packed elements of the completion of the packed homogenised
+    ``inputs`` (``_packed_inputs``); see ``standard_basis``.  Raises
+    ``_PastLimit`` if an lcm passes the limit of ``pk``."""
     mask, guard = pk.mask, pk.guard
     reducers: list[tuple] = []  # packed elements
     lt_exps: list[tuple] = []  # their leading exponents
@@ -427,9 +446,7 @@ def _complete(pk: _Packing, inputs: Sequence[Polynomial]) -> list[tuple]:
                 return True
         return False
 
-    for f in inputs:
-        top = max(e[0] for _, e in f.terms)  # s^(top - beta) t^beta x^alpha
-        terms = {pk.pack((top - e[0],) + e): c for c, e in f.terms}
+    for terms in inputs:
         add(max(terms), terms)
     popped = 0
     while pending:
@@ -520,6 +537,12 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     stripping Z[[t]]-unit content and fixing positive leading coefficients;
     generators that are equal once normalised (f, -f and (1 + t)*f, say)
     enter the completion once, and the output keeps one of equal elements.
+    A generator's sign is read off its packed terms, with no ``ord_.key``
+    and nothing kept on the generator: its homogenisation is homogeneous
+    (for x-homogeneous generators), so the packed maximum is the maximum of
+    ``ord_.key``, the argument given for the output below.  So a generator
+    keeps whatever leading term it carries under another ordering, as the
+    initial forms of a flip do.
 
     Each element is built once, from its packed terms: they are unpacked
     straight into a Z[t]-coefficient view, signed by the packed leading
@@ -532,20 +555,17 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     is the maximum of ``ord_.key`` over the dehomogenised exponents, and
     dehomogenising merges no terms.  Dividing by a content u with u(0) = 1
     keeps the lowest term of every Z[t]-coefficient, and under a t-local
-    ordering the leading term is the lowest term of its coefficient.
+    ordering the leading term is the lowest term of its coefficient.  The
+    term's ``ord_.key`` is computed once, by the sort of the output, and
+    kept beside it for ``minimize`` and later sorts.
     """
-    inputs: list[Polynomial] = []
-    for f in gens:
-        if not f.is_zero:
-            f = normalize_element(ord_, f)
-            if f not in inputs:
-                inputs.append(f)
-    if not inputs:
+    stripped = [strip_unit_t_content(f) for f in gens if not f.is_zero]
+    if not stripped:
         raise InvalidInput("standard basis of the zero ideal is not represented")
     pk = _Packing(ord_)
     while True:
         try:
-            reducers = _complete(pk, inputs)
+            reducers = _complete(pk, _packed_inputs(pk, stripped))
             break
         except _PastLimit as exc:
             pk = _Packing(ord_, 2 * exc.degree)
@@ -575,7 +595,7 @@ def minimize(basis: StandardBasis) -> StandardBasis:
 
     def order(g):
         lt = leading_term(ord_, g)
-        return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), ord_.key(lt.exp), g.terms)
+        return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), leading_key(ord_, g), g.terms)
 
     kept: list[Polynomial] = []
     for g in sorted(basis.elements, key=order):

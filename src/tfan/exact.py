@@ -17,6 +17,7 @@ rows and vectors they return are primitive int tuples.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul, sub
 
 from .errors import InvalidInput
 
@@ -80,11 +81,11 @@ def dot(u, v):
     """Scalar product of two equal-length vectors."""
     if len(u) != len(v):
         raise InvalidInput(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
@@ -92,7 +93,7 @@ def vneg(u):
 
 
 def vscale(c, u):
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def rref(rows):

@@ -17,6 +17,16 @@ an adjacency and skipped.  Only a facet whose key no other cone has gets a
 relative interior point and a containment scan, so no cone is added twice.
 Facets inside the boundary hyperplane {0} x R^n are never crossed.
 
+A flip computes each fact once and carries it from where it is found to
+where it is used.  The adjacent cone's basis keeps each element's leading
+term under the re-anchored ordering; the next flip keeps that term on the
+element's initial form at the facet point, where it lies because the point
+is in the closed cone; the completion of the initial forms signs its
+inputs with no leading-term search, so it leaves those terms in place for
+``lift`` and its division; and each lifted element keeps the leading term
+and key of the form it lifts.  ``flip``, ``lift`` and ``_cone_from_adjacent``
+give the argument for each.
+
 The lift already is a standard basis of the full ideal for the new
 ordering, so the adjacent cone's constructor only initially reduces it
 (``inred.initially_reduce``); nothing is completed again after a flip.  The
@@ -65,7 +75,8 @@ from .poly import (
     MonomialOrdering,
     Polynomial,
     exp_mul,
-    initial_form,
+    initial_forms_at,
+    leading_key,
     leading_term,
     record_leading_term,
     term_divides,
@@ -118,10 +129,11 @@ def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> Sta
     and leaves zero; so the only quotient is 1, at k, and the witness is
     G_k.  Every other element is witnessed by ``witness``.
 
-    Each lifted element keeps the leading term of its h, which is not
-    searched for again: its initial form at the shared weight w is h, and
-    ``H_new``'s ordering refines w, so its leading term lies among the terms
-    of h and is h's.
+    Each lifted element keeps the leading term of its h and that term's
+    key, which are not searched for or computed again: its initial form at
+    the shared weight w is h, and ``H_new``'s ordering refines w, so its
+    leading term lies among the terms of h and is h's.  The leading terms of
+    the forms H under G's ordering are the ones ``flip`` keeps on them.
     """
     if len(H) != len(G.elements):
         raise InvalidInput("initial forms and basis differ in length")
@@ -132,7 +144,7 @@ def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> Sta
     for h in H_new.elements:
         k = through.get(h)
         g = witness(h, H, G) if k is None else Polynomial(G.elements[k].terms)
-        out.append(record_leading_term(ord_, g, leading_term(ord_, h)))
+        out.append(record_leading_term(ord_, g, leading_term(ord_, h), leading_key(ord_, h)))
     return StandardBasis(tuple(out), ord_)
 
 
@@ -142,11 +154,29 @@ def flip(G: StandardBasis, v, w) -> StandardBasis:
     The weight-chain ordering (w, v) with G's tiebreak stands in for the
     perturbed weight w + eps*v; under it a minimal standard basis of the
     weighted homogeneous initial ideal in_w(G) is computed and lifted.
+
+    Each initial form H_k keeps G_k's leading term under G's ordering, for
+    ``lift`` and its division to read.  That is H_k's leading term: w lies
+    in the closed cone of G, so no skeleton term of G_k has a larger
+    w-degree than lt(G_k), and a term of higher t-power has a smaller one
+    (w_0 < 0); hence lt(G_k) lies in in_w(G_k), a subset of G_k's terms of
+    which it is the greatest.  The completion leaves it there: it
+    normalises its inputs with no leading-term search.  A w outside the
+    closed cone is rejected, found by an initial form that misses its
+    element's leading term.
     """
     if w[0] >= 0:
         raise InvalidInput("facet interior point must have negative t-entry")
-    H = tuple(initial_form(w, g) for g in G.elements)
-    ord_new = G.ordering.with_weights(w, v)
+    ord_ = G.ordering
+    H = initial_forms_at(w, G.elements)
+    for k, (g, h) in enumerate(zip(G.elements, H)):
+        lt = leading_term(ord_, g)
+        if lt not in h.terms:
+            raise InvalidInput(
+                f"facet point {_fmt_vector(w)} is not in the closed cone of the basis: the "
+                f"initial form of element {k} misses its leading term {_fmt_term(lt)}")
+        record_leading_term(ord_, h, lt)
+    ord_new = ord_.with_weights(w, v)
     return lift(minimize(standard_basis(ord_new, H)), H, G)
 
 
@@ -162,7 +192,7 @@ def groebner_cone_at(ordering: MonomialOrdering, gens: Sequence[Polynomial],
     if not ordering.weights or ordering.weights[0][0] >= 0:
         raise InvalidInput("need a weighted ordering with negative t-entry")
     basis = ensure_initially_reduced(ordering, gens, prime)
-    H = tuple(initial_form(ordering.weights[0], g) for g in basis.elements)
+    H = initial_forms_at(ordering.weights[0], basis.elements)
     return GroebnerCone(cone_from_basis(basis, H), basis)
 
 
@@ -176,21 +206,31 @@ def _cone_from_adjacent(G_new: StandardBasis, prime: int | None) -> GroebnerCone
     cone is read off with the leading terms as initial forms, and the basis
     is re-anchored to one interior weight u, whose initial forms must be
     those leading terms: the cone reads its weight and initial forms off u.
+
+    Once that is confirmed, each element keeps its leading term under the
+    re-anchored ordering, so the next flip searches for none: its initial
+    form at u is that single term, which therefore has the greatest
+    u-degree of all its terms, and u is the re-anchored ordering's first
+    weight.
     """
     ord_new = G_new.ordering
     normalised = tuple(normalize_element(ord_new, g) for g in G_new.elements)
     basis = initially_reduce(StandardBasis(normalised, ord_new), prime)
-    lts = tuple(Polynomial.term(*leading_term(ord_new, g)) for g in basis.elements)
+    terms = [leading_term(ord_new, g) for g in basis.elements]
+    lts = tuple(Polynomial((lt,)) for lt in terms)
     hc = cone_from_basis(basis, lts)
     assert not hc.eqs, "leading terms cannot produce equations"
     u = relative_interior_point(hc)
     if u[0] >= 0:
         raise NonGenericWeight("adjacent cone has no interior weight below the boundary: "
                                f"the re-anchored weight {_fmt_vector(u)} has t-entry >= 0")
-    cone = GroebnerCone(hc, StandardBasis(basis.elements, ord_new.with_weights(u)))
+    ord_u = ord_new.with_weights(u)
+    cone = GroebnerCone(hc, StandardBasis(basis.elements, ord_u))
     if cone.initial_forms != lts:
         raise NonGenericWeight(f"re-anchored weight {_fmt_vector(u)} is not interior: "
                                "its initial forms are not the leading terms")
+    for g, lt in zip(basis.elements, terms):
+        record_leading_term(ord_u, g, lt)
     return cone
 
 

@@ -69,6 +69,7 @@ from .poly import (
     Term,
     exp_divides,
     from_t_coefficients,
+    leading_key,
     leading_term,
     p_minus_t,
     record_leading_term,
@@ -368,7 +369,7 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
     monomial divides it in turn.  Elements with equal leading monomials all
     stay, as ``minimize`` decides among them on their monic terms.  The
     Bezout combination a*g + b*x^lm*(p - t) has the leading term 1*x^lm,
-    which is kept on it.
+    which is kept on it with g's key: its exponent is g's leading one.
     """
     if not basis.elements:
         raise InvalidInput("empty standard basis")
@@ -385,9 +386,10 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
             continue
         if lc != 1:
             _, a, b = extended_gcd(lc, ctx.p)
+            key = leading_key(ord_, g)
             g = g * a + pt.term_mul(b, lm)
             assert Term(1, lm) in g.terms, "Bezout leading coefficient must be 1"
-            g = record_leading_term(ord_, g, Term(1, lm))
+            g = record_leading_term(ord_, g, Term(1, lm), key)
         monic.append(g)
     strata: dict[int, list[Polynomial]] = {}
     for g in minimize(StandardBasis(tuple(monic), ord_)).elements:

@@ -88,8 +88,11 @@ class Polynomial:
     """Immutable sparse polynomial over Z in t, x1..xn."""
 
     terms: tuple[Term, ...] = ()
-    # (ordering, leading term) of the last ``leading_term`` call on this
-    # instance; equality, hashing and repr ignore it.
+    # (ordering, leading term, its ordering key or None) as the last
+    # ``leading_term`` or ``record_leading_term`` left it, so one search (or
+    # none, where the builder knows the term) serves every later reader
+    # under that ordering object; ``leading_key`` fills in the key once.
+    # Equality, hashing and repr ignore it.
     _lt: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -359,10 +362,11 @@ def weighted_ordering(w, n: int, priority=None) -> MonomialOrdering:
 def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
     """The compare-greatest term of f under ``ord_``.
 
-    The answer is kept on f together with the ordering, so asking again
-    under the same ordering object (checked by identity) costs no key
-    computation; a different ordering replaces the kept answer.  A miss
-    computes one ``ord_.key`` per term, through the method bound once.
+    The answer is kept on f together with the ordering and the term's
+    ``ord_.key``, so asking again under the same ordering object (checked
+    by identity) costs no key computation, and neither does ``leading_key``;
+    a different ordering replaces the kept answer.  A miss computes one
+    ``ord_.key`` per term, through the method bound once.
     """
     kept = f._lt
     if kept is not None and kept[0] is ord_:
@@ -370,20 +374,42 @@ def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
     if f.is_zero:
         raise InvalidInput("leading term of the zero polynomial is undefined")
     key = ord_.key
-    lt = max(f.terms, key=lambda t: key(t.exp))
-    record_leading_term(ord_, f, lt)
+    keys = [key(t.exp) for t in f.terms]
+    i = max(range(len(keys)), key=keys.__getitem__)
+    lt = f.terms[i]
+    object.__setattr__(f, "_lt", (ord_, lt, keys[i]))
     return lt
 
 
-def record_leading_term(ord_: MonomialOrdering, f: Polynomial, lt: Term) -> Polynomial:
-    """f, with ``lt`` kept as its leading term under ``ord_``, as a
-    ``leading_term`` call would keep it.
+def leading_key(ord_: MonomialOrdering, f: Polynomial):
+    """``ord_.key`` of f's leading term under ``ord_``, computed at most once
+    per element and ordering: it is kept beside the leading term, where
+    ``leading_term`` leaves it after a search, and computed here only when
+    the term was recorded without it."""
+    kept = f._lt
+    if kept is None or kept[0] is not ord_:
+        leading_term(ord_, f)
+        kept = f._lt
+    if kept[2] is None:
+        kept = (ord_, kept[1], ord_.key(kept[1].exp))
+        object.__setattr__(f, "_lt", kept)
+    return kept[2]
 
-    For callers that already know the leading term from how they built f;
-    ``lt`` must be the term ``leading_term`` would find, which nothing here
-    checks.
+
+def record_leading_term(ord_: MonomialOrdering, f: Polynomial, lt: Term,
+                        key=None) -> Polynomial:
+    """f, with ``lt`` kept as its leading term under ``ord_``, as a
+    ``leading_term`` call would keep it, and ``key`` as its ``ord_.key``
+    when the caller has it (None leaves it to ``leading_key``).
+
+    For callers that already know the leading term from how they built f:
+    a completion's packed maximum, a Bezout combination's unit term, a lift
+    from the initial form it lifts, an initial form from its element, a
+    re-anchored basis from its cone.  ``lt`` must be the term
+    ``leading_term`` would find, and ``key`` its key, which nothing here
+    checks; each caller's docstring gives the reason it holds.
     """
-    object.__setattr__(f, "_lt", (ord_, lt))
+    object.__setattr__(f, "_lt", (ord_, lt, key))
     return f
 
 
@@ -394,6 +420,17 @@ def tail(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
     return Polynomial(tuple(t for t in f.terms if t.exp != lt.exp))
 
 
+def _max_weight_part(iw: tuple, f: Polynomial) -> Polynomial:
+    """The terms of f of maximal iw-degree, iw an integer weight."""
+    if f.is_zero:
+        return f
+    if len(iw) != len(f.terms[0].exp):
+        raise InvalidInput("weight vector has wrong length")
+    degs = [sum(map(mul, iw, e)) for _, e in f.terms]
+    top = max(degs)
+    return Polynomial(tuple([t for t, d in zip(f.terms, degs) if d == top]))
+
+
 def max_weight_part(w, f: Polynomial) -> Polynomial:
     """Sum of the terms of f with maximal w-weighted degree (any rational w).
 
@@ -401,21 +438,23 @@ def max_weight_part(w, f: Polynomial) -> Polynomial:
     lcm of its denominators, which keeps the same set of maximal terms.
     """
     _check_rational(w)
-    if f.is_zero:
-        return f
-    if len(w) != len(f.terms[0].exp):
-        raise InvalidInput("weight vector has wrong length")
+    return _max_weight_part(integral(w), f)
+
+
+def initial_forms_at(w, fs: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
+    """The initial forms of the polynomials fs at one weight w, which must
+    have a strictly negative t-entry: w is checked and scaled to integers
+    once for all of them."""
+    if len(w) == 0 or w[0] >= 0:
+        raise InvalidInput("initial_form needs a weight with w_0 < 0")
+    _check_rational(w)
     iw = integral(w)
-    degs = [sum(map(mul, iw, e)) for _, e in f.terms]
-    top = max(degs)
-    return Polynomial(tuple(t for t, d in zip(f.terms, degs) if d == top))
+    return tuple([_max_weight_part(iw, f) for f in fs])
 
 
 def initial_form(w, f: Polynomial) -> Polynomial:
     """Initial form of f at a weight with strictly negative t-entry."""
-    if len(w) == 0 or w[0] >= 0:
-        raise InvalidInput("initial_form needs a weight with w_0 < 0")
-    return max_weight_part(w, f)
+    return initial_forms_at(w, (f,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 pair builders and pair certificate that check completions, the polynomial
 product by a Z[t] coefficient and the coefficient lookup that the
 initial-reduction oracles use, the gcd loop that checks the content
-strip, the determinate division by polynomial arithmetic that checks
+strip, the generator and ``Fraction`` routes that check the vector
+arithmetic and ``format_frac``, the ``t_skeleton`` route of
+``cone_from_basis`` and the thrice-deduplicating ``facets`` that check the
+cone layer, the determinate division by polynomial arithmetic that checks
 ``hddwr``, the demo problems, and one query weight per maximal cone of the
 prime-regime benchmark fans."""
 
@@ -12,12 +15,14 @@ import random
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 from tfan import (
     DivisionResult,
     Fan,
     Ideal,
+    InvalidInput,
     Polynomial,
     Term,
     groebner_fan,
@@ -27,11 +32,13 @@ from tfan import (
     mora_weak_nf,
 )
 from tfan.cli import parse_poly, parse_problem
-from tfan.exact import extended_gcd
+from tfan.cone import ConeData, Facet, HCone, _dedupe_rows, dd_rays
+from tfan.exact import dot, extended_gcd, primitive, vneg, vsub
 from tfan.poly import (
     exp_div,
     exp_lcm,
     t_coefficients,
+    t_skeleton,
     term_divides,
     tpoly_divexact,
     tpoly_gcd,
@@ -82,6 +89,28 @@ def old_strip_unit_t_content_view(coeffs):
     return {a: tpoly_divexact(tp, unit) for a, tp in coeffs.items()}
 
 
+def old_dot(u, v):
+    """The scalar product by a generator over zipped entries, with the
+    length check."""
+    if len(u) != len(v):
+        raise InvalidInput(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
+
+
+def old_vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def old_vscale(c, u):
+    return tuple(c * a for a in u)
+
+
+def old_format_frac(x):
+    """A rational as the CLI prints it, through ``Fraction`` for every x."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
 def demo_problem(name):
     """The parsed problem of ``demos/ideals/<name>.ideal``."""
     with open(os.path.join(REPO, "demos", "ideals", name + ".ideal"), encoding="utf-8") as fh:
@@ -121,6 +150,44 @@ def old_hddwr(ord_, f, divisors):
     return DivisionResult(tuple(Polynomial.from_terms(q) if q else Polynomial.zero()
                                 for q in quotient_parts),
                           Polynomial.from_terms(rem_parts))
+
+
+def old_cone_from_basis(basis, initial_forms):
+    """``cone_from_basis`` by the ``t_skeleton`` route: each element's
+    skeleton built as a Polynomial and its exponents read off it."""
+    d = 1 + basis.elements[0].nvars
+    ineqs, eqs = [], []
+    for g in basis.elements:
+        lead = leading_term(basis.ordering, g).exp
+        for term in t_skeleton(g).terms:
+            if term.exp != lead:
+                ineqs.append(vsub(lead, term.exp))
+    for h in initial_forms:
+        lam = [t.exp for t in t_skeleton(h).terms]
+        eqs += [vsub(lam[0], other) for other in lam[1:]]
+    return make_cone(d, ineqs, eqs)
+
+
+def old_facets(hc):
+    """``facets`` with three deduplications: of all inequality rows with the
+    halfspace row, of the inequalities and of the equations."""
+    data = dd_rays(hc)
+    rows = _dedupe_rows(hc.all_ineq_rows())
+    ineqs, eqs = _dedupe_rows(hc.ineqs), set(_dedupe_rows(hc.eqs))
+    masks = [sum(1 << i for i, r in enumerate(data.rays) if dot(a, r) == 0) for a in rows]
+    proper = set(masks) - {(1 << len(data.rays)) - 1}
+    maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
+    out = []
+    for a, m in zip(rows, masks):
+        if m not in maximal:
+            continue
+        maximal.discard(m)
+        tight = tuple(r for i, r in enumerate(data.rays) if m >> i & 1)
+        fc = HCone(hc.dim_ambient, ineqs, tuple(sorted(eqs | {a})))
+        object.__setattr__(fc, "_data", ConeData(tight, data.lineality, data.dim - 1))
+        out.append(Facet(fc, primitive(vneg(a)), all(r[0] == 0 for r in tight)))
+    out.sort(key=lambda f: f.outer_normal)
+    return out
 
 
 def doctored_fig1_fans():

@@ -137,6 +137,37 @@ class TestBlocks:
         assert back == hc
         assert equal(back, hc)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a block starting with 'CONE'"),
+        ("CONE", "line 1: CONE line must look like 'CONE <count>'"),
+        ("CONE x", "line 1: CONE count 'x' is not an integer"),
+        ("CONE 0\nEND CONE", "line 1: CONE count 0 is below 1"),
+        ("CONE 3\n  INEQ 1\n    1 0 0", "line 3: CONE block not closed with 'END CONE'"),
+        ("CONE 3\n  INEQ 2\n    1 0 0\nEND CONE", "line 2: INEQ section declares 2 rows, found 1"),
+        ("CONE 3\n  INEQ 2\n    1 0 0\n  EQ 0\nEND CONE",
+         "line 2: INEQ section declares 2 rows, found 1"),
+        ("CONE 3\n  INEQ 1\n    1 0\nEND CONE", "line 3: INEQ row has 2 entries, expected 3"),
+        ("CONE 3\n  EQ 1\n    1 x 0\nEND CONE", "line 3: bad EQ row '1 x 0'"),
+        ("CONE 3\n  FACETS 0\nEND CONE", "line 2: unknown CONE section 'FACETS'"),
+    ])
+    def test_malformed_cone_block_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_cone_block(text)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a block starting with 'SB'"),
+        ("SB", "line 1: SB line must look like 'SB <count>'"),
+        ("SB two\nEND SB", "line 1: SB count 'two' is not an integer"),
+        ("SB 2\n  x", "line 2: SB block not closed with 'END SB'"),
+        ("SB 2\n  x\nEND SB", "SB block declares 2 polynomials, found 1"),
+        ("SB 1\n  x\n  y\nEND SB", "SB block declares 1 polynomials, found 2"),
+    ])
+    def test_malformed_sb_block_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_sb_block(text, XY)
+        assert str(err.value).startswith(message)
+
 
 class TestCommands:
     def test_initial_command(self, tmp_path):

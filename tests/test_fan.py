@@ -10,6 +10,7 @@ import tfan.fan
 import tfan.inred
 from tfan import (
     Ideal,
+    InvalidInput,
     MonomialOrdering,
     NonGenericWeight,
     Polynomial,
@@ -49,6 +50,8 @@ from helpers import (
     bench_modules,
     demo_problem,
     doctored_fig1_fans,
+    old_cone_from_basis,
+    old_facets,
     old_hddwr,
     polys,
     prime_benchmark_cones,
@@ -130,6 +133,16 @@ class TestFlip:
         old = {leading_term(o, g) for g in G.elements}
         new = {leading_term(ord2, g) for g in G2.elements}
         assert old != new
+
+    def test_flip_rejects_a_point_outside_the_closed_cone(self):
+        # at (-1, 1, 7) the initial form of x*y^2 - t^2*y^3 is -t^2*y^3, so
+        # the point is not in the cone of G, whose leading term is x*y^2
+        o = weighted_ordering((-1, 1, 1), 2)
+        G = StandardBasis(polys(XY, "2 - t", "x*y^2 - t^2*y^3", "x^2 - t^3*y^2"), o)
+        with pytest.raises(InvalidInput, match=re.escape(
+                "facet point (-1, 1, 7) is not in the closed cone of the basis: the initial "
+                "form of element 1 misses its leading term 1*t^0*x^(1, 2)")):
+            flip(G, (3, 5, 1), (-1, 1, 7))
 
     def test_double_flip_round_trip(self):
         # crossing the same facet twice lands on a cone equal to the original
@@ -546,6 +559,160 @@ def test_facet_points_only_on_key_misses(monkeypatch, name):
     fan = groebner_fan(problem.ideal(), tiebreak=problem.tiebreak)
     assert len(points) == len(flips) == len(fan.maximal_cones) - 1
     assert all(w in points for w in scanned)
+
+
+def searched_leading_term(ord_, f):
+    """f's leading term under ``ord_`` by a search over its terms."""
+    return max(f.terms, key=lambda t: ord_.key(t.exp))
+
+
+def assert_carries(ord_, f, what):
+    """f keeps its searched leading term under ``ord_`` (the same object),
+    and the key kept beside it, if any, is that term's key."""
+    kept = f._lt
+    assert kept is not None and kept[0] is ord_, (what, f)
+    assert kept[1] == searched_leading_term(ord_, f), (what, f)
+    assert kept[2] is None or kept[2] == ord_.key(kept[1].exp), (what, f)
+
+
+def test_flip_carries_the_leading_terms_it_finds(monkeypatch):
+    """Along every flip of the ``flip_cases`` fans: each element of a
+    re-anchored cone basis keeps its leading term under the basis ordering;
+    each initial form H_k that reaches ``lift`` keeps its own leading term
+    under G's ordering (G_k's); the elements of H_new and of the lifted
+    basis keep leading term and key under H_new's ordering; and every kept
+    key is the key of the kept term."""
+    original_adjacent, original_lift = tfan.fan._cone_from_adjacent, tfan.fan.lift
+    counts = {"re-anchored": 0, "H": 0, "H_new": 0, "lifted": 0}
+
+    def checking_adjacent(G_new, prime):
+        cone = original_adjacent(G_new, prime)
+        for g in cone.basis.elements:
+            assert_carries(cone.basis.ordering, g, "re-anchored")
+            counts["re-anchored"] += 1
+        return cone
+
+    def checking_lift(H_new, H, G):
+        for h in H:
+            assert_carries(G.ordering, h, "H")
+            counts["H"] += 1
+        for h in H_new.elements:
+            assert_carries(H_new.ordering, h, "H_new")
+            assert h._lt[2] is not None
+            counts["H_new"] += 1
+        out = original_lift(H_new, H, G)
+        for g in out.elements:
+            assert_carries(out.ordering, g, "lifted")
+            assert g._lt[2] is not None
+            counts["lifted"] += 1
+        return out
+
+    monkeypatch.setattr(tfan.fan, "_cone_from_adjacent", checking_adjacent)
+    monkeypatch.setattr(tfan.fan, "lift", checking_lift)
+    for name, ideal, tiebreak in flip_cases(monkeypatch):
+        groebner_fan(ideal, tiebreak=tiebreak)
+    assert all(counts.values()), counts
+
+
+def test_cone_layer_matches_the_oracles(monkeypatch):
+    """``cone_from_basis``, reading skeleton rows off the canonical term
+    order, gives the rows of the ``t_skeleton`` route, and ``facets``, with
+    one deduplication of the inequalities, gives the facets of the
+    thrice-deduplicating one (cone rows, outer normals, boundary flags and
+    keys): on every cone of the ``flip_cases`` fans, and on the cones at
+    one query weight of each of the 42 prime-regime benchmark cones."""
+    original_from_basis, original_facets = tfan.fan.cone_from_basis, tfan.fan.facets
+    counts = {"cone_from_basis": 0, "facets": 0}
+
+    def summary(facet_list):
+        return [(f.cone, f.outer_normal, f.in_boundary, f.key) for f in facet_list]
+
+    def checking_from_basis(basis, forms):
+        hc = original_from_basis(basis, forms)
+        want = old_cone_from_basis(basis, forms)
+        assert (hc.ineqs, hc.eqs) == (want.ineqs, want.eqs)
+        counts["cone_from_basis"] += 1
+        return hc
+
+    def checking_facets(hc):
+        out = original_facets(hc)
+        assert summary(out) == summary(old_facets(hc))
+        counts["facets"] += 1
+        return out
+
+    monkeypatch.setattr(tfan.fan, "cone_from_basis", checking_from_basis)
+    monkeypatch.setattr(tfan.fan, "facets", checking_facets)
+    cones = 0
+    for name, ideal, tiebreak in flip_cases(monkeypatch):
+        cones += len(groebner_fan(ideal, tiebreak=tiebreak).maximal_cones)
+    queries = prime_benchmark_cones(monkeypatch, random.Random(22))
+    for _, problem, w in queries:
+        cone = groebner_cone_at(MonomialOrdering((w,), problem.tiebreak),
+                                problem.gens, problem.prime)
+        checking_facets(cone.hcone)
+    assert len(queries) == 42
+    assert counts["facets"] == cones + 42
+    assert counts["cone_from_basis"] >= cones + 42
+
+
+def key_cost(ord_, f):
+    """The ordering keys that reading f's leading key under ``ord_`` costs:
+    none when f keeps it, one when f keeps only the term, one per term when
+    f keeps nothing under ``ord_``."""
+    kept = f._lt
+    if kept is None or kept[0] is not ord_:
+        return len(f.terms)
+    return 0 if kept[2] is not None else 1
+
+
+@pytest.mark.parametrize("name, budget", [("fig1", 9), ("worked3", 95)])
+def test_key_budget_of_a_fan(monkeypatch, name, budget):
+    """Ordering keys over a whole fan stay within the measured budget, and
+    ``sorted_basis``, ``minimize`` and ``lift`` compute none for an element
+    that keeps its key: each computes exactly what ``key_cost`` charges the
+    elements it reads, and ``lift``, outside its divisions, none.  Before
+    leading terms and keys were carried along the flip, these fans took 33
+    and 224 keys."""
+    stack = [{"keys": 0}]
+    total = [0]
+    key = MonomialOrdering.key
+
+    def counted_key(self, e):
+        total[0] += 1
+        stack[-1]["keys"] += 1
+        return key(self, e)
+
+    def staged(fn, expected):
+        def wrapper(*args):
+            frame = {"keys": 0}
+            want = expected(*args)
+            stack.append(frame)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+                assert want is None or frame["keys"] == want, (fn.__name__, frame["keys"], want)
+        return wrapper
+
+    def sorted_basis_cost(ord_, elems):
+        return sum(key_cost(ord_, g) for g in elems)
+
+    def minimize_cost(basis):
+        return sorted_basis_cost(basis.ordering, basis.elements)
+
+    monkeypatch.setattr(MonomialOrdering, "key", counted_key)
+    for module in (tfan.division, tfan.inred):
+        monkeypatch.setattr(module, "sorted_basis",
+                            staged(module.sorted_basis, sorted_basis_cost))
+    for module in (tfan.division, tfan.inred, tfan.fan):
+        monkeypatch.setattr(module, "minimize", staged(module.minimize, minimize_cost))
+    monkeypatch.setattr(tfan.fan, "lift", staged(tfan.fan.lift, lambda *args: 0))
+    # a witness's division computes keys of remainder exponents, not of elements
+    monkeypatch.setattr(tfan.fan, "witness", staged(tfan.fan.witness, lambda *args: None))
+    problem = demo_problem(name)
+    fan = groebner_fan(problem.ideal(), tiebreak=problem.tiebreak)
+    assert len(fan.maximal_cones) > 1
+    assert total[0] <= budget
 
 
 def test_witness_failure_names_the_form_and_the_remainder_term():
