@@ -26,21 +26,9 @@ Three engines live here:
   are generated by terms, not monomials).  The output is strong: every
   leading term of an ideal element is term-divisible by some basis leading
   term, which is what makes single-divisor division above sufficient.
-  Three pair criteria proved for Z skip candidates that reduce to zero:
-  the product criterion for S-pairs (coprime leading monomials *and*
-  coprime leading coefficients; Kandri-Rody and Kapur, JSC 6, 1988), the
-  chain criterion for S-pairs (Kandri-Rody and Kapur; Gebauer and Moeller,
-  JSC 6, 1988) and the GCD-pair criterion (Lichtblau, Illinois J. Math.
-  56, 2012).  Both chain forms fire only through a third element whose
-  pairs with the two are already treated (out of the pair heap); the
-  looser form changes the bases (see ``standard_basis``).
-  Its hot path computes no ordering key and builds no exponent tuple per
-  term: each completion packs every exponent into one int whose integer
-  order is the ordering (``_Packing``), so a shift is one addition, a
-  divisibility test one addition and one mask, and a leading exponent the
-  ``max`` of a dict's keys.  Pair candidates are built straight into the
-  packed dict that head reduction works on, and only the final elements
-  become Polynomials.
+  The completion runs on packed exponents and skips candidates by three
+  pair criteria proved for Z (see ``standard_basis``); its elements leave
+  as (leading term, Z[t]-coefficient view) pairs (``standard_basis_views``).
 
 Every loop here is bounded by the one module constant ``STEP_CAP``.  It
 guards against faults and is not a tuning value: the homogenised completion
@@ -478,87 +466,88 @@ def _complete(pk: _Packing, inputs: Sequence[dict]) -> list[tuple]:
 def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> StandardBasis:
     """Strong standard basis of <gens> w.r.t. a t-local ordering.
 
-    The completion runs on the t-degree homogenisation with both S- and
-    GCD-pairs (the strong pair set needed over Z, where leading ideals are
-    generated by terms rather than monomials).  Every exponent it meets is
-    one int P(e) of a ``_Packing`` made for the ordering, whose order is the
-    graded key ``(sum(e),) + ord_.key(e[1:])``: a leading exponent is the
-    ``max`` of a dict's keys, a shift is one addition and a divisibility
-    test one addition and one mask.  Exponent tuples are built only to pack
-    the inputs, each term straight into its homogenised exponent, for
-    leading terms, to form lcms and for the product criterion, and at the
-    end, where each element is unpacked straight into dehomogenised
-    exponents (see the last paragraph).
+    The completion (``standard_basis_views``) runs on the t-degree
+    homogenisation with both S- and GCD-pairs (the strong pair set needed
+    over Z, where leading ideals are generated by terms rather than
+    monomials).  Every exponent it meets is one int P(e) of a ``_Packing``
+    for the ordering, ordered as the graded key ``(sum(e),) +
+    ord_.key(e[1:])``: a leading exponent is the ``max`` of a dict's keys,
+    a shift one addition and a divisibility test one addition and one mask.
 
     Packing is exact while no exponent passes the packing's limit of total
     degree, and ``pack`` checks the inputs and every lcm against it.  That
     bounds every exponent: the order is graded by total degree first, so a
-    leading term has the largest total degree of its polynomial.  A pair
-    candidate at lcm m has total degree at most sum(m), and a head-reduction
-    step subtracts a multiple of an element shifted to the current leading
-    term, which adds no term of larger degree.  So every exponent of one
-    pair reduction has total degree at most that of its lcm, and exactly
-    that for x-homogeneous inputs, whose homogenisations are homogeneous.
-    A completion that meets an exponent past the limit starts over with
-    slots twice that wide in degree; its decisions do not depend on the
-    packing, so it gives the same basis.
+    leading term has the largest total degree of its polynomial; a pair
+    candidate at lcm m has total degree at most sum(m) (exactly, for
+    x-homogeneous inputs), and a head-reduction step adds no term of larger
+    degree.  A completion that meets an exponent past the limit starts over
+    with slots twice that wide in degree; its decisions do not depend on
+    the packing, so it gives the same basis.
 
     Pairs wait in a heap keyed by (P(lcm), i, j), so they are processed
-    smallest lcm first and, among equal lcms, by index; a pair is *treated*
-    once it has left the heap.  Each candidate is built straight into the
-    ``P -> coeff`` dict that ``_head_reduce`` works on, and a nonzero
-    remainder joins the reducer list, in place; the GCD-candidate of a pair
-    is reduced after its S-remainder has joined.
+    smallest lcm first, then by index; a pair is *treated* once it has left
+    the heap.  Each candidate is built straight into the ``P -> coeff``
+    dict that ``_head_reduce`` works on, and a nonzero remainder joins the
+    reducers; the GCD-candidate of a pair is reduced after its S-remainder
+    has joined.  A candidate is skipped, unbuilt, when one of three pair
+    criteria over Z shows that it reduces to zero.  With a_i x^m_i the
+    leading term of element i and m = lcm(m_i, m_j) over all homogenised
+    exponents:
 
-    A candidate is skipped, unbuilt, when one of the three pair criteria
-    over Z below shows that it reduces to zero.  With a_i x^m_i the leading
-    term of element i and m = lcm(m_i, m_j) over all homogenised exponents:
+    * product criterion (Kandri-Rody and Kapur, JSC 6, 1988): the S-pair
+      of (i, j) when m_i and m_j are coprime and so are a_i and a_j.
+      Coprime monomials alone are not enough over Z: <2x, 2y + t*x> needs
+      t*x^2;
+    * chain criterion (Kandri-Rody and Kapur; Gebauer and Moeller, JSC 6,
+      1988): the S-pair of (i, j) when some k other than i and j has a
+      leading term that term-divides lcm(a_i, a_j) x^m, and the pairs
+      (i, k) and (j, k) are both treated;
+    * GCD-pair criterion (Lichtblau, Illinois J. Math. 56, 2012): the
+      GCD-pair of (i, j) under the same condition with gcd(a_i, a_j) x^m.
 
-    * product criterion (Kandri-Rody and Kapur): the S-pair of (i, j) when
-      m_i and m_j are coprime and so are a_i and a_j.  Coprime monomials
-      alone are not enough over Z: <2x, 2y + t*x> needs t*x^2;
-    * chain criterion (Kandri-Rody and Kapur; Gebauer and Moeller): the
-      S-pair of (i, j) when some k other than i and j has a leading term
-      that term-divides lcm(a_i, a_j) x^m, and the pairs (i, k) and (j, k)
-      are both treated;
-    * GCD-pair criterion (Lichtblau): the GCD-pair of (i, j) under the same
-      condition with gcd(a_i, a_j) x^m.
-
-    The chain forms ask for treated pairs (i, k) and (j, k).  A pair still
-    in the heap has not been reduced yet, and the looser form that ignores
-    this changes the bases: along the criteria-free completions of the
-    cone-queries benchmark (seed 1) it flags 377 candidates whose remainder
-    is not zero.  The treated forms flag 7,100 candidates there, and none
-    has a nonzero remainder, so on that corpus the output is the one the
-    criteria-free loop gives.  That identity is measured, not proved: the
+    A pair still in the heap has not been reduced yet, and the looser chain
+    form that ignores treatment changes the bases: along the criteria-free
+    completions of the cone-queries benchmark (seed 1) it flags 377
+    candidates whose remainder is not zero.  The treated forms flag 7,100
+    there, none with a nonzero remainder, so on that corpus the output is
+    the criteria-free loop's.  That identity is measured, not proved: the
     tests compare against the criteria-free loop and certify every pair.
 
-    The generators and the dehomogenised elements are normalised by
-    stripping Z[[t]]-unit content and fixing positive leading coefficients;
-    generators that are equal once normalised (f, -f and (1 + t)*f, say)
-    enter the completion once, and the output keeps one of equal elements.
-    A generator's sign is read off its packed terms, with no ``ord_.key``
-    and nothing kept on the generator: its homogenisation is homogeneous
-    (for x-homogeneous generators), so the packed maximum is the maximum of
-    ``ord_.key``, the argument given for the output below.  So a generator
-    keeps whatever leading term it carries under another ordering, as the
-    initial forms of a flip do.
+    Generators and elements are normalised by stripping Z[[t]]-unit content
+    and fixing positive leading coefficients; generators equal once
+    normalised (f, -f and (1 + t)*f, say) enter once, and the output keeps
+    one of equal elements.  A generator is signed by its packed terms, with
+    no ``ord_.key`` (the packed maximum is the maximum of ``ord_.key``, as
+    argued below), so it keeps any leading term it carries under another
+    ordering, as the initial forms of a flip do.
 
-    Each element is built once, from its packed terms: they are unpacked
-    straight into a Z[t]-coefficient view, signed by the packed leading
-    coefficient, stripped of unit content on the view, and turned into a
-    Polynomial by ``from_t_coefficients``, which sorts only the x-monomials.
-    Its leading term is not searched for: it is the packed leading term,
-    dehomogenised and signed, kept on the element.  That is the leading term
-    under ``ord_``: the element is homogeneous, so the graded key's first
-    field, the total degree, is the same on every term, the packed maximum
-    is the maximum of ``ord_.key`` over the dehomogenised exponents, and
-    dehomogenising merges no terms.  Dividing by a content u with u(0) = 1
-    keeps the lowest term of every Z[t]-coefficient, and under a t-local
-    ordering the leading term is the lowest term of its coefficient.  The
-    term's ``ord_.key`` is computed once, by the sort of the output, and
-    kept beside it for ``minimize`` and later sorts.
+    Each element is built once here, by ``from_t_coefficients``, from its
+    pair: a view unpacked straight from the packed terms, signed by the
+    packed leading coefficient and stripped of unit content, and the packed
+    leading term, dehomogenised and signed, which it keeps.  That is the
+    leading term under ``ord_``: the element is homogeneous, so the graded
+    key's first field is the same on every term, the packed maximum is the
+    maximum of ``ord_.key`` over the dehomogenised exponents, and
+    dehomogenising merges no terms.  The strip keeps it: dividing by a
+    content u with u(0) = 1 keeps the lowest term of every
+    Z[t]-coefficient, the leading term's under a t-local ordering.  So a
+    rule on leading terms alone, such as the prime drop of ``inred``, can
+    run before any element is built.  Each key is computed once, by the
+    sort of the output.
     """
+    out: dict[Polynomial, Term] = {}
+    for lt, view in standard_basis_views(ord_, gens):
+        out.setdefault(from_t_coefficients(view), lt)
+    return sorted_basis(ord_, [record_leading_term(ord_, f, lt) for f, lt in out.items()])
+
+
+def standard_basis_views(ord_: MonomialOrdering, gens: Sequence[Polynomial],
+                         keep=None) -> list[tuple[Term, dict]]:
+    """The completion's normalised elements as (leading term, view) pairs,
+    in the order it made them, none built as a Polynomial; the view is the
+    dict ``{alpha: [(beta, c), ...]}`` of ``t_coefficients``.  ``keep``, if
+    given, maps the list of all leading terms to a flag per element, and
+    only flagged ones are unpacked.  Equal elements are not merged."""
     stripped = [strip_unit_t_content(f) for f in gens if not f.is_zero]
     if not stripped:
         raise InvalidInput("standard basis of the zero ideal is not represented")
@@ -569,19 +558,20 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
             break
         except _PastLimit as exc:
             pk = _Packing(ord_, 2 * exc.degree)
-    out: list[Polynomial] = []
-    for lc, _, lead, terms in reducers:
-        sign = 1 if lc > 0 else -1
-        view: dict[tuple, list] = {}
-        for p, c in terms:
-            e = pk.unpack(p, 1)
-            view.setdefault(e[1:], []).append((e[0], sign * c))
-        for tp in view.values():
-            tp.sort()
-        f = from_t_coefficients(strip_unit_t_content_view(view))
-        if f not in out:
-            out.append(record_leading_term(ord_, f, Term(sign * lc, pk.unpack(lead, 1))))
-    return sorted_basis(ord_, out)
+    lts = [Term(abs(lc), pk.unpack(lead, 1)) for lc, _, lead, _ in reducers]
+    out = []
+    for lt, flag, (lc, _, _, terms) in zip(lts, keep(lts) if keep else [1] * len(lts),
+                                           reducers):
+        if flag:
+            sign = 1 if lc > 0 else -1
+            view: dict[tuple, list] = {}
+            for p, c in terms:
+                e = pk.unpack(p, 1)
+                view.setdefault(e[1:], []).append((e[0], sign * c))
+            for tp in view.values():
+                tp.sort()
+            out.append((lt, strip_unit_t_content_view(view)))
+    return out
 
 
 def minimize(basis: StandardBasis) -> StandardBasis:

@@ -5,16 +5,13 @@ term of each Z[t]-coefficient.  A standard basis is *initially reduced* when
 it is minimal and no tail term of any element's skeleton is term-divisible by
 a basis leading term.  That is the exact property needed to read the
 Groebner cone off the basis; full tail reduction would in general produce
-power series, initial reduction keeps everything polynomial.
+power series, initial reduction keeps everything polynomial.  Two regimes:
 
-Two regimes:
-
-* prime regime: the ideal contains p - t for a declared prime p.  Then
-  initial reduction terminates unconditionally.  The pipeline is
-  (p - t)-reduction of single elements, mutual reduction of an
-  equal-x-degree block (two triangular passes), cross-degree reduction
-  against lower strata one reducible skeleton term at a time, and a driver
-  that walks x-degrees bottom up.
+* prime regime: the ideal contains p - t for a declared prime p, and
+  initial reduction terminates unconditionally: (p - t)-reduction of single
+  elements, mutual reduction of an equal-x-degree block (two triangular
+  passes), cross-degree reduction against lower strata one reducible
+  skeleton term at a time, and a driver that walks x-degrees bottom up.
 
 * generic regime: ``generic_initial_reduce`` chases skeleton tail terms
   directly.  Termination is not guaranteed without p - t; a t-degree limit
@@ -23,34 +20,33 @@ Two regimes:
   elimination resolves the common benign loops (for example a pair like
   {x + t*y, y + t*x} reduces to {x, y} instead of cycling).
 
-Both regimes compute on Z[t]-coefficient views: an element is held as the
-dict ``{alpha: [(beta, c), ...]}`` of ``t_coefficients`` (betas ascending,
-coefficients nonzero, no key for a vanished x-monomial), with its leading
-exponent carried beside it, since no reduction step moves a leading term.
-One kernel, ``_cross_eliminate``, makes every combination of two views; one
-scan, ``_reducible_tail``, finds reducible skeleton tail terms.  In the
-prime regime ``_views`` is the one way in: it turns the polynomials given to
-``p_reduce`` and ``inred_step_by_step`` (``inred_same_degree`` is that with
-no lower elements) into views, and the block and lower-element rules are
-checked once, on the views; each rejection names the rule, the element's
-position and its leading exponent.  Views become polynomials once, when an
-entry point returns, through ``poly.from_t_coefficients``; the loops between
-sort no terms and search no leading term.
+Both regimes compute on Z[t]-coefficient views, the dicts
+``{alpha: [(beta, c), ...]}`` of ``t_coefficients`` (betas ascending, no
+key for a vanished x-monomial), each with its leading term carried beside
+it, since no reduction step moves a leading term.  ``_cross_eliminate``
+makes every combination of two views and ``_reducible_tail`` finds
+reducible skeleton tail terms.  The prime regime takes (leading term,
+view) pairs: the completion's own (``standard_basis_views``), or from
+``_views``, the one adapter for polynomials.  Its block and lower-element
+rules are checked on the views, and each rejection names the rule, the
+element's position and its leading exponent.  A view becomes a polynomial
+once, when it is returned; the loops between sort no terms and search no
+leading term.
 
 ``initially_reduce`` is the one path from a known standard basis to an
 initially reduced one, in either regime; it never completes again and
-expects elements normalised as ``standard_basis`` leaves them.  The fan
-traversal normalises lifted bases and calls it on them.
-``ensure_initially_reduced`` is the one entry from generators: it applies
-``Ideal``'s rule that a declared prime p needs p - t among the generators
-(so membership of p - t is never decided by a normal form), completes, then
-calls ``initially_reduce``.
+expects elements normalised as ``standard_basis`` leaves them, as the fan
+traversal leaves lifted bases.  ``ensure_initially_reduced`` is the one
+entry from generators: it applies ``Ideal``'s rule that a declared prime p
+needs p - t among the generators (so membership of p - t is never decided
+by a normal form), completes, then reduces as ``initially_reduce`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import compress
+from operator import add, itemgetter, sub
 from typing import Sequence
 
 from . import division
@@ -59,6 +55,7 @@ from .division import (
     minimize,
     sorted_basis,
     standard_basis,
+    standard_basis_views,
 )
 from .errors import InredDiverged, InvalidInput
 from .exact import extended_gcd, is_prime, p_valuation
@@ -69,7 +66,6 @@ from .poly import (
     Term,
     exp_divides,
     from_t_coefficients,
-    leading_key,
     leading_term,
     p_minus_t,
     record_leading_term,
@@ -78,7 +74,6 @@ from .poly import (
     t_skeleton,
     term_div,
     term_divides,
-    x_degree,
 )
 
 
@@ -94,9 +89,7 @@ class InredContext:
             raise InvalidInput(f"{self.p} is not prime")
 
 
-# ---------------------------------------------------------------------------
-# Views: {alpha: [(beta, c), ...]}, the leading exponent carried beside
-# ---------------------------------------------------------------------------
+# --- views: {alpha: [(beta, c), ...]}, the leading term carried beside ------
 
 
 def _fault(what: str, i: int, lm, rule: str) -> InvalidInput:
@@ -104,28 +97,25 @@ def _fault(what: str, i: int, lm, rule: str) -> InvalidInput:
     return InvalidInput(f"{what} element {i} (leading exponent {lm}) must {rule}")
 
 
-def _views(ord_, F: Sequence[Polynomial], what: str) -> tuple[list, list]:
-    """The views and leading exponents of nonzero x-homogeneous polynomials:
-    the one way into the prime-regime kernel."""
-    views, lms = [], []
+def _views(ord_, F: Sequence[Polynomial], what: str) -> list[tuple[Term, dict]]:
+    """The (leading term, view) pairs of nonzero x-homogeneous polynomials."""
+    pairs = []
     for i, f in enumerate(F):
         if f.is_zero:
             raise InvalidInput(f"{what} element {i} must be nonzero")
-        lm = leading_term(ord_, f).exp
+        lt = leading_term(ord_, f)
         view = t_coefficients(f)
         if len({sum(a) for a in view}) > 1:
-            raise _fault(what, i, lm, "be x-homogeneous")
-        views.append(view)
-        lms.append(lm)
-    return views, lms
+            raise _fault(what, i, lt.exp, "be x-homogeneous")
+        pairs.append((lt, view))
+    return pairs
 
 
-def _polynomials(ord_, views, lms) -> list[Polynomial]:
-    """The polynomials of views whose leading exponents are ``lms``."""
-    out = [from_t_coefficients(v) for v in views]
-    for f, lm in zip(out, lms):
-        assert leading_term(ord_, f).exp == lm, "reduction must preserve leading terms"
-    return out
+def _polynomials(ord_, views, lms, keys) -> list[Polynomial]:
+    """The polynomials of reduced views, keeping 1*x^lm and its key: the
+    block rules check that term, and no reduction step moves it."""
+    return [record_leading_term(ord_, from_t_coefficients(v), Term(1, lm), k)
+            for v, lm, k in zip(views, lms, keys)]
 
 
 def _term_mul(view: dict, e) -> dict:
@@ -137,10 +127,10 @@ def _term_mul(view: dict, e) -> dict:
 def _cross_eliminate(g: dict, c_g, h: dict, c_h, beta: int) -> dict:
     """The view of c_h(t)/t^beta * g - c_g(t)/t^beta * h.
 
-    c_g and c_h are Z[t]-coefficients, t^beta divides both, and h's leading
-    term sits at t^beta in c_h.  Taking c_g and c_h at the x-monomial being
-    cleared, the combination has no term there.  This is the one
-    cross-multiplication step of initial reduction, in both regimes.
+    c_g and c_h are Z[t]-coefficients that t^beta divides.  Taken at the
+    x-monomial being cleared, with h's leading term at t^beta in c_h, they
+    leave no term there.  This is every combination of two views in initial
+    reduction: the eliminations of both regimes and the prime Bezout step.
     """
     u = [(b - beta, c) for b, c in c_h]
     v = [(b - beta, -c) for b, c in c_g]
@@ -157,24 +147,25 @@ def _cross_eliminate(g: dict, c_g, h: dict, c_h, beta: int) -> dict:
     return out
 
 
-def _reducible_tail(ord_, view, lm, lts):
+def _reducible_tail(ord_, view, lm, lts, keys: dict):
     """Yield (key, term, j) for each skeleton tail term of a view, greatest
     first, and each ``lts[j]`` that term-divides it; ``lm`` is the view's
-    leading exponent and ``key`` the term's ordering key."""
-    key = ord_.key
-    gamma = lm[1:]
-    tail = sorted([(key(e), Term(tp[0][1], e))
-                   for a, tp in view.items() if a != gamma
-                   for e in ((tp[0][0],) + a,)], reverse=True)
-    for k, term in tail:
-        for j, lt in enumerate(lts):
-            if term_divides(lt, term):
-                yield k, term, j
+    leading exponent.  Only these terms are keyed, once per ``keys`` memo."""
+    hits = []
+    for a, tp in view.items():
+        term = Term(tp[0][1], (tp[0][0],) + a)
+        js = [j for j, lt in enumerate(lts) if term_divides(lt, term)] if a != lm[1:] else ()
+        if js:
+            if term.exp not in keys:
+                keys[term.exp] = ord_.key(term.exp)
+            hits.append((keys[term.exp], term, js))
+    hits.sort(key=itemgetter(0), reverse=True)
+    for k, term, js in hits:
+        for j in js:
+            yield k, term, j
 
 
-# ---------------------------------------------------------------------------
-# Prime regime
-# ---------------------------------------------------------------------------
+# --- prime regime ------------------------------------------------------------
 
 
 def _p_reduce_view(p: int, view: dict, gamma) -> None:
@@ -210,8 +201,8 @@ def p_reduce(ctx: InredContext, g: Polynomial) -> Polynomial:
     the result's skeleton is divisible by p.  g must be nonzero and
     x-homogeneous.
     """
-    (view,), (lm,) = _views(ctx.ord, [g], "p_reduce")
-    _p_reduce_view(ctx.p, view, lm[1:])
+    ((lt, view),) = _views(ctx.ord, [g], "p_reduce")
+    _p_reduce_view(ctx.p, view, lt.exp[1:])
     return from_t_coefficients(view)
 
 
@@ -253,22 +244,22 @@ def _check_lower(g_views, g_lms, lms) -> None:
     _check_monic("lower", g_views, g_lms)
 
 
-def _reduce_block(ctx: InredContext, views: list, lms: list) -> list[int]:
+def _reduce_block(ctx: InredContext, views: list, lms: list, keys: list) -> list[int]:
     """Reduce a block of views against itself and p - t, in place.
 
     Two triangular passes over the block ordered by decreasing leading
-    monomial: the first eliminates the x-monomial of each leading term from
-    all later elements, the second clears reducible skeleton terms of earlier
-    elements against later leading terms.  Every combination is (p - t)-
-    reduced immediately.  Element i stays at position i; the returned
-    positions list the block by decreasing leading monomial.
+    monomial (``keys[i]`` is the key of ``lms[i]``): the first eliminates the
+    x-monomial of each leading term from all later elements, the second
+    clears reducible skeleton terms of earlier elements against later
+    leading terms.  Every combination is (p - t)-reduced immediately.
+    Element i stays at position i; the returned positions list the block by
+    decreasing leading monomial.
     """
     _check_block_views(views, lms)
     p = ctx.p
     for v, lm in zip(views, lms):
         _p_reduce_view(p, v, lm[1:])
-    key = ctx.ord.key
-    order = sorted(range(len(views)), key=lambda i: key(lms[i]), reverse=True)
+    order = sorted(range(len(views)), key=keys.__getitem__, reverse=True)
     for n, i in enumerate(order):
         beta, alpha = lms[i][0], lms[i][1:]
         for j in order[n + 1:]:
@@ -289,62 +280,104 @@ def _reduce_block(ctx: InredContext, views: list, lms: list) -> list[int]:
     return order
 
 
-def inred_same_degree(ctx: InredContext, G: Sequence[Polynomial]) -> list[Polynomial]:
-    """Initially reduce a block of equal x-degree against itself and p - t.
-
-    Leading terms are preserved and the ideal generated together with p - t
-    is unchanged; the block comes back by decreasing leading monomial.  This
-    is ``inred_step_by_step`` with no lower elements, so one body checks,
-    reduces (``_reduce_block``) and converts both.
-    """
-    return inred_step_by_step(ctx, (), G)
-
-
-def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
-                       H: Sequence[Polynomial]) -> list[Polynomial]:
-    """Cross-degree reduction, one reducible skeleton term at a time.
+def _reduce_stratum(ctx: InredContext, g_views, g_lms, views, lms, keys) -> tuple:
+    """``inred_step_by_step`` on views, leading exponents and their keys.
 
     Each step takes the greatest skeleton tail term of the block, below the
     term the previous step handled, that a lower leading term divides (the
-    first such lower element is the reducer).  The matching multiple of
-    that element, carrying the maximal feasible t-power, joins the helper
-    set and the whole block is re-reduced.  The loop ends when no such term
-    is left.  Only the term's exponent matters: lower leading coefficients
-    are 1, so divisibility is a question of exponents.
-
-    H and G become views once, are checked once on those views, and the
-    block is returned as polynomials once, by decreasing leading monomial;
-    an empty block gives [].  Each helper is a shifted view of its lower
-    element, whose leading exponent is the term it was made for; the block
-    (first ``len(H)`` positions) and the helpers are re-reduced in place.
-    """
-    ord_ = ctx.ord
-    views, lms = _views(ord_, H, "block")
-    g_views, g_lms = _views(ord_, G, "lower")
-    if not views:
-        return []
-    order = _reduce_block(ctx, views, lms)
+    first such lower element is the reducer).  That element's multiple with
+    this leading exponent and key joins the helpers, and the block is
+    re-reduced, until no such term is left.  Lower leading coefficients are
+    1, so only exponents matter.  Returns the block by decreasing leading
+    monomial."""
+    order = _reduce_block(ctx, views, lms, keys)
     _check_lower(g_views, g_lms, lms)
-    views, lms = [views[i] for i in order], [lms[i] for i in order]
+    views, lms, keys = ([xs[i] for i in order] for xs in (views, lms, keys))
     k = len(views)
     glts = [Term(1, g_lm) for g_lm in g_lms]
+    tail_keys: dict = {}
     below = None  # ordering key of the term the last step handled
     while True:
         hits = []
         for v, lm in zip(views[:k], lms[:k]):
-            for key, term, j in _reducible_tail(ord_, v, lm, glts):
+            for key, term, j in _reducible_tail(ctx.ord, v, lm, glts, tail_keys):
                 if below is None or key < below:
                     hits.append((key, term.exp, j))
                     break
         if not hits:
-            return _polynomials(ord_, views[:k], lms[:k])
+            return views[:k], lms[:k], keys[:k]
         below, s, j = max(hits)
         # an ordering is multiplicative, so this multiple's leading exponent is s
         mult = _term_mul(g_views[j], tuple(map(sub, s, g_lms[j])))
         assert s not in lms[k:]
         views.append(mult)
         lms.append(s)
-        _reduce_block(ctx, views, lms)
+        keys.append(below)
+        _reduce_block(ctx, views, lms, keys)
+
+
+def inred_same_degree(ctx: InredContext, G: Sequence[Polynomial]) -> list[Polynomial]:
+    """Initially reduce a block of equal x-degree against itself and p - t:
+    ``inred_step_by_step`` with no lower elements.  Leading terms and the
+    ideal generated with p - t are kept; the block comes back by decreasing
+    leading monomial."""
+    return inred_step_by_step(ctx, (), G)
+
+
+def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
+                       H: Sequence[Polynomial]) -> list[Polynomial]:
+    """Cross-degree reduction of the block H against the lower elements G,
+    one reducible skeleton term at a time (``_reduce_stratum``, on views
+    made once); the block returns by decreasing leading monomial, [] if
+    empty."""
+    ord_ = ctx.ord
+    block, lower = _views(ord_, H, "block"), _views(ord_, G, "lower")
+    if not block:
+        return []
+    lms = [lt.exp for lt, _ in block]
+    out = _reduce_stratum(ctx, [v for _, v in lower], [lt.exp for lt, _ in lower],
+                          [v for _, v in block], lms, [ord_.key(lm) for lm in lms])
+    return _polynomials(ord_, *out)
+
+
+def _terms(view: dict) -> list:
+    """A view's terms as (c, beta, alpha), ordered and compared as its
+    polynomial's terms are."""
+    return [(c, b, a) for a in sorted(view, key=lambda a: (sum(a), a), reverse=True)
+            for b, c in view[a]]
+
+
+def _prime_survivors(lts: Sequence[Term], p: int) -> list[bool]:
+    """The prime drop rule, a flag per leading term: p does not divide its
+    coefficient, and no other such term's monomial strictly divides it."""
+    lms = {lt.exp for lt in lts if lt.coeff % p}
+    return [lc % p != 0 and not any(m != lm and exp_divides(m, lm) for m in lms)
+            for lc, lm in lts]
+
+
+def _initially_reduce_prime(ord_: MonomialOrdering, prime: int, pairs) -> StandardBasis:
+    """``initially_reduce`` in the prime regime, on the (leading term, view)
+    pairs that ``_prime_survivors`` keeps; the views are reduced in place."""
+    ctx = InredContext(prime, ord_)
+    kept: dict[tuple, dict] = {}  # leading exponent -> monic view
+    for (lc, lm), view in pairs:
+        if lc != 1:  # a*g + b*x^lm*(p - t), a*lc + b*p = 1
+            _, a, b = extended_gcd(lc, prime)
+            pt = {lm[1:]: [(lm[0], prime), (lm[0] + 1, -1)]}
+            view = _cross_eliminate(view, ((0, -b),), pt, ((0, a),), 0)
+        rival = kept.get(lm)
+        if rival is None or _terms(view) < _terms(rival):
+            kept[lm] = view
+    views, lms, keys = [], [], []
+    for d in sorted({sum(lm[1:]) for lm in kept}):
+        block = [lm for lm in kept if sum(lm[1:]) == d]
+        out = _reduce_stratum(ctx, views, lms, [kept[lm] for lm in block], block,
+                              [ord_.key(lm) for lm in block])
+        for done, new in zip((views, lms, keys), out):
+            done.extend(new)
+    n = ord_.nvars
+    pt = record_leading_term(ord_, p_minus_t(prime, n), Term(prime, (0,) * (n + 1)))
+    return StandardBasis(tuple(_polynomials(ord_, views, lms, keys)) + (pt,), ord_)
 
 
 def initially_reduce(basis: StandardBasis, prime: int | None = None) -> StandardBasis:
@@ -354,50 +387,29 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
     the result keeps; nothing is completed again.  With a declared prime the
     ideal must contain p - t, which is not checked here.  Its elements must
     be normalised as ``standard_basis`` leaves them (``normalize_element``:
-    unit t-content stripped, positive leading coefficient); callers with a
-    basis from elsewhere, such as a lifted one, normalise it first.  Prime
-    regime: drops elements whose leading coefficient the prime divides (p - t
-    covers them), normalises the remaining leading coefficients to 1 via a
-    Bezout combination with p - t, minimises, then reduces the x-degree
-    strata bottom up against everything already finished; the result always
-    contains p - t.  Generic regime: ``generic_initial_reduce``.
+    unit t-content stripped, positive leading coefficient), as callers with
+    lifted bases do.  Generic regime: ``generic_initial_reduce``.
 
-    Before the Bezout step, an element whose leading monomial another
-    element's strictly divides is dropped, since ``minimize`` would drop it
-    whatever the tie-breaks: it sorts a divisor of strictly smaller x-degree
-    or t-power first, and keeps that divisor or an element whose leading
-    monomial divides it in turn.  Elements with equal leading monomials all
-    stay, as ``minimize`` decides among them on their monic terms.  The
-    Bezout combination a*g + b*x^lm*(p - t) has the leading term 1*x^lm,
-    which is kept on it with g's key: its exponent is g's leading one.
+    Prime regime, on (leading term, view) pairs: drop elements whose
+    leading coefficient p divides (p - t covers them), make the rest monic
+    by a Bezout combination with p - t, minimise, and reduce the x-degree
+    strata bottom up; each returned element is built once, keeping 1*x^lm,
+    and p - t is always returned.  The drop reads only leading terms (which
+    the unit-content strip keeps, see ``standard_basis``), so it runs before
+    any element is built.  It drops an element whose leading monomial
+    another's strictly divides, as ``minimize`` would whatever the
+    tie-breaks: it sorts a divisor of smaller x-degree or t-power first, and
+    keeps it or one whose leading monomial divides it.  Only equal leading
+    monomials tie then, and ``minimize`` keeps the monic element whose terms
+    sort first.  a*g + b*x^lm*(p - t), a*lc + b*p = 1, leads with 1*x^lm.
     """
     if not basis.elements:
         raise InvalidInput("empty standard basis")
     if prime is None:
         return generic_initial_reduce(basis)
-    ord_ = basis.ordering
-    ctx = InredContext(prime, ord_)
-    pt = p_minus_t(prime, basis.elements[0].nvars)
-    lts = [leading_term(ord_, g) for g in basis.elements]
-    lms = {lm for lc, lm in lts if lc % ctx.p}
-    monic: list[Polynomial] = []
-    for g, (lc, lm) in zip(basis.elements, lts):
-        if lc % ctx.p == 0 or any(m != lm and exp_divides(m, lm) for m in lms):
-            continue
-        if lc != 1:
-            _, a, b = extended_gcd(lc, ctx.p)
-            key = leading_key(ord_, g)
-            g = g * a + pt.term_mul(b, lm)
-            assert Term(1, lm) in g.terms, "Bezout leading coefficient must be 1"
-            g = record_leading_term(ord_, g, Term(1, lm), key)
-        monic.append(g)
-    strata: dict[int, list[Polynomial]] = {}
-    for g in minimize(StandardBasis(tuple(monic), ord_)).elements:
-        strata.setdefault(x_degree(g), []).append(g)
-    done: list[Polynomial] = []
-    for d in sorted(strata):
-        done.extend(inred_step_by_step(ctx, done, strata[d]))
-    return StandardBasis(tuple(done) + (pt,), ord_)
+    pairs = _views(basis.ordering, basis.elements, "basis")
+    keep = _prime_survivors([lt for lt, _ in pairs], prime)
+    return _initially_reduce_prime(basis.ordering, prime, list(compress(pairs, keep)))
 
 
 def _eliminate_tail(g: dict, term: Term, h: dict, lt_h: Term) -> dict:
@@ -471,11 +483,12 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
     # the job.
     lts = [leading_term(ord_, g) for g in elems]
     views = [t_coefficients(g) for g in elems]
+    keys: dict = {}
     steps = 0
     for i, lt_g in enumerate(lts):
         first = steps
-        while hit := next(((term, j) for _, term, j in
-                           _reducible_tail(ord_, views[i], lt_g.exp, lts) if j != i), None):
+        while hit := next(((term, j) for _, term, j in _reducible_tail(
+                ord_, views[i], lt_g.exp, lts, keys) if j != i), None):
             term, j = hit
             v = views[i] = strip_unit_t_content_view(
                 _eliminate_tail(views[i], term, views[j], lts[j]))
@@ -498,20 +511,14 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
 
 def is_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial]) -> bool:
     """Minimal, and no skeleton tail term lies under any leading term."""
-    elems = [g for g in elements]
+    elems = list(elements)
     if any(g.is_zero for g in elems):
         return False
     lts = [leading_term(ord_, g) for g in elems]
-    for i, lt in enumerate(lts):
-        if any(j != i and term_divides(lts[j], lt) for j in range(len(lts))):
-            return False
-    for g, lt_g in zip(elems, lts):
-        for term in t_skeleton(g).terms:
-            if term.exp == lt_g.exp:
-                continue
-            if any(term_divides(lt, term) for lt in lts):
-                return False
-    return True
+    if any(i != j and term_divides(a, b) for i, a in enumerate(lts) for j, b in enumerate(lts)):
+        return False
+    return not any(term.exp != lt_g.exp and any(term_divides(lt, term) for lt in lts)
+                   for g, lt_g in zip(elems, lts) for term in t_skeleton(g).terms)
 
 
 def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomial],
@@ -519,14 +526,17 @@ def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomi
     """Minimal initially reduced standard basis of <elements> w.r.t. ord_.
 
     The one entry from generators: checks the generators by ``Ideal``'s
-    rules, computes a strong standard basis, then hands it to
-    ``initially_reduce``.  A declared prime p requires p - t among the
-    generators, the hypothesis under which initial reduction terminates;
-    without it ``InvalidInput`` is raised before any completion, even when
-    p - t lies in the ideal.
+    rules, completes, then reduces as ``initially_reduce`` does, in the
+    prime regime on the completion's own pairs.  A declared prime p
+    requires p - t among the generators, the hypothesis under which initial
+    reduction terminates; without it ``InvalidInput`` is raised before any
+    completion, even when p - t lies in the ideal.
     """
     gens = tuple(f for f in elements if not f.is_zero)
     if not gens:
         raise InvalidInput("empty generating set")
     Ideal(gens, gens[0].nvars, prime)
-    return initially_reduce(standard_basis(ord_, gens), prime)
+    if prime is None:
+        return generic_initial_reduce(standard_basis(ord_, gens))
+    pairs = standard_basis_views(ord_, gens, lambda lts: _prime_survivors(lts, prime))
+    return _initially_reduce_prime(ord_, prime, pairs)

@@ -403,7 +403,7 @@ def record_leading_term(ord_: MonomialOrdering, f: Polynomial, lt: Term,
     when the caller has it (None leaves it to ``leading_key``).
 
     For callers that already know the leading term from how they built f:
-    a completion's packed maximum, a Bezout combination's unit term, a lift
+    a completion's packed maximum, a reduced view's carried term, a lift
     from the initial form it lifts, an initial form from its element, a
     re-anchored basis from its cone.  ``lt`` must be the term
     ``leading_term`` would find, and ``key`` its key, which nothing here

@@ -371,13 +371,13 @@ class TestInvariantsFlagDoctoredFans:
 
 
 def test_carried_leading_terms_match_recomputed(monkeypatch):
-    """The leading terms that ``standard_basis``, ``lift`` and the prime
-    Bezout step keep on the elements they build, without searching for
-    them, are the terms a search over each element finds: at one query per
-    benchmark cone, and along the whole benchmark fans and the fans of
-    seeded random prime ideals.  The Bezout step's elements are what
-    ``initially_reduce`` hands to ``minimize``."""
-    checked = {"standard_basis": 0, "lift": 0, "bezout": 0}
+    """The leading terms that ``standard_basis``, ``lift`` and prime-regime
+    initial reduction keep on the elements they build, without searching
+    for them, are the terms a search over each element finds: at one query
+    per benchmark cone, and along the whole benchmark fans and the fans of
+    seeded random prime ideals.  Initial reduction is checked on what
+    ``ensure_initially_reduced`` and ``initially_reduce`` return."""
+    checked = {"standard_basis": 0, "lift": 0, "inred": 0}
 
     def assert_carried(stage, basis):
         ord_ = basis.ordering
@@ -386,10 +386,10 @@ def test_carried_leading_terms_match_recomputed(monkeypatch):
             assert f._lt[1] == max(f.terms, key=lambda t: ord_.key(t.exp)), (stage, f)
             checked[stage] += 1
 
-    def checking(stage, fn, result=True):
+    def checking(stage, fn):
         def wrapper(*args):
             out = fn(*args)
-            assert_carried(stage, out if result else args[0])
+            assert_carried(stage, out)
             return out
         return wrapper
 
@@ -397,8 +397,8 @@ def test_carried_leading_terms_match_recomputed(monkeypatch):
         monkeypatch.setattr(module, "standard_basis",
                             checking("standard_basis", module.standard_basis))
     monkeypatch.setattr(tfan.fan, "lift", checking("lift", tfan.fan.lift))
-    monkeypatch.setattr(tfan.inred, "minimize",
-                        checking("bezout", tfan.inred.minimize, result=False))
+    for name in ("ensure_initially_reduced", "initially_reduce"):
+        monkeypatch.setattr(tfan.fan, name, checking("inred", getattr(tfan.fan, name)))
     cones = prime_benchmark_cones(monkeypatch, random.Random(20))
     ideals = {}
     for _, problem, w in cones:
@@ -665,14 +665,18 @@ def key_cost(ord_, f):
     return 0 if kept[2] is not None else 1
 
 
-@pytest.mark.parametrize("name, budget", [("fig1", 9), ("worked3", 95)])
+@pytest.mark.parametrize("name, budget", [("fig1", 3), ("worked3", 69), ("flip", 50),
+                                          ("gen022", 330)])
 def test_key_budget_of_a_fan(monkeypatch, name, budget):
     """Ordering keys over a whole fan stay within the measured budget, and
     ``sorted_basis``, ``minimize`` and ``lift`` compute none for an element
     that keeps its key: each computes exactly what ``key_cost`` charges the
-    elements it reads, and ``lift``, outside its divisions, none.  Before
-    leading terms and keys were carried along the flip, these fans took 33
-    and 224 keys."""
+    elements it reads, and ``lift``, outside its divisions, none.  The
+    fans are three demos and the generic benchmark fan gen022.  Before
+    leading terms and keys were carried along the flip, fig1 and worked3
+    took 33 and 224 keys; before the prime regime reduced the completion's
+    views and skeleton scans keyed only reducible terms, the four took 9,
+    95, 103 and 636."""
     stack = [{"keys": 0}]
     total = [0]
     key = MonomialOrdering.key
@@ -709,7 +713,12 @@ def test_key_budget_of_a_fan(monkeypatch, name, budget):
     monkeypatch.setattr(tfan.fan, "lift", staged(tfan.fan.lift, lambda *args: 0))
     # a witness's division computes keys of remainder exponents, not of elements
     monkeypatch.setattr(tfan.fan, "witness", staged(tfan.fan.witness, lambda *args: None))
-    problem = demo_problem(name)
+    if name.startswith("gen"):
+        corpus, _ = bench_modules(monkeypatch)
+        spec = next(itertools.islice(corpus.generic_ideals(0), int(name[3:]), None))
+        problem = parse_problem(corpus.problem_text(*spec))
+    else:
+        problem = demo_problem(name)
     fan = groebner_fan(problem.ideal(), tiebreak=problem.tiebreak)
     assert len(fan.maximal_cones) > 1
     assert total[0] <= budget

@@ -75,13 +75,14 @@ def test_flipped_cones_match_cones_from_scratch(name):
 def test_no_completion_after_a_flip(monkeypatch):
     """Only the start cone's generators are completed inside inred."""
     completions = []
-    original = tfan.inred.standard_basis
+    for name in ("standard_basis", "standard_basis_views"):
+        original = getattr(tfan.inred, name)
 
-    def counting(*args, **kwargs):
-        completions.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, original=original, **kwargs):
+            completions.append(args)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(tfan.inred, "standard_basis", counting)
+        monkeypatch.setattr(tfan.inred, name, counting)
     ideal, tiebreak = demo_case("flip")
     fan = groebner_fan(ideal, tiebreak=tiebreak)
     assert len(fan.maximal_cones) == 3

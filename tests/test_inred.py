@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+import tfan.fan
 import tfan.inred
 from tfan import (
     InredContext,
@@ -13,6 +14,7 @@ from tfan import (
     StandardBasis,
     ensure_initially_reduced,
     generic_initial_reduce,
+    groebner_fan,
     initially_reduce,
     inred_same_degree,
     inred_step_by_step,
@@ -30,6 +32,7 @@ from tfan.exact import extended_gcd, p_valuation
 from tfan.inred import _p_reduce_view
 from tfan.poly import (
     exp_divides,
+    from_t_coefficients,
     is_x_homogeneous,
     p_minus_t,
     t_coefficients,
@@ -520,10 +523,42 @@ def test_view_kernel_matches_polynomial_loop(case):
     assert is_initially_reduced(ctx.ord, out + G + [p_minus_t(ctx.p, n)])
 
 
+def poly_initially_reduce(basis, prime, step=old_inred_step_by_step):
+    """The prime regime of ``initially_reduce`` written on polynomials: the
+    oracle of the driver on (leading term, view) pairs.  It drops on
+    searched leading terms, Bezout-normalises the survivors by polynomial
+    arithmetic, minimises with ``minimize`` and reduces each stratum with
+    ``step``, the polynomial loop unless a test passes a counted one.  The
+    elements are copied first, so no leading term kept on them is used."""
+    ord_ = basis.ordering
+    ctx = InredContext(prime, ord_)
+    pt = p_minus_t(prime, basis.elements[0].nvars)
+    elems = [Polynomial(g.terms) for g in basis.elements]
+    lts = [leading_term(ord_, g) for g in elems]
+    lms = {lm for lc, lm in lts if lc % prime}
+    monic = []
+    for g, (lc, lm) in zip(elems, lts):
+        if lc % prime == 0 or any(m != lm and exp_divides(m, lm) for m in lms):
+            continue
+        if lc != 1:
+            _, a, b = extended_gcd(lc, prime)
+            g = g * a + pt.term_mul(b, lm)
+            assert leading_term(ord_, g) == (1, lm)
+        monic.append(g)
+    strata = {}
+    for g in minimize(StandardBasis(tuple(monic), ord_)).elements:
+        strata.setdefault(x_degree(g), []).append(g)
+    done = []
+    for d in sorted(strata):
+        done.extend(step(ctx, done, strata[d]))
+    return StandardBasis(tuple(done) + (pt,), ord_)
+
+
 def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
     """At one interior weight of each maximal cone of every prime-regime
     benchmark fan, initial reduction of the standard basis gives the same
-    basis through the view kernel as through the polynomial loop."""
+    basis through the view driver, from the basis and from the
+    completion's pairs, as through the polynomial driver and loop."""
     calls = []
 
     def counted_old_inred_step_by_step(ctx, G, H):
@@ -532,17 +567,66 @@ def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
 
     cones = prime_benchmark_cones(monkeypatch, random.Random(18))
     for name, problem, w in cones:
-        sb = standard_basis(MonomialOrdering((w,), problem.tiebreak), problem.gens)
-        new = initially_reduce(sb, problem.prime)
+        ord_ = MonomialOrdering((w,), problem.tiebreak)
+        sb = standard_basis(ord_, problem.gens)
         made = len(calls)
-        with monkeypatch.context() as m:
-            m.setattr(tfan.inred, "inred_step_by_step", counted_old_inred_step_by_step)
-            old = initially_reduce(sb, problem.prime)
+        old = poly_initially_reduce(sb, problem.prime, counted_old_inred_step_by_step)
         # the oracle ran, so the comparison is not the new code against itself
         assert len(calls) > made, (name, w)
+        assert initially_reduce(sb, problem.prime).elements == old.elements, (name, w)
+        new = ensure_initially_reduced(ord_, problem.gens, problem.prime)
         assert new.elements == old.elements, (name, w)
-        assert is_initially_reduced(sb.ordering, new.elements), (name, w)
+        assert is_initially_reduced(ord_, new.elements), (name, w)
     assert len(cones) == 42
+
+
+def test_prime_driver_matches_polynomial_driver_on_random_ideals():
+    """At the start weight and two random weights of seeded random prime
+    ideals, both entries of the view driver give the polynomial driver's
+    basis."""
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(16):
+        ideal = random_prime_ideal(rng)
+        n = ideal.nvars
+        weights = [(-1,) + (1,) * n] + [
+            (-rng.randint(1, 4),) + tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(2)]
+        for w in weights:
+            ord_ = weighted_ordering(w, n)
+            sb = standard_basis(ord_, ideal.gens)
+            old = poly_initially_reduce(sb, ideal.prime)
+            assert initially_reduce(sb, ideal.prime).elements == old.elements, (ideal, w)
+            new = ensure_initially_reduced(ord_, ideal.gens, ideal.prime)
+            assert new.elements == old.elements, (ideal, w)
+            checked += 1
+    assert checked == 48
+
+
+def test_prime_driver_matches_polynomial_driver_on_lifted_bases(monkeypatch):
+    """Along the whole fans of the prime-regime benchmark ideals and of
+    seeded random prime ideals, every lifted basis that the traversal
+    initially reduces gives the polynomial driver's basis."""
+    checked = []
+    original = tfan.fan.initially_reduce
+
+    def checking(basis, prime):
+        old = poly_initially_reduce(basis, prime)
+        out = original(basis, prime)
+        assert prime is not None and out.elements == old.elements
+        checked.append(basis)
+        return out
+
+    monkeypatch.setattr(tfan.fan, "initially_reduce", checking)
+    ideals = {problem.ideal(): problem.tiebreak
+              for _, problem, _ in prime_benchmark_cones(monkeypatch, random.Random(24))}
+    rng = random.Random(24)
+    for _ in range(6):
+        ideals[random_prime_ideal(rng)] = None
+    cones = sum(len(groebner_fan(ideal, tiebreak=tiebreak).maximal_cones)
+                for ideal, tiebreak in ideals.items())
+    # every cone but each fan's start cone comes from a lifted basis
+    assert len(checked) == cones - len(ideals)
 
 
 def old_initially_reduce(basis, prime, egcd=extended_gcd):
@@ -629,6 +713,54 @@ class TestDriver:
         o = weighted_ordering((-1, 1, 1), 2)
         basis = ensure_initially_reduced(o, polys(XY, "2 - t"), 2)
         assert basis.elements == (P("2 - t", XY),)
+
+    def test_only_p_minus_t_survives_the_drop(self):
+        """Every element of the completion has a leading coefficient that 2
+        divides, so the drop leaves nothing to reduce."""
+        o = weighted_ordering((-1, 1, 1), 2)
+        F = polys(XY, "2 - t", "2*x - t*x", "4*y^2 - 2*t*y^2")
+        sb = standard_basis(o, F)
+        assert len(sb.elements) == 3
+        assert all(leading_term(o, g).coeff % 2 == 0 for g in sb.elements)
+        expected = (P("2 - t", XY),)
+        assert ensure_initially_reduced(o, F, 2).elements == expected
+        assert initially_reduce(sb, 2).elements == expected
+        assert poly_initially_reduce(sb, 2).elements == expected
+
+    def test_prime_entry_builds_each_returned_element_once(self, monkeypatch):
+        """From generators, the prime regime builds a polynomial only for
+        an element it returns, p - t aside, searches no leading term and
+        runs no ``standard_basis``: each returned element keeps its leading
+        term and key, and they are what a search finds."""
+        builds, searches = [], []
+
+        def counted_build(view):
+            builds.append(view)
+            return from_t_coefficients(view)
+
+        def counted_search(*args):
+            searches.append(args)
+            return leading_term(*args)
+
+        def refuse(*args):
+            raise AssertionError("standard_basis called")
+
+        monkeypatch.setattr(tfan.inred, "from_t_coefficients", counted_build)
+        monkeypatch.setattr(tfan.inred, "leading_term", counted_search)
+        monkeypatch.setattr(tfan.inred, "standard_basis", refuse)
+        returned = 0
+        for _, problem, w in prime_benchmark_cones(monkeypatch, random.Random(24)):
+            ord_ = MonomialOrdering((w,), problem.tiebreak)
+            made = len(builds)
+            basis = ensure_initially_reduced(ord_, problem.gens, problem.prime)
+            assert len(builds) - made <= len(basis.elements) - 1, (problem, w)
+            returned += len(basis.elements) - 1
+            for g in basis.elements:
+                assert g._lt[0] is ord_, (problem, w)
+                assert g._lt[1] == max(g.terms, key=lambda t: ord_.key(t.exp)), (problem, w)
+            assert all(g._lt[2] is not None for g in basis.elements[:-1]), (problem, w)
+        assert searches == []
+        assert len(builds) == returned
 
     def test_section3_driver(self):
         o = weighted_ordering((-1, 1, 1, 1), 3)
