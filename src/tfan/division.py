@@ -41,8 +41,9 @@ tests do) lowers every cap, the one in ``inred`` included.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 from math import gcd
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DivisionDiverged, InvalidInput
@@ -55,7 +56,6 @@ from .poly import (
     exp_divides,
     exp_lcm,
     exp_mul,
-    exp_x_degree,
     from_t_coefficients,
     leading_key,
     leading_term,
@@ -207,18 +207,6 @@ def sorted_basis(ord_: MonomialOrdering, elems) -> StandardBasis:
     element's leading key is read where it is kept (``leading_key``)."""
     elems = sorted(elems, key=lambda g: (leading_key(ord_, g), g.terms), reverse=True)
     return StandardBasis(tuple(elems), ord_)
-
-
-def normalize_element(ord_: MonomialOrdering, f: Polynomial) -> Polynomial:
-    """Basis-element normalisation: strip unit t-content, make lc positive.
-
-    A negated element keeps the leading term, negated, and its key under
-    ``ord_``: negation moves no exponent."""
-    f = strip_unit_t_content(f)
-    lt = leading_term(ord_, f)
-    if lt.coeff < 0:
-        f = record_leading_term(ord_, -f, Term(-lt.coeff, lt.exp), leading_key(ord_, f))
-    return f
 
 
 # --- standard bases via degree homogenisation -------------------------------
@@ -531,9 +519,9 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     dehomogenising merges no terms.  The strip keeps it: dividing by a
     content u with u(0) = 1 keeps the lowest term of every
     Z[t]-coefficient, the leading term's under a t-local ordering.  So a
-    rule on leading terms alone, such as the prime drop of ``inred``, can
-    run before any element is built.  Each key is computed once, by the
-    sort of the output.
+    rule on leading terms alone, such as ``minimal``, can run before any
+    element is built.  Each key is computed once, by the sort of the
+    output.
     """
     out: dict[Polynomial, Term] = {}
     for lt, view in standard_basis_views(ord_, gens):
@@ -546,8 +534,9 @@ def standard_basis_views(ord_: MonomialOrdering, gens: Sequence[Polynomial],
     """The completion's normalised elements as (leading term, view) pairs,
     in the order it made them, none built as a Polynomial; the view is the
     dict ``{alpha: [(beta, c), ...]}`` of ``t_coefficients``.  ``keep``, if
-    given, maps the list of all leading terms to a flag per element, and
-    only flagged ones are unpacked.  Equal elements are not merged."""
+    given, maps the list of all leading terms to a flag per element (initial
+    reduction's rule), and only flagged ones are unpacked.  Equal elements
+    are not merged."""
     stripped = [strip_unit_t_content(f) for f in gens if not f.is_zero]
     if not stripped:
         raise InvalidInput("standard basis of the zero ideal is not represented")
@@ -574,23 +563,37 @@ def standard_basis_views(ord_: MonomialOrdering, gens: Sequence[Polynomial],
     return out
 
 
+def minimal(lts: Sequence[Term]) -> list[bool]:
+    """The one minimality rule, a flag per leading term: an element is
+    dropped when another, different, leading term term-divides its own,
+    coefficients compared by absolute value (2x and -2x term-divide each
+    other).  Equal leading terms share a flag; ``first_of_equal`` keeps one
+    element of them.  What it drops leaves the leading ideal unchanged."""
+    terms = [lt if lt.coeff > 0 else Term(-lt.coeff, lt.exp) for lt in lts]
+    distinct = set(terms)
+    dropped = {t for t in distinct if any(d != t and term_divides(d, t) for d in distinct)}
+    return [t not in dropped for t in terms]
+
+
+def first_of_equal(pairs, terms) -> dict:
+    """Of (leading term, element) pairs, one element per leading term up to
+    sign, keyed by that term with its coefficient made positive: the element
+    whose ``terms`` sort first, the earliest of equal ones."""
+    kept: dict = {}
+    for lt, g in pairs:
+        lt = lt if lt.coeff > 0 else Term(-lt.coeff, lt.exp)
+        rival = kept.get(lt)
+        if rival is None or terms(g) < terms(rival):
+            kept[lt] = g
+    return kept
+
+
 def minimize(basis: StandardBasis) -> StandardBasis:
-    """Drop elements whose leading term is term-divisible by another's.
-
-    The leading ideal is unchanged; minimal standard bases remain standard
-    bases (and generating sets).  Potential divisors are processed first so
-    the outcome is deterministic.
-    """
+    """The elements that ``minimal`` keeps, one per leading term
+    (``first_of_equal`` on the terms); minimal standard bases remain
+    standard bases (and generating sets)."""
     ord_ = basis.ordering
-
-    def order(g):
-        lt = leading_term(ord_, g)
-        return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), leading_key(ord_, g), g.terms)
-
-    kept: list[Polynomial] = []
-    for g in sorted(basis.elements, key=order):
-        lt = leading_term(ord_, g)
-        if any(term_divides(leading_term(ord_, h), lt) for h in kept):
-            continue
-        kept.append(g)
-    return sorted_basis(ord_, kept)
+    lts = [leading_term(ord_, g) for g in basis.elements]
+    kept = first_of_equal(compress(zip(lts, basis.elements), minimal(lts)),
+                          attrgetter("terms"))
+    return sorted_basis(ord_, kept.values())

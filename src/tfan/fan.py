@@ -66,7 +66,7 @@ from .cone import (
     is_face,
     relative_interior_point,
 )
-from .division import StandardBasis, hddwr, minimize, normalize_element, standard_basis
+from .division import StandardBasis, hddwr, minimize, standard_basis
 from .errors import InvalidInput, NonGenericWeight, WitnessFailed
 from .exact import dot, rank
 from .inred import _fmt_term, _fmt_vector, ensure_initially_reduced, initially_reduce
@@ -201,9 +201,9 @@ def _cone_from_adjacent(G_new: StandardBasis, prime: int | None) -> GroebnerCone
 
     The lifted basis is already a standard basis under its ordering, so it
     is only initially reduced, not completed again (the ideal, and with it
-    p - t, is unchanged by the flip); its elements are normalised as
-    ``standard_basis`` leaves them, which ``initially_reduce`` expects.  The
-    cone is read off with the leading terms as initial forms, and the basis
+    p - t, is unchanged by the flip), and ``initially_reduce`` normalises
+    its elements and carries their leading terms and keys.  The cone is
+    read off with the leading terms as initial forms, and the basis
     is re-anchored to one interior weight u, whose initial forms must be
     those leading terms: the cone reads its weight and initial forms off u.
 
@@ -214,8 +214,7 @@ def _cone_from_adjacent(G_new: StandardBasis, prime: int | None) -> GroebnerCone
     weight.
     """
     ord_new = G_new.ordering
-    normalised = tuple(normalize_element(ord_new, g) for g in G_new.elements)
-    basis = initially_reduce(StandardBasis(normalised, ord_new), prime)
+    basis = initially_reduce(G_new, prime)
     terms = [leading_term(ord_new, g) for g in basis.elements]
     lts = tuple(Polynomial((lt,)) for lt in terms)
     hc = cone_from_basis(basis, lts)

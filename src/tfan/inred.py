@@ -25,21 +25,20 @@ Both regimes compute on Z[t]-coefficient views, the dicts
 key for a vanished x-monomial), each with its leading term carried beside
 it, since no reduction step moves a leading term.  ``_cross_eliminate``
 makes every combination of two views and ``_reducible_tail`` finds
-reducible skeleton tail terms.  The prime regime takes (leading term,
-view) pairs: the completion's own (``standard_basis_views``), or from
-``_views``, the one adapter for polynomials.  Its block and lower-element
-rules are checked on the views, and each rejection names the rule, the
-element's position and its leading exponent.  A view becomes a polynomial
-once, when it is returned; the loops between sort no terms and search no
-leading term.
+reducible skeleton tail terms, keying each exponent once per reduction.
 
-``initially_reduce`` is the one path from a known standard basis to an
-initially reduced one, in either regime; it never completes again and
-expects elements normalised as ``standard_basis`` leaves them, as the fan
-traversal leaves lifted bases.  ``ensure_initially_reduced`` is the one
-entry from generators: it applies ``Ideal``'s rule that a declared prime p
-needs p - t among the generators (so membership of p - t is never decided
-by a normal form), completes, then reduces as ``initially_reduce`` does.
+One path leads into either driver: normalised (leading term, view) pairs,
+cut down by the regime's rule on leading terms (``_rule``, built on
+``division.minimal``) before any element is built, each leading key carried
+from where it is known.  ``ensure_initially_reduced``, the entry from
+generators, applies ``Ideal``'s rule that a declared prime p needs p - t
+among the generators (so membership of p - t is never decided by a normal
+form) and takes the completion's pairs (``standard_basis_views``).
+``initially_reduce``, the entry from a known standard basis, completes
+nothing and normalises the views it makes.  A view becomes a polynomial
+once, when it is returned.  ``p_reduce``, ``inred_same_degree`` and
+``inred_step_by_step`` take polynomials through ``_views``, whose rule
+checks name the rule, the element's position and its leading exponent.
 """
 
 from __future__ import annotations
@@ -50,13 +49,7 @@ from operator import add, itemgetter, sub
 from typing import Sequence
 
 from . import division
-from .division import (
-    StandardBasis,
-    minimize,
-    sorted_basis,
-    standard_basis,
-    standard_basis_views,
-)
+from .division import StandardBasis, first_of_equal, minimal, sorted_basis, standard_basis_views
 from .errors import InredDiverged, InvalidInput
 from .exact import extended_gcd, is_prime, p_valuation
 from .poly import (
@@ -66,6 +59,7 @@ from .poly import (
     Term,
     exp_divides,
     from_t_coefficients,
+    leading_key,
     leading_term,
     p_minus_t,
     record_leading_term,
@@ -74,6 +68,7 @@ from .poly import (
     t_skeleton,
     term_div,
     term_divides,
+    view_terms,
 )
 
 
@@ -118,6 +113,14 @@ def _polynomials(ord_, views, lms, keys) -> list[Polynomial]:
             for v, lm, k in zip(views, lms, keys)]
 
 
+def _key(ord_, keys: dict, e):
+    """``ord_.key(e)``, computed once per ``keys`` memo."""
+    k = keys.get(e)
+    if k is None:
+        k = keys[e] = ord_.key(e)
+    return k
+
+
 def _term_mul(view: dict, e) -> dict:
     """The view times the monomial t^e[0] * x^e[1:]."""
     b0, a0 = e[0], e[1:]
@@ -156,9 +159,7 @@ def _reducible_tail(ord_, view, lm, lts, keys: dict):
         term = Term(tp[0][1], (tp[0][0],) + a)
         js = [j for j, lt in enumerate(lts) if term_divides(lt, term)] if a != lm[1:] else ()
         if js:
-            if term.exp not in keys:
-                keys[term.exp] = ord_.key(term.exp)
-            hits.append((keys[term.exp], term, js))
+            hits.append((_key(ord_, keys, term.exp), term, js))
     hits.sort(key=itemgetter(0), reverse=True)
     for k, term, js in hits:
         for j in js:
@@ -340,44 +341,49 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
     return _polynomials(ord_, *out)
 
 
-def _terms(view: dict) -> list:
-    """A view's terms as (c, beta, alpha), ordered and compared as its
-    polynomial's terms are."""
-    return [(c, b, a) for a in sorted(view, key=lambda a: (sum(a), a), reverse=True)
-            for b, c in view[a]]
+def _rule(prime: int | None):
+    """The regime's ``keep`` rule on leading terms: ``minimal``, or the prime
+    drop, which drops an element if p divides its leading coefficient (p - t
+    covers it) or ``minimal`` drops 1*x^lm, its Bezout step's, among the rest."""
+    if prime is None:
+        return minimal
+
+    def keep(lts):
+        units = [lt.coeff % prime != 0 for lt in lts]
+        flags = iter(minimal([Term(1, lm) for (_, lm), u in zip(lts, units) if u]))
+        return [u and next(flags) for u in units]
+    return keep
 
 
-def _prime_survivors(lts: Sequence[Term], p: int) -> list[bool]:
-    """The prime drop rule, a flag per leading term: p does not divide its
-    coefficient, and no other such term's monomial strictly divides it."""
-    lms = {lt.exp for lt in lts if lt.coeff % p}
-    return [lc % p != 0 and not any(m != lm and exp_divides(m, lm) for m in lms)
-            for lc, lm in lts]
-
-
-def _initially_reduce_prime(ord_: MonomialOrdering, prime: int, pairs) -> StandardBasis:
-    """``initially_reduce`` in the prime regime, on the (leading term, view)
-    pairs that ``_prime_survivors`` keeps; the views are reduced in place."""
+def _initially_reduce(ord_, prime: int | None, pairs, keys: dict, known: dict) -> StandardBasis:
+    """Reduce the normalised pairs that the regime's rule keeps, in place,
+    with the leading ``keys`` known so far.  Generic regime:
+    ``generic_initial_reduce``, which reads ``known``.  Prime regime: each
+    element is made monic by a*g + b*x^lm*(p - t), a*lc + b*p = 1; of equal
+    leading monomials the one whose terms sort first is kept, and the
+    x-degree strata are reduced bottom up.  Each element is built once,
+    keeping 1*x^lm and its key, and p - t is always returned."""
+    if prime is None:
+        return generic_initial_reduce(ord_, pairs, keys, known)
     ctx = InredContext(prime, ord_)
-    kept: dict[tuple, dict] = {}  # leading exponent -> monic view
+    monic = []
     for (lc, lm), view in pairs:
-        if lc != 1:  # a*g + b*x^lm*(p - t), a*lc + b*p = 1
+        if lc != 1:
             _, a, b = extended_gcd(lc, prime)
             pt = {lm[1:]: [(lm[0], prime), (lm[0] + 1, -1)]}
             view = _cross_eliminate(view, ((0, -b),), pt, ((0, a),), 0)
-        rival = kept.get(lm)
-        if rival is None or _terms(view) < _terms(rival):
-            kept[lm] = view
-    views, lms, keys = [], [], []
+        monic.append((Term(1, lm), view))
+    kept = {lt.exp: view for lt, view in first_of_equal(monic, view_terms).items()}
+    views, lms, block_keys = [], [], []
     for d in sorted({sum(lm[1:]) for lm in kept}):
         block = [lm for lm in kept if sum(lm[1:]) == d]
         out = _reduce_stratum(ctx, views, lms, [kept[lm] for lm in block], block,
-                              [ord_.key(lm) for lm in block])
-        for done, new in zip((views, lms, keys), out):
+                              [_key(ord_, keys, lm) for lm in block])
+        for done, new in zip((views, lms, block_keys), out):
             done.extend(new)
     n = ord_.nvars
     pt = record_leading_term(ord_, p_minus_t(prime, n), Term(prime, (0,) * (n + 1)))
-    return StandardBasis(tuple(_polynomials(ord_, views, lms, keys)) + (pt,), ord_)
+    return StandardBasis(tuple(_polynomials(ord_, views, lms, block_keys)) + (pt,), ord_)
 
 
 def initially_reduce(basis: StandardBasis, prime: int | None = None) -> StandardBasis:
@@ -385,54 +391,46 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
 
     ``basis`` must already be a standard basis w.r.t. its ordering, which
     the result keeps; nothing is completed again.  With a declared prime the
-    ideal must contain p - t, which is not checked here.  Its elements must
-    be normalised as ``standard_basis`` leaves them (``normalize_element``:
-    unit t-content stripped, positive leading coefficient), as callers with
-    lifted bases do.  Generic regime: ``generic_initial_reduce``.
-
-    Prime regime, on (leading term, view) pairs: drop elements whose
-    leading coefficient p divides (p - t covers them), make the rest monic
-    by a Bezout combination with p - t, minimise, and reduce the x-degree
-    strata bottom up; each returned element is built once, keeping 1*x^lm,
-    and p - t is always returned.  The drop reads only leading terms (which
-    the unit-content strip keeps, see ``standard_basis``), so it runs before
-    any element is built.  It drops an element whose leading monomial
-    another's strictly divides, as ``minimize`` would whatever the
-    tie-breaks: it sorts a divisor of smaller x-degree or t-power first, and
-    keeps it or one whose leading monomial divides it.  Only equal leading
-    monomials tie then, and ``minimize`` keeps the monic element whose terms
-    sort first.  a*g + b*x^lm*(p - t), a*lc + b*p = 1, leads with 1*x^lm.
+    ideal must contain p - t, which is not checked here.  The elements need
+    not be normalised: their views are stripped of unit t-content and signed
+    to a positive leading coefficient, as the completion's are, and carry
+    the elements' leading keys; an element already normalised is ``known``
+    with its view.  The kept pairs go to the driver of the regime.
     """
     if not basis.elements:
         raise InvalidInput("empty standard basis")
-    if prime is None:
-        return generic_initial_reduce(basis)
-    pairs = _views(basis.ordering, basis.elements, "basis")
-    keep = _prime_survivors([lt for lt, _ in pairs], prime)
-    return _initially_reduce_prime(basis.ordering, prime, list(compress(pairs, keep)))
+    ord_, keys, known, pairs = basis.ordering, {}, {}, []
+    for f, (lt, view) in zip(basis.elements, _views(ord_, basis.elements, "basis")):
+        keys[lt.exp] = leading_key(ord_, f)
+        if lt.coeff < 0:
+            lt, f = Term(-lt.coeff, lt.exp), None
+            view = {a: [(b, -c) for b, c in tp] for a, tp in view.items()}
+        normal = strip_unit_t_content_view(view)
+        if f is not None and normal is view:
+            known[lt] = (view, f)
+        pairs.append((lt, normal))
+    keep = _rule(prime)([lt for lt, _ in pairs])
+    return _initially_reduce(ord_, prime, list(compress(pairs, keep)), keys, known)
 
 
 def _eliminate_tail(g: dict, term: Term, h: dict, lt_h: Term) -> dict:
     """One elimination of a reducible skeleton tail term of the view g
     against the view h, whose leading term ``lt_h`` term-divides ``term``.
 
-    When h is monic up to sign, the whole Z[t]-coefficient of the offending
-    x-monomial is cleared by cross-multiplication: (b/t^beta) * g minus
-    (a/t^beta) * x^shift * h, where a and b are the Z[t]-coefficients of g
-    and h at the relevant x-monomials.  The multiplier has unit leading term,
-    so the ideal and (after a sign fix) the leading term are unchanged.  This
-    is what finds polynomial reduced forms such as (1+t)*g - t*h where plain
-    term-by-term subtraction would climb in t forever.  Reducers with bigger
-    leading coefficients fall back to single-term subtraction, the same
-    kernel with multipliers 1 and the quotient term.
+    When h is monic, the whole Z[t]-coefficient of the offending x-monomial
+    is cleared by cross-multiplication: (b/t^beta) * g minus (a/t^beta) *
+    x^shift * h, where a and b are the Z[t]-coefficients of g and h at the
+    relevant x-monomials.  The multiplier has unit leading term, so the
+    ideal and the leading term are unchanged.  This is what finds polynomial
+    reduced forms such as (1+t)*g - t*h where plain term-by-term subtraction
+    would climb in t forever.  Reducers with bigger leading coefficients
+    fall back to single-term subtraction, the same kernel with multipliers 1
+    and the quotient term.
     """
     alpha, gamma = term.exp[1:], lt_h.exp[1:]
     shifted = _term_mul(h, (0,) + tuple(map(sub, alpha, gamma)))
-    if abs(lt_h.coeff) == 1:
-        out = _cross_eliminate(g, g[alpha], shifted, h[gamma], lt_h.exp[0])
-        if lt_h.coeff < 0:
-            out = {a: [(b, -c) for b, c in tp] for a, tp in out.items()}
-        return out
+    if lt_h.coeff == 1:
+        return _cross_eliminate(g, g[alpha], shifted, h[gamma], lt_h.exp[0])
     m = term_div(term, lt_h)
     return _cross_eliminate(g, ((m.exp[0], m.coeff),), shifted, ((0, 1),), 0)
 
@@ -456,37 +454,35 @@ def _diverged(ord_, term, lt_g, bound) -> InredDiverged:
     )
 
 
-def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
-    """Initially reduce a minimal standard basis without a declared prime.
-
-    Element by element, repeatedly eliminates the element's greatest
-    reducible skeleton tail term against the first other element whose
-    leading term divides it (whole-coefficient elimination against monic
-    reducers, single-term subtraction otherwise); unit t-content is stripped
-    after every step.  Each element is reduced as a view, its leading term
-    carried beside it, and becomes a polynomial once, when its chase ends.
-    Termination is not guaranteed in this regime, so the loop is bounded by
-    a t-degree limit and by ``division.STEP_CAP``; ``InredDiverged`` names
-    the bound that tripped.
+def generic_initial_reduce(ord_: MonomialOrdering, pairs, keys: dict, known: dict) -> StandardBasis:
+    """Initial reduction without a declared prime, on the pairs that
+    ``minimal`` keeps, one of equal leading terms (the one whose terms sort
+    first).  In the order of ``sorted_basis``, each element's greatest
+    reducible skeleton tail term is eliminated against the first other
+    element whose leading term divides it (whole-coefficient elimination
+    against monic reducers, single-term subtraction otherwise), and unit
+    t-content stripped, until none is left; an element whose view is still
+    the one ``known`` maps its leading term to is returned as the polynomial
+    beside it.  Divergence is bounded by a t-degree limit and by
+    ``division.STEP_CAP``; ``InredDiverged`` names the bound that tripped.
     """
-    ord_ = basis.ordering
-    elems = list(minimize(basis).elements)
+    kept = first_of_equal(pairs, view_terms)
+    # the terms only break ties of leading monomial, which few bases have
+    ties = len({lt.exp for lt in kept}) < len(kept)
+    lts = sorted(kept, key=lambda lt: (_key(ord_, keys, lt.exp), ties and view_terms(kept[lt])),
+                 reverse=True)
+    views = [kept[lt] for lt in lts]
     # Divergence in this regime shows up as unbounded t-degree growth (each
     # pass trades a tail term for higher t-powers); catching it by degree
     # keeps the failure fast and diagnosable instead of grinding toward the
     # step cap on ever-larger polynomials.
-    degree_limit = 32 + 8 * max(
-        (t.exp[0] for g in elems for t in g.terms), default=0)
-    # Leading terms never change (checked on each changed element), and
+    degree_limit = 32 + 8 * max(tp[-1][0] for v in views for tp in v.values())
+    # Leading terms never change (checked on each element's view), and
     # whether an element has a reducible skeleton term depends only on that
     # element and the leading terms, so one pass over the elements finishes
     # the job.
-    lts = [leading_term(ord_, g) for g in elems]
-    views = [t_coefficients(g) for g in elems]
-    keys: dict = {}
     steps = 0
     for i, lt_g in enumerate(lts):
-        first = steps
         while hit := next(((term, j) for _, term, j in _reducible_tail(
                 ord_, views[i], lt_g.exp, lts, keys) if j != i), None):
             term, j = hit
@@ -502,10 +498,14 @@ def generic_initial_reduce(basis: StandardBasis) -> StandardBasis:
                 raise _diverged(ord_, term, lt_g,
                                 f"the reduction passed {division.STEP_CAP} "
                                 "elimination steps")
-        if steps > first:
-            elems[i] = from_t_coefficients(views[i])
-            assert leading_term(ord_, elems[i]) == lt_g, \
-                "initial reduction must preserve leading terms"
+        tp = views[i].get(lt_g.exp[1:])
+        assert tp and tp[0] == (lt_g.exp[0], lt_g.coeff), \
+            "initial reduction must preserve leading terms"
+    elems = []
+    for lt, v in zip(lts, views):
+        view, f = known.get(lt, (None, None))
+        f = f if view is v else from_t_coefficients(v)
+        elems.append(record_leading_term(ord_, f, lt, keys[lt.exp]))
     return sorted_basis(ord_, elems)
 
 
@@ -526,17 +526,14 @@ def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomi
     """Minimal initially reduced standard basis of <elements> w.r.t. ord_.
 
     The one entry from generators: checks the generators by ``Ideal``'s
-    rules, completes, then reduces as ``initially_reduce`` does, in the
-    prime regime on the completion's own pairs.  A declared prime p
-    requires p - t among the generators, the hypothesis under which initial
-    reduction terminates; without it ``InvalidInput`` is raised before any
-    completion, even when p - t lies in the ideal.
+    rules, completes with the regime's rule as the ``keep`` flag, so no
+    dropped element is unpacked, and reduces the completion's pairs.  A
+    declared prime p requires p - t among the generators, the hypothesis
+    under which initial reduction terminates; without it ``InvalidInput`` is
+    raised before any completion, even when p - t lies in the ideal.
     """
     gens = tuple(f for f in elements if not f.is_zero)
     if not gens:
         raise InvalidInput("empty generating set")
     Ideal(gens, gens[0].nvars, prime)
-    if prime is None:
-        return generic_initial_reduce(standard_basis(ord_, gens))
-    pairs = standard_basis_views(ord_, gens, lambda lts: _prime_survivors(lts, prime))
-    return _initially_reduce_prime(ord_, prime, pairs)
+    return _initially_reduce(ord_, prime, standard_basis_views(ord_, gens, _rule(prime)), {}, {})

@@ -206,14 +206,18 @@ def t_coefficients(f: Polynomial) -> dict[tuple, TPoly]:
     return {a: tuple(tp) for a, tp in out.items()}
 
 
+def view_terms(coeffs: dict) -> tuple[Term, ...]:
+    """The terms of a view's polynomial in canonical order; the view's
+    alphas may come in any order, its betas ascending."""
+    return tuple([Term(c, (b,) + a)
+                  for a in sorted(coeffs, key=lambda a: (sum(a), a), reverse=True)
+                  for b, c in coeffs[a]])
+
+
 def from_t_coefficients(coeffs: dict) -> Polynomial:
-    """The polynomial of a Z[t]-coefficient view, the inverse of
-    ``t_coefficients``: alphas in canonical order (x-degree, then alpha,
-    descending), each coefficient's betas ascending as the view keeps them.
-    The view's alphas may come in any order."""
-    return Polynomial(tuple([Term(c, (b,) + a)
-                             for a in sorted(coeffs, key=lambda a: (sum(a), a), reverse=True)
-                             for b, c in coeffs[a]]))
+    """The polynomial of a Z[t]-coefficient view (``view_terms``), the
+    inverse of ``t_coefficients``."""
+    return Polynomial(view_terms(coeffs))
 
 
 def tpoly_shift(tp: TPoly, k: int) -> TPoly:

@@ -1,13 +1,14 @@
 """Shared test helpers: polynomial building, seeded random ideals, the
 pair builders and pair certificate that check completions, the polynomial
 product by a Z[t] coefficient and the coefficient lookup that the
-initial-reduction oracles use, the gcd loop that checks the content
-strip, the generator and ``Fraction`` routes that check the vector
-arithmetic and ``format_frac``, the ``t_skeleton`` route of
-``cone_from_basis`` and the thrice-deduplicating ``facets`` that check the
-cone layer, the determinate division by polynomial arithmetic that checks
-``hddwr``, the demo problems, and one query weight per maximal cone of the
-prime-regime benchmark fans."""
+initial-reduction oracles use, the element normalisation of a completion
+and the sort-based ``minimize`` that checks the minimality rule, the gcd
+loop that checks the content strip, the generator and ``Fraction`` routes
+that check the vector arithmetic and ``format_frac``, the ``t_skeleton``
+route of ``cone_from_basis`` and the thrice-deduplicating ``facets`` that
+check the cone layer, the determinate division by polynomial arithmetic
+that checks ``hddwr``, the demo problems, and one query weight per maximal
+cone of the prime-regime benchmark fans."""
 
 import json
 import os
@@ -33,10 +34,14 @@ from tfan import (
 )
 from tfan.cli import parse_poly, parse_problem
 from tfan.cone import ConeData, Facet, HCone, _dedupe_rows, dd_rays
+from tfan.division import sorted_basis
 from tfan.exact import dot, extended_gcd, primitive, vneg, vsub
 from tfan.poly import (
     exp_div,
     exp_lcm,
+    exp_x_degree,
+    leading_key,
+    strip_unit_t_content,
     t_coefficients,
     t_skeleton,
     term_divides,
@@ -87,6 +92,32 @@ def old_strip_unit_t_content_view(coeffs):
     if unit[0][1] != 1 or len(unit) == 1:
         return coeffs
     return {a: tpoly_divexact(tp, unit) for a, tp in coeffs.items()}
+
+
+def normalize_element(ord_, f):
+    """f with its Z[[t]]-unit content stripped and its leading coefficient
+    made positive, as a completion leaves its elements."""
+    f = strip_unit_t_content(f)
+    return -f if leading_term(ord_, f).coeff < 0 else f
+
+
+def old_minimize(basis):
+    """``minimize`` by a sorted scan: potential divisors first (x-degree,
+    t-power and |coefficient| of the leading term, then its key, then the
+    terms), each element kept unless a kept one's leading term
+    term-divides its own.  The oracle of the minimality rule."""
+    ord_ = basis.ordering
+
+    def order(g):
+        lt = leading_term(ord_, g)
+        return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), leading_key(ord_, g), g.terms)
+
+    kept = []
+    for g in sorted(basis.elements, key=order):
+        lt = leading_term(ord_, g)
+        if not any(term_divides(leading_term(ord_, h), lt) for h in kept):
+            kept.append(g)
+    return sorted_basis(ord_, kept)
 
 
 def old_dot(u, v):

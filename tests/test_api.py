@@ -143,3 +143,28 @@ def test_every_definition_is_public_or_used():
             continue
         unused.append(f"{fname}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def bound_names(node):
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_no_private_name_is_dead():
+    """Each module-level ``_name`` of the package (bound by def, class or
+    assignment, in any module, ``cli.py`` included) is read by some other
+    top-level statement of the package: one referenced only by its own
+    definition is the leftover of a path that was merged away."""
+    statements = [(fname, node, referenced_names(node))
+                  for fname, tree in modules() for node in tree.body]
+    dead = []
+    for fname, node, _ in statements:
+        for name in sorted(bound_names(node)):
+            if name.startswith("_") and not name.startswith("__") and not any(
+                    name in refs for _, other, refs in statements if other is not node):
+                dead.append(f"{fname}:{node.lineno} {name}")
+    assert dead == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import tfan.division
-from tfan.division import _Packing, normalize_element, sorted_basis
+from tfan.division import _Packing, sorted_basis
 from tfan.poly import exp_div, exp_divides, exp_lcm
 from tfan import (
     DivisionDiverged,
@@ -33,6 +33,8 @@ from helpers import (
     XY,
     XYZ,
     assert_pairs_reduce_to_zero,
+    normalize_element,
+    old_minimize,
     old_gcd_poly,
     old_hddwr,
     old_s_poly,
@@ -224,6 +226,54 @@ class TestMinimize:
         o = lex_ordering(2)
         sb = StandardBasis(polys(XY, "x", "y"), o)
         assert set(minimize(sb).elements) == set(sb.elements)
+
+    def test_matches_the_sorted_scan(self):
+        """The minimality rule keeps what the sorted scan keeps, in the same
+        order, on 10,000 seeded random bases of two x-variables under 40
+        random orderings.  Bases mix
+        negative leading coefficients, +- pairs of one element, duplicates
+        and elements sharing a leading term with different tails; without
+        comparing coefficients by absolute value, the rule keeps both of
+        2x and -2x."""
+        rng = random.Random(26)
+        coeffs = (-3, -2, -1, 1, 2, 3)
+        monomials = {1: [(1, 0), (0, 1)], 2: [(2, 0), (1, 1), (0, 2)]}
+        kinds = dict.fromkeys(("negative", "pm", "duplicate", "tails", "dropped"), 0)
+
+        def element(d, o, below=None):
+            terms = [(rng.choice(coeffs), (rng.randint(0, 2),) + rng.choice(monomials[d]))
+                     for _ in range(rng.randint(1, 3))]
+            if below is not None:
+                terms = [below] + [t for t in terms if o.key(t[1]) < o.key(below[1])]
+            return Polynomial.from_terms(terms)
+
+        orderings = [weighted_ordering((-rng.randint(1, 3), rng.randint(-2, 2),
+                                        rng.randint(-2, 2)), 2, rng.choice([(0, 1), (1, 0)]))
+                     for _ in range(40)]
+        for _ in range(10000):
+            o = rng.choice(orderings)
+            elems = [g for g in (element(rng.randint(1, 2), o) for _ in range(rng.randint(1, 5)))
+                     if g]
+            if not elems:
+                continue
+            for g in list(elems):
+                r = rng.random()
+                if r < 0.15:
+                    elems.append(-g)
+                    kinds["pm"] += 1
+                elif r < 0.3:
+                    elems.append(Polynomial(g.terms))
+                    kinds["duplicate"] += 1
+                elif r < 0.45:
+                    elems.append(element(sum(g.terms[0].exp[1:]), o, leading_term(o, g)))
+                    kinds["tails"] += 1
+            rng.shuffle(elems)
+            kinds["negative"] += any(leading_term(o, g).coeff < 0 for g in elems)
+            new = minimize(StandardBasis(tuple(Polynomial(g.terms) for g in elems), o))
+            old = old_minimize(StandardBasis(tuple(Polynomial(g.terms) for g in elems), o))
+            assert new.elements == old.elements, (o, elems)
+            kinds["dropped"] += len(new.elements) < len(elems)
+        assert min(kinds.values()) > 1000, kinds
 
 
 class TestStepCap:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -8,12 +8,12 @@ import tfan.fan
 import tfan.inred
 from tfan import (
     InredContext,
+    InredDiverged,
     InvalidInput,
     MonomialOrdering,
     Polynomial,
     StandardBasis,
     ensure_initially_reduced,
-    generic_initial_reduce,
     groebner_fan,
     initially_reduce,
     inred_same_degree,
@@ -27,6 +27,7 @@ from tfan import (
     t_skeleton,
     weighted_ordering,
 )
+from tfan.cli import parse_problem
 from tfan.division import sorted_basis
 from tfan.exact import extended_gcd, p_valuation
 from tfan.inred import _p_reduce_view
@@ -46,7 +47,9 @@ from helpers import (
     P,
     XY,
     XYZ,
+    bench_modules,
     mul_tpoly,
+    normalize_element,
     polys,
     prime_benchmark_cones,
     random_prime_ideal,
@@ -611,7 +614,9 @@ def test_prime_driver_matches_polynomial_driver_on_lifted_bases(monkeypatch):
     original = tfan.fan.initially_reduce
 
     def checking(basis, prime):
-        old = poly_initially_reduce(basis, prime)
+        ord_ = basis.ordering
+        old = poly_initially_reduce(StandardBasis(
+            tuple(normalize_element(ord_, g) for g in basis.elements), ord_), prime)
         out = original(basis, prime)
         assert prime is not None and out.elements == old.elements
         checked.append(basis)
@@ -729,9 +734,9 @@ class TestDriver:
 
     def test_prime_entry_builds_each_returned_element_once(self, monkeypatch):
         """From generators, the prime regime builds a polynomial only for
-        an element it returns, p - t aside, searches no leading term and
-        runs no ``standard_basis``: each returned element keeps its leading
-        term and key, and they are what a search finds."""
+        an element it returns, p - t aside, and searches no leading term:
+        each returned element keeps its leading term and key, and they are
+        what a search finds."""
         builds, searches = [], []
 
         def counted_build(view):
@@ -742,12 +747,8 @@ class TestDriver:
             searches.append(args)
             return leading_term(*args)
 
-        def refuse(*args):
-            raise AssertionError("standard_basis called")
-
         monkeypatch.setattr(tfan.inred, "from_t_coefficients", counted_build)
         monkeypatch.setattr(tfan.inred, "leading_term", counted_search)
-        monkeypatch.setattr(tfan.inred, "standard_basis", refuse)
         returned = 0
         for _, problem, w in prime_benchmark_cones(monkeypatch, random.Random(24)):
             ord_ = MonomialOrdering((w,), problem.tiebreak)
@@ -761,6 +762,37 @@ class TestDriver:
             assert all(g._lt[2] is not None for g in basis.elements[:-1]), (problem, w)
         assert searches == []
         assert len(builds) == returned
+
+    def test_generic_entry_builds_each_returned_element_once(self, monkeypatch):
+        """From generators, the generic regime builds a polynomial only for
+        an element it returns, and searches no leading term, at the weight
+        (-1, 1, 1, 1) of the first 40 members of the generic benchmark
+        stream, those that diverge there aside; the completions hold more
+        elements than are returned."""
+        builds, searches, made = [], [], []
+        views = tfan.inred.standard_basis_views
+
+        def counted_views(*args):
+            made.append(len(views(args[0], args[1])))
+            return views(*args)
+
+        monkeypatch.setattr(tfan.inred, "from_t_coefficients",
+                            counting(builds, from_t_coefficients))
+        monkeypatch.setattr(tfan.inred, "leading_term", counting(searches, leading_term))
+        monkeypatch.setattr(tfan.inred, "standard_basis_views", counted_views)
+        corpus, _ = bench_modules(monkeypatch)
+        returned = diverged = 0
+        for spec in islice(corpus.generic_ideals(0), 40):
+            problem = parse_problem(corpus.problem_text(*spec))
+            n = len(problem.tiebreak)
+            o = MonomialOrdering(((-1,) + (1,) * n,), problem.tiebreak)
+            try:
+                returned += len(ensure_initially_reduced(o, problem.gens).elements)
+            except InredDiverged:
+                diverged += 1
+                made.pop()
+        assert searches == [] and diverged < 10
+        assert len(builds) == returned < sum(made)
 
     def test_section3_driver(self):
         o = weighted_ordering((-1, 1, 1, 1), 3)
@@ -797,30 +829,61 @@ class TestDriver:
                {leading_term(o, g) for g in raw.elements}
 
 
+@pytest.mark.parametrize("gens, prime", [
+    (("2 - t", "x^2 + t*x*y - 3*t^2*y^2", "x*y - t*y^2 + 2*y^2"), 2),
+    (("3 - t", "2*x + t*y", "x*y + t^2*y^2"), 3),
+    (("x^2 + t*x*y - 3*t^2*y^2", "x*y - t*y^2 + 2*t*y^2"), None),
+    (("x + t*y", "y^2 + t*x*y"), None),
+], ids=["prime2", "prime3", "generic-quadrics", "generic-mixed"])
+def test_initially_reduce_normalises_its_input(gens, prime):
+    """A standard basis with its even-numbered elements negated and, where
+    the strip recovers them, odd-numbered ones times the unit 1 + t reduces
+    to what the basis itself reduces to, in both regimes."""
+    o = weighted_ordering((-1, 2, 1), 2)
+    sb = standard_basis(o, polys(XY, *gens))
+    unit = P("1 + t", XY)
+    doctored = []
+    for i, g in enumerate(sb.elements):
+        h = Polynomial(g.terms)
+        if i % 2 == 0:
+            h = -h
+        elif normalize_element(o, h * unit) == g:
+            h = h * unit
+        doctored.append(h)
+    assert sum(h == -g for h, g in zip(doctored, sb.elements)) >= 1
+    assert sum(h == g * unit for h, g in zip(doctored, sb.elements)) >= 1
+    assert initially_reduce(StandardBasis(tuple(doctored), o), prime).elements == \
+        initially_reduce(sb, prime).elements
+
+
 class TestGenericReduce:
     def test_lift_then_reduce_example(self):
         # adjacent ordering of the 3-cone linear fan
         o = weighted_ordering((-1, 0, 1, 0), 3).with_weights((-1, 0, 1, 0), (0, -1, 0, 1))
         sb = StandardBasis(polys(XYZ, "x + z", "y + z"), o)
-        red = generic_initial_reduce(sb)
+        red = initially_reduce(sb)
         assert set(red.elements) == set(polys(XYZ, "x + z", "y - x"))
 
     def test_untouched_when_already_reduced(self):
+        """An initially reduced basis comes back normalised: both elements
+        lose their unit content 1 - t, and nothing else changes."""
         o = weighted_ordering((-1, 3, 3, 3), 3)
         sb = StandardBasis(
             polys(XYZ, "x - t^3*x + t^3*z - t^4*z", "y - t^3*y + t^2*z - t^4*z"), o)
-        assert set(generic_initial_reduce(sb).elements) == set(sb.elements)
+        assert set(initially_reduce(sb).elements) == set(polys(
+            XYZ, "x + t*x + t^2*x + t^3*z", "y + t*y + t^2*y + t^2*z + t^3*z"))
 
     def test_second_linear_step(self):
         o = weighted_ordering((-1, -1, -1, 0), 3).with_weights((-1, -1, -1, 0), (0, 1, -1, 0))
         sb = StandardBasis(polys(XYZ, "x + z", "y - x"), o)
-        red = generic_initial_reduce(sb)
-        assert set(red.elements) == set(polys(XYZ, "y + z", "y - x"))
+        red = initially_reduce(sb)
+        # y - x leads with -x here, so it comes back signed as x - y
+        assert set(red.elements) == set(polys(XYZ, "y + z", "x - y"))
 
     def test_unit_content_breaks_mutual_cycle(self):
         o = weighted_ordering((-1, 1, 1), 2)
         sb = standard_basis(o, polys(XY, "x + t*y", "y + t*x"))
-        red = generic_initial_reduce(minimize(sb))
+        red = initially_reduce(minimize(sb))
         assert set(red.elements) == set(polys(XY, "x", "y"))
 
     def test_lowered_cap_names_the_step_count(self, monkeypatch):
@@ -830,7 +893,7 @@ class TestGenericReduce:
         sb = minimize(standard_basis(o, polys(XY, "x + t*y", "y + t*x")))
         monkeypatch.setattr(tfan.division, "STEP_CAP", 1)
         with pytest.raises(InredDiverged, match="passed 1 elimination steps") as exc:
-            generic_initial_reduce(sb)
+            initially_reduce(sb)
         assert "t-degree limit" not in str(exc.value)
 
     def test_whole_coefficient_elimination_finds_unit_combination(self):
@@ -843,9 +906,22 @@ class TestGenericReduce:
                                  "y + t*y + t^2*y + t^2*z + t^3*z",
                                  "x + t*x + t^2*x + t^3*z"), o)
         assert leading_term(o, sb.elements[0]) == (1, (2, 0, 0, 1))
-        red = generic_initial_reduce(sb)
+        red = initially_reduce(sb)
         assert P("x + t*x - t*y", XYZ) in red.elements
         assert is_initially_reduced(o, red.elements)
+
+    def test_moved_leading_term_trips_the_check(self, monkeypatch):
+        """An elimination that changed the carried leading term, here by
+        doubling the whole view, is caught on the view."""
+        original = tfan.inred._eliminate_tail
+
+        def doubling(*args):
+            return {a: [(b, 2 * c) for b, c in tp] for a, tp in original(*args).items()}
+
+        monkeypatch.setattr(tfan.inred, "_eliminate_tail", doubling)
+        o = weighted_ordering((-1, 0, 1, 0), 3).with_weights((-1, 0, 1, 0), (0, -1, 0, 1))
+        with pytest.raises(AssertionError, match="must preserve leading terms"):
+            initially_reduce(StandardBasis(polys(XYZ, "x + z", "y + z"), o))
 
     def test_true_divergence_fails_fast_with_guidance(self):
         from fractions import Fraction
@@ -858,7 +934,7 @@ class TestGenericReduce:
                      "-2*t + 3*t^2 + 2*t^3")
         sb = minimize(standard_basis(o, gens))
         with pytest.raises(InredDiverged, match="declare a prime"):
-            generic_initial_reduce(sb)
+            initially_reduce(sb)
 
     def test_divergence_names_element_term_and_weight(self):
         from tfan import InredDiverged, groebner_cone_at
