@@ -56,10 +56,6 @@ def exp_div(e1: Exp, e2: Exp) -> Exp:
     return tuple(a - b for a, b in zip(e1, e2))
 
 
-def exp_lcm(e1: Exp, e2: Exp) -> Exp:
-    return tuple(map(max, e1, e2))
-
-
 def exp_x_degree(e: Exp) -> int:
     return sum(e[1:])
 
@@ -510,8 +506,71 @@ def _dense_pseudo_rem(a, b):
     return a
 
 
+def _dense_quotient(a, b):
+    """a / b in Z[t] for trimmed a and nonzero trimmed b, or None if b does
+    not divide a."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    while _dense_trim(a):
+        da = len(a) - 1
+        if da < db or a[-1] % lb:
+            return None
+        qc = a[-1] // lb
+        q[da - db] = qc
+        for i, bc in enumerate(b, da - db):
+            a[i] -= qc * bc
+    return q
+
+
+def _dense_eval(a, xi: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _heu_gcd(a, b):
+    """The primitive gcd of primitive a and b by GCDHEU (Char, Geddes and
+    Gonnet, JSC 7, 1989), or None if no try succeeds.
+
+    A try evaluates a and b at an integer xi, takes the integer gcd of the
+    values and reads it back as balanced xi-adic digits.  The primitive
+    part h of that polynomial is accepted only if it divides a and b
+    exactly; for xi >= 2*min(|a|, |b|) + 2, with |a| the largest absolute
+    coefficient, such an h is their gcd.  The first xi is that bound plus
+    27; each of at most 6 retries multiplies it by 73794/27011."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(7):
+        v = gcd(_dense_eval(a, xi), _dense_eval(b, xi))
+        digits, half = [], xi // 2
+        while v:
+            d = v % xi
+            if d > half:
+                d -= xi
+            digits.append(d)
+            v = (v - d) // xi
+        h = _dense_primitive(digits)
+        if h and _dense_quotient(a, h) is not None and _dense_quotient(b, h) is not None:
+            return h
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _euclid_gcd(a, b):
+    """The primitive gcd of primitive a and b by the primitive remainder
+    sequence."""
+    while b:
+        a, b = b, _dense_primitive(_dense_trim(_dense_pseudo_rem(a, b)))
+    return _dense_primitive(a)
+
+
 def tpoly_gcd(p: TPoly, q: TPoly) -> TPoly:
-    """GCD in Z[t], normalised so the lowest nonzero coefficient is positive."""
+    """GCD in Z[t], normalised so the lowest nonzero coefficient is positive.
+
+    The gcd of the primitive parts comes from GCDHEU (``_heu_gcd``), or
+    from Euclid's primitive remainder sequence when every heuristic try
+    fails; both give it up to sign, which the normalisation fixes."""
     a, b = _dense_trim(_tp_dense(p)), _dense_trim(_tp_dense(q))
     if not a and not b:
         return ()
@@ -520,9 +579,7 @@ def tpoly_gcd(p: TPoly, q: TPoly) -> TPoly:
     else:
         ca, cb = _dense_content(a), _dense_content(b)
         a, b = _dense_primitive(a), _dense_primitive(b)
-        while b:
-            a, b = b, _dense_primitive(_dense_trim(_dense_pseudo_rem(a, b)))
-        res = [c * gcd(ca, cb) for c in _dense_primitive(a)]
+        res = [c * gcd(ca, cb) for c in _heu_gcd(a, b) or _euclid_gcd(a, b)]
     low = next(c for c in res if c != 0)
     if low < 0:
         res = [-c for c in res]
@@ -536,15 +593,9 @@ def tpoly_divexact(p: TPoly, d: TPoly) -> TPoly:
         raise InvalidInput("division by zero in Z[t]")
     if not a:
         return ()
-    q = [0] * (len(a) - len(b) + 1)
-    while _dense_trim(a):
-        da, db = len(a) - 1, len(b) - 1
-        if da < db or a[-1] % b[-1] != 0:
-            raise InvalidInput("inexact division in Z[t]")
-        qc = a[-1] // b[-1]
-        q[da - db] = qc
-        for i, bc in enumerate(b):
-            a[da - db + i] -= qc * bc
+    q = _dense_quotient(a, b)
+    if q is None:
+        raise InvalidInput("inexact division in Z[t]")
     return _dense_tp(q)
 
 

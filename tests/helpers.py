@@ -38,7 +38,6 @@ from tfan.division import sorted_basis
 from tfan.exact import dot, extended_gcd, primitive, vneg, vsub
 from tfan.poly import (
     exp_div,
-    exp_lcm,
     exp_x_degree,
     leading_key,
     strip_unit_t_content,
@@ -324,6 +323,11 @@ def time_limit(seconds):
 
 
 # --- pairs by polynomial arithmetic ------------------------------------------
+
+
+def exp_lcm(e1, e2):
+    """The componentwise maximum of two exponents."""
+    return tuple(map(max, e1, e2))
 
 
 def old_s_poly(f, lf, g, lg):

@@ -2,19 +2,23 @@ import json
 import os
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 from operator import mul
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import tfan.division
-from tfan.division import _Packing, sorted_basis
-from tfan.poly import exp_div, exp_divides, exp_lcm
+from tfan.division import _Packing, _PastLimit, sorted_basis
+from tfan.fan import groebner_cone_at
+from tfan.poly import exp_div, exp_divides
 from tfan import (
     DivisionDiverged,
     MonomialOrdering,
+    groebner_fan,
     Polynomial,
     StandardBasis,
     hddwr,
@@ -33,12 +37,15 @@ from helpers import (
     XY,
     XYZ,
     assert_pairs_reduce_to_zero,
+    bench_modules,
+    exp_lcm,
     normalize_element,
     old_minimize,
     old_gcd_poly,
     old_hddwr,
     old_s_poly,
     polys,
+    prime_benchmark_cones,
     prime_stream_member,
 )
 
@@ -806,6 +813,171 @@ def test_pair_criteria_halve_head_reductions(monkeypatch):
     sb = standard_basis(MonomialOrdering(((-1, 1, 1, 1),), (0, 1, 2)), ideal.gens)
     assert len(sb.elements) == 14
     assert len(calls) <= 55  # 110 without the criteria
+
+
+# --- the completion kernel against the loop it replaced -----------------------
+
+
+def old_complete(pk, inputs):
+    """The completion loop ``_complete`` replaced: treated pairs as byte
+    flags that the chain test reads for every element, pair keys packed
+    from the lcm tuple, and both criteria of a pair decided before either
+    of its candidates is reduced.  It calls ``_pair_candidate``,
+    ``_head_reduce`` and ``extended_gcd`` through the module, so counters
+    patched in there see both loops."""
+    D = tfan.division
+    mask, guard = pk.mask, pk.guard
+    reducers, lt_exps, pending, treated = [], [], [], []
+
+    def add(lead, terms):
+        e = pk.unpack(lead)
+        j = len(reducers)
+        for i, lt in enumerate(lt_exps):
+            heappush(pending, (pk.pack(exp_lcm(lt, e)), i, j))
+        reducers.append((terms[lead], guard - (lead & mask), lead, tuple(terms.items())))
+        lt_exps.append(e)
+        treated.append(bytearray(j))
+
+    def chained(i, j, c, low):
+        for k, (lc, gap, _, _) in enumerate(reducers):
+            if c % lc == 0 and (low + gap) & guard == guard and k != i and k != j \
+                    and (treated[k][i] if i < k else treated[i][k]) \
+                    and (treated[k][j] if j < k else treated[j][k]):
+                return True
+        return False
+
+    for terms in inputs:
+        add(max(terms), terms)
+    while pending:
+        pm, i, j = heappop(pending)
+        treated[j][i] = 1
+        f, g = reducers[i], reducers[j]
+        a, b = abs(f[0]), abs(g[0])
+        d = gcd(a, b)
+        low = pm & mask
+        cofactors = []
+        if d != 1 or any(map(min, lt_exps[i], lt_exps[j])):
+            c = a // d * b
+            if not chained(i, j, c, low):
+                cofactors.append((c // f[0], -(c // g[0])))
+        if d != a and d != b and not chained(i, j, d, low):
+            cofactors.append(D.extended_gcd(f[0], g[0])[1:])
+        for u, v in cofactors:
+            acc = D._pair_candidate(u, f, v, g, pm)
+            if acc:
+                r = D._head_reduce(pk, acc, reducers)
+                if not r.is_zero:
+                    add(r.lead, r.terms)
+    return reducers
+
+
+KERNEL_CALLS = ("_pair_candidate", "_head_reduce", "extended_gcd")
+
+
+def recorded_completions(monkeypatch, runs):
+    """(packing, inputs) of every completion that the calls ``runs`` start,
+    those that stop at an lcm past the limit included."""
+    seen = []
+    complete = tfan.division._complete
+
+    def recorded(pk, inputs):
+        seen.append((pk, inputs))
+        return complete(pk, inputs)
+
+    monkeypatch.setattr(tfan.division, "_complete", recorded)
+    for run in runs:
+        run()
+    monkeypatch.setattr(tfan.division, "_complete", complete)
+    return seen
+
+
+def counting(counts, name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counted
+
+
+def kernel_runs(group, monkeypatch):
+    """Calls that start the completions of one group: the groebner_cone_at
+    queries at one seeded interior weight of each of the 42 prime benchmark
+    cones, the fans of the 5 prime benchmark cases and of the first 10
+    generic ones, or the fans of scaling_ideal(3, s) for s = 0..5."""
+    if group == "prime-cones":
+        return [lambda p=problem, w=w: groebner_cone_at(
+                    MonomialOrdering((w,), p.tiebreak), p.gens, p.prime)
+                for _, problem, w in prime_benchmark_cones(monkeypatch, random.Random(27))]
+    corpus, _ = bench_modules(monkeypatch)
+    if group == "fans":
+        with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as fh:
+            ref = json.load(fh)
+        params = ref["params"]
+        texts = [text for _, text in corpus.prime_cases(
+            params["prime_corpus_seed"], params["scaling_seeds"], ref["prime_keep"])]
+        generic = corpus.generic_cases(params["generic_corpus_seed"],
+                                       {int(k) for k in ref["generic_excluded"]})
+        texts += [text for _, text in generic[:10]]
+    else:
+        texts = [corpus.problem_text(*corpus.scaling_ideal(3, s)) for s in range(6)]
+    problems = [parse_problem(text) for text in texts]
+    return [lambda p=p: groebner_fan(p.ideal(), tiebreak=p.tiebreak) for p in problems]
+
+
+@pytest.mark.parametrize("bits", [32, 3])
+@pytest.mark.parametrize("group", ["prime-cones", "fans", "scale3"])
+def test_kernel_decides_as_the_loop_it_replaced(group, bits, monkeypatch):
+    """Every completion of the group, with the usual slots or with 3-bit
+    ones (where about one completion in five stops at an lcm past the
+    limit and starts over): ``_complete`` gives the old loop's packed elements in the
+    same order, or stops at an lcm of the same degree, and builds, reduces
+    and takes Bezout cofactors for as many candidates.  The one exception:
+    a stopped completion may take one set of cofactors fewer."""
+    monkeypatch.setattr(tfan.division, "_SLOT_BITS", bits)
+    completions = recorded_completions(monkeypatch, kernel_runs(group, monkeypatch))
+    counts = Counter()
+    for name in KERNEL_CALLS:
+        monkeypatch.setattr(tfan.division, name,
+                            counting(counts, name, getattr(tfan.division, name)))
+    seen = Counter()
+    for pk, inputs in completions:
+        runs = []
+        for complete in (tfan.division._complete, old_complete):
+            counts.clear()
+            try:
+                out = complete(pk, inputs)
+            except _PastLimit as exc:
+                out = ("past the limit", exc.degree)
+            runs.append((out, counts.copy()))
+        (new, new_calls), (old, old_calls) = runs
+        assert new == old
+        if new[0] == "past the limit":
+            # the old loop took the Bezout cofactors of a pair's
+            # GCD-candidate before its S-remainder joined and met the lcm
+            # past the limit, and never built that candidate
+            seen["past the limit"] += 1
+            assert old_calls["extended_gcd"] - new_calls["extended_gcd"] in (0, 1)
+            old_calls["extended_gcd"] = new_calls["extended_gcd"]
+        assert +new_calls == +old_calls
+        seen.update(new_calls)
+    assert all(seen[name] for name in KERNEL_CALLS)
+    assert bool(seen["past the limit"]) == (bits == 3)
+
+
+def test_lcm_degree_boundary_restarts_once(monkeypatch):
+    """With 3-bit slots the limit of total degree is 3.  The homogenised
+    leading exponents of the inputs are y^2 (degree 2), s*y^2 (3) and x (1),
+    in that order.  y^2 and s*y^2 sum past the limit, but their lcm s*y^2
+    has degree 3, on it; x and y^2 sum to 3, the limit; x and s*y^2 sum to
+    4, one past it, and their lcm s*x*y^2 has degree 4.  Only that lcm is
+    past the limit, so the completion starts over exactly once, sized for
+    twice its degree, and gives the oracle's basis."""
+    o = weighted_ordering((-1, 1, 1), 2)
+    F = polys(XY, "y^2", "2*y^2 - t*y^2", "x")
+    expected = standard_basis_oracle(o, F)
+    monkeypatch.setattr(tfan.division, "_SLOT_BITS", 3)
+    made = record_packings(monkeypatch)
+    assert standard_basis(o, F) == expected
+    assert [args[1:] for args in made] == [(), (8,)]
 
 
 @st.composite

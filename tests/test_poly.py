@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -26,6 +27,7 @@ from tfan import (
     witness,
     x_degree,
 )
+import tfan.poly
 from tfan.cli import parse_problem
 from tfan.poly import (
     strip_unit_t_content,
@@ -391,6 +393,86 @@ def test_tpoly_gcd_and_divexact_edge_cases():
         tpoly_divexact(tp([1, 1]), ())
     with pytest.raises(InvalidInput, match="inexact"):
         tpoly_divexact(tp([1, 1]), tp([2]))
+
+
+def euclid_tpoly_gcd(p, q):
+    """``tpoly_gcd`` by Euclid alone: the primitive remainder sequence of
+    the primitive parts, times the gcd of the contents, with the lowest
+    nonzero coefficient made positive.  The oracle of the heuristic gcd."""
+    def trimmed(a):
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def content(a):
+        g = 0
+        for c in a:
+            g = gcd(g, c)
+        return g
+
+    def primitive(a):
+        g = content(a)
+        return [c // g for c in a] if g > 1 else list(a)
+
+    def pseudo_rem(a, b):
+        a = list(a)
+        db, lb = len(b) - 1, b[-1]
+        while len(a) - 1 >= db and trimmed(a):
+            da, la = len(a) - 1, a[-1]
+            a = [c * lb for c in a]
+            for i, bc in enumerate(b):
+                a[da - db + i] -= la * bc
+            trimmed(a)
+        return a
+
+    a, b = trimmed(dense(p)) if p else [], trimmed(dense(q)) if q else []
+    if not a and not b:
+        return ()
+    if not a or not b:
+        res = a or b
+    else:
+        ca, cb = content(a), content(b)
+        a, b = primitive(a), primitive(b)
+        while b:
+            a, b = b, primitive(trimmed(pseudo_rem(a, b)))
+        res = [c * gcd(ca, cb) for c in primitive(a)]
+    if next(c for c in res if c) < 0:
+        res = [-c for c in res]
+    return tp(res)
+
+
+tpolys = st.lists(st.integers(-40, 40), max_size=8).map(tp)
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Pairs of Z[t] coefficients, zero included: free ones, or multiples
+    of a common factor, each with a content and a t-power of its own."""
+    a, b = draw(tpolys), draw(tpolys)
+    if draw(st.booleans()):
+        c = dense(draw(tpolys.filter(bool)))
+
+        def multiple(x):
+            shift, k = [0] * draw(st.integers(0, 2)), draw(st.integers(-6, 6))
+            return tp(shift + [k * v for v in dense_mul(dense(x or tp([1])), c)])
+
+        a, b = multiple(a), multiple(b)
+    return a, b
+
+
+@seed(27)
+@settings(max_examples=400, deadline=None)
+@given(pair=gcd_inputs())
+@example(pair=((), tp([0, -4, 6])))
+def test_tpoly_gcd_matches_euclid(pair):
+    """The heuristic gcd gives Euclid's result, and so does its fallback
+    when every heuristic try fails."""
+    a, b = pair
+    expected = euclid_tpoly_gcd(a, b)
+    assert tpoly_gcd(a, b) == expected
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tfan.poly, "_heu_gcd", lambda a, b: None)
+        assert tpoly_gcd(a, b) == expected
 
 
 def test_t_coefficient_view():
