@@ -1,4 +1,5 @@
-"""Division with remainder and standard bases over Z under t-local orderings.
+"""Division with remainder and standard bases over Z, or up to the units
+of Z_(p), under t-local orderings.
 
 Three engines live here:
 
@@ -32,6 +33,16 @@ Three engines live here:
   leave as (leading term, Z[t]-coefficient view) pairs
   (``standard_basis_views``).
 
+  The same loop completes up to units when a prime p is declared, which
+  only the entry from generators does (``inred.ensure_initially_reduced``):
+  p - t lies in the ideal, so an integer prime to p is a unit modulo it,
+  and divisibility and the criteria read only the p-part of a leading
+  coefficient.  The output is a standard basis over Z_(p), whose initial
+  reduction has the leading terms of the one over Z; the unit rule and its
+  soundness argument are at ``standard_basis_views``.  ``standard_basis``
+  passes no prime, so ``tfan stdbasis``, the flips and their lift keep the
+  arithmetic over Z.
+
 Every loop here is bounded by the one module constant ``STEP_CAP``.  It
 guards against faults and is not a tuning value: the homogenised completion
 and determinate division terminate on their documented inputs, and the cap
@@ -50,7 +61,7 @@ from struct import Struct
 from typing import NamedTuple, Sequence
 
 from .errors import DivisionDiverged, InvalidInput
-from .exact import extended_gcd
+from .exact import extended_gcd, p_valuation
 from .poly import (
     MonomialOrdering,
     Polynomial,
@@ -355,19 +366,37 @@ def _head_reduce(pk: _Packing, acc: dict, basis) -> _Remainder:
     ``acc`` is the running remainder as a ``P -> coeff`` dict, updated in
     place by every step; its leading exponent is its greatest key.
     ``basis`` holds packed elements, and the first one whose leading term
-    divides the current leading term is the reducer."""
+    divides the current leading term is the reducer.
+
+    Divisibility reads an element's first field d, a divisor of its leading
+    coefficient lc: lc itself over Z, its p-part up to units
+    (``_complete_over``).  Up to units an element's terms start with its
+    leading term, so lc is read there.  When lc = d*u and u does not
+    divide c/d, the remainder is first multiplied by the unit u/g, with
+    g = gcd(c/d, u) signed as u; then (c/d)/g times the element cancels
+    its leading term.  Over Z the first term is either not the leading one
+    or has coefficient d, so nothing is multiplied."""
     mask, guard = pk.mask, pk.guard
     steps = 0
     while acc:
         p = max(acc)
         c = acc[p]
         low = p & mask
-        for lc, gap, lead, terms in basis:
-            if (low + gap) & guard == guard and c % lc == 0:
+        for d, gap, lead, terms in basis:
+            if (low + gap) & guard == guard and c % d == 0:
                 break
         else:
             return _Remainder(p, acc)
-        q = c // lc
+        q = c // d
+        first, lc = terms[0]
+        if first == lead and lc != d:
+            u = lc // d
+            g = gcd(q, u) if u > 0 else -gcd(q, u)
+            q //= g
+            if g != u:
+                s = u // g
+                for e in acc:
+                    acc[e] *= s
         shift = p - lead
         for gp, gc in terms:
             gp += shift
@@ -400,11 +429,25 @@ def _packed_inputs(pk: _Packing, gens: Sequence[Polynomial]) -> list[dict]:
 
 
 def _complete(pk: _Packing, inputs: Sequence[dict]) -> list[tuple]:
+    """The completion over Z: ``_complete_over`` with no prime.  It is the
+    one that ``standard_basis``, and so the flips, use."""
+    return _complete_over(pk, inputs, None)
+
+
+def _complete_over(pk: _Packing, inputs: Sequence[dict], prime: int | None) -> list[tuple]:
     """The packed elements of the completion of the packed homogenised
-    ``inputs`` (``_packed_inputs``); see ``standard_basis``.  Raises
-    ``_PastLimit`` if an lcm passes the limit of ``pk``."""
+    ``inputs`` (``_packed_inputs``) over Z, or up to the units of Z_(p)
+    when ``prime`` is p; see ``standard_basis`` and
+    ``standard_basis_views``.  Raises ``_PastLimit`` if an lcm passes the
+    limit of ``pk``.
+
+    The first field of a packed element is what divisibility reads: its
+    leading coefficient over Z, the p-part p^v_p(lc) of it up to units.
+    Up to units an element lists its leading term first, so that its
+    leading coefficient stays at hand (``_head_reduce``)."""
     mask, guard, coeffs, limit = pk.mask, pk.guard, pk.coeffs, pk.limit
     reducers: list[tuple] = []  # packed elements
+    lcs: list[int] = []  # their leading coefficients
     lt_exps: list[tuple] = []  # their leading exponents
     lt_degrees: list[int] = []  # and the total degrees of those
     pending: list[tuple] = []  # heap of (P(lcm), i, j)
@@ -421,7 +464,15 @@ def _complete(pk: _Packing, inputs: Sequence[dict]) -> list[tuple]:
                 if sum(m) > limit:
                     raise _PastLimit(m, limit)
             heappush(pending, (sum(map(mul, m, coeffs)), i, j))
-        reducers.append((terms[lead], guard - (lead & mask), lead, tuple(terms.items())))
+        lc = terms[lead]
+        if prime is None:
+            reducers.append((lc, guard - (lead & mask), lead, tuple(terms.items())))
+        else:
+            items = [(lead, lc)]
+            items += [pc for pc in terms.items() if pc[0] != lead]
+            reducers.append((prime ** p_valuation(lc, prime), guard - (lead & mask), lead,
+                             tuple(items)))
+        lcs.append(lc)
         lt_exps.append(e)
         lt_degrees.append(deg)
         treated.append(0)
@@ -455,8 +506,8 @@ def _complete(pk: _Packing, inputs: Sequence[dict]) -> list[tuple]:
         treated[j] |= 1 << i
         both = treated[i] & treated[j]
         f, g = reducers[i], reducers[j]
-        fc, gc = f[0], g[0]
-        a, b = abs(fc), abs(gc)
+        fc, gc = lcs[i], lcs[j]
+        a, b = abs(f[0]), abs(g[0])
         d = gcd(a, b)
         low = pm & mask
         # P is linear and positive on nonzero exponents, so the leading
@@ -464,9 +515,12 @@ def _complete(pk: _Packing, inputs: Sequence[dict]) -> list[tuple]:
         if d != 1 or pm != f[2] + g[2]:
             c = a // d * b
             if not chained(both, c, low):
+                if prime is not None:  # the lcm of the leading coefficients
+                    c = abs(fc) // gcd(fc, gc) * abs(gc)
                 join(c // fc, f, -(c // gc), g, pm)
         # a remainder that joined above has no treated pair, so it is in no
-        # chain and the GCD-pair's decision is the one made before it joined
+        # chain and the GCD-pair's decision is the one made before it joined;
+        # up to units a and b are powers of p, so one divides the other
         if d != a and d != b and not chained(both, d, low):
             _, u, v = extended_gcd(fc, gc)
             join(u, f, v, g, pm)
@@ -505,9 +559,10 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
     once its pair with element k has left the heap, so the elements k with
     (i, k) and (j, k) both treated are the set bits of the two bitsets'
     intersection, which holds neither i nor j; the chain test below walks
-    only those.  Over one cone-queries pass of the benchmark (seed 1) its
-    11,776 calls visit 24,447 elements, where a scan of every element with
-    a lookup of both pairs visited 85,515.
+    only those.  Over the completions over Z of the generators of one
+    cone-queries pass of the benchmark (seed 1) its 11,776 calls visit
+    24,447 elements, where a scan of every element with a lookup of both
+    pairs visited 85,515.
 
     Each candidate is built straight into the ``P -> coeff`` dict that
     ``_head_reduce`` works on, where its criterion is decided, and a
@@ -531,7 +586,7 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
 
     A pair still in the heap has not been reduced yet, and the looser chain
     form that ignores treatment changes the bases: along the criteria-free
-    completions of the cone-queries benchmark (seed 1) it flags 377
+    completions over Z of the cone-queries benchmark (seed 1) it flags 377
     candidates whose remainder is not zero.  The treated forms flag 7,100
     there, none with a nonzero remainder, so on that corpus the output is
     the criteria-free loop's.  That identity is measured, not proved: the
@@ -566,27 +621,61 @@ def standard_basis(ord_: MonomialOrdering, gens: Sequence[Polynomial]) -> Standa
 
 
 def standard_basis_views(ord_: MonomialOrdering, gens: Sequence[Polynomial],
-                         keep=None) -> list[tuple[Term, dict]]:
+                         keep=None, prime: int | None = None) -> list[tuple[Term, dict]]:
     """The completion's normalised elements as (leading term, view) pairs,
     in the order it made them, none built as a Polynomial; the view is the
     dict ``{alpha: [(beta, c), ...]}`` of ``t_coefficients``.  ``keep``, if
     given, maps the list of all leading terms to a flag per element (initial
     reduction's rule), and only flagged ones are unpacked.  Equal elements
-    are not merged."""
+    are not merged.
+
+    With no ``prime`` the completion runs over Z, as ``standard_basis``
+    says.  With a prime p whose p - t lies in the ideal I (the entry from
+    generators checks that it is a generator), it runs up to units: an
+    integer prime to p counts as a unit.  Divisibility of leading terms,
+    the product, chain and GCD-pair criteria and the reducer scan read
+    only the p-part p^v_p(lc) of each leading coefficient, the unit part
+    multiplies, and no GCD-pair is made, since the gcd of two powers of p
+    is one of them.  Why that is sound:
+
+    * for an integer u with p not dividing u, some v in Z[[t]] has
+      u*v = 1 mod (p - t), as Z[[t]]/(p - t) is Z_p.  As p - t lies in I,
+      f lies in I*Z[[t]][x] exactly when u*f does, so u is a unit for I.
+      The kernel only ever multiplies by such u (``_head_reduce``), so
+      every element it makes lies in I;
+    * the output is then a standard basis over Z_(p), not a strong one
+      over Z: it can keep 3*x^2 where Z would have x^2;
+    * the prime driver of initial reduction makes every element with p not
+      dividing lc monic by a Bezout step a*g + b*x^lm*(p - t) and drops
+      those with p | lc.  The leading monomials it keeps are the minimal
+      ones of {x^a : some f in I has lt(f) = c*x^a, p not dividing c},
+      which depends on I alone, so the initially reduced basis has the
+      same leading terms, and the same cone, as from the completion over
+      Z.
+
+    The number of candidates is what this saves: over one cone-queries
+    pass of the benchmark (seed 1) the completions make 1,150 elements and
+    reduce 1,953 candidates, 1,181 of them to zero, up to units, where over
+    Z they made 1,645 and reduced 5,133, 3,866 to zero."""
     stripped = [strip_unit_t_content(f) for f in gens if not f.is_zero]
     if not stripped:
         raise InvalidInput("standard basis of the zero ideal is not represented")
     pk = _Packing(ord_)
     while True:
         try:
-            reducers = _complete(pk, _packed_inputs(pk, stripped))
+            inputs = _packed_inputs(pk, stripped)
+            reducers = (_complete(pk, inputs) if prime is None
+                        else _complete_over(pk, inputs, prime))
             break
         except _PastLimit as exc:
             pk = _Packing(ord_, 2 * exc.degree)
-    lts = [Term(abs(lc), pk.unpack(lead, 1)) for lc, _, lead, _ in reducers]
+    # up to units the leading coefficient is the first term's, over Z the
+    # first field
+    lcs = [terms[0][1] if prime else d for d, _, _, terms in reducers]
+    lts = [Term(abs(lc), pk.unpack(lead, 1)) for lc, (_, _, lead, _) in zip(lcs, reducers)]
     out = []
-    for lt, flag, (lc, _, _, terms) in zip(lts, keep(lts) if keep else [1] * len(lts),
-                                           reducers):
+    for lt, flag, lc, (_, _, _, terms) in zip(lts, keep(lts) if keep else [1] * len(lts),
+                                              lcs, reducers):
         if flag:
             sign = 1 if lc > 0 else -1
             view: dict[tuple, list] = {}

@@ -13,7 +13,6 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 import tfan.division
 from tfan.division import _Packing, _PastLimit, sorted_basis
-from tfan.fan import groebner_cone_at
 from tfan.poly import exp_div, exp_divides
 from tfan import (
     DivisionDiverged,
@@ -899,13 +898,14 @@ def counting(counts, name, fn):
 
 
 def kernel_runs(group, monkeypatch):
-    """Calls that start the completions of one group: the groebner_cone_at
-    queries at one seeded interior weight of each of the 42 prime benchmark
-    cones, the fans of the 5 prime benchmark cases and of the first 10
-    generic ones, or the fans of scaling_ideal(3, s) for s = 0..5."""
+    """Calls that start the completions over Z of one group: the
+    generators' standard bases at one seeded interior weight of each of the
+    42 prime benchmark cones (the inputs that the groebner_cone_at queries
+    there complete up to units), the fans of the 5 prime benchmark cases
+    and of the first 10 generic ones, or the fans of scaling_ideal(3, s)
+    for s = 0..5."""
     if group == "prime-cones":
-        return [lambda p=problem, w=w: groebner_cone_at(
-                    MonomialOrdering((w,), p.tiebreak), p.gens, p.prime)
+        return [lambda p=problem, w=w: standard_basis(MonomialOrdering((w,), p.tiebreak), p.gens)
                 for _, problem, w in prime_benchmark_cones(monkeypatch, random.Random(27))]
     corpus, _ = bench_modules(monkeypatch)
     if group == "fans":

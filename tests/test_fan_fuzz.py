@@ -34,7 +34,7 @@ def stream(corpus, name):
     elif name == "generic9":
         specs = enumerate(itertools.islice(corpus.generic_ideals(9), 60))
     else:
-        specs = ((seed, corpus.scaling_ideal(4, seed)) for seed in (0, 1, 2, 4, 5))
+        specs = ((seed, corpus.scaling_ideal(4, seed)) for seed in range(6))
     for k, spec in specs:
         yield k, parse_problem(corpus.problem_text(*spec))
 
@@ -83,10 +83,13 @@ def test_random_streams_end_in_checked_fans(monkeypatch, name, divergent):
 
 
 def test_scaling_fans_end_in_checked_fans(monkeypatch):
-    """n = 4 scaling seeds 0, 1, 2, 4 and 5 (seed 2 has 77 cones); only seed
-    1 is small enough for the full check.  Seed 0 (36 cones) took 5 to 7 s
-    with a Euclidean gcd for the content strip and takes about 1 s with
-    the heuristic one."""
+    """n = 4 scaling seeds 0 to 5 (seed 2 has 77 cones, seed 3 51); only
+    seed 1 is small enough for the full check.  Seed 0 (36 cones) took 5 to
+    7 s with a Euclidean gcd for the content strip and about 1 s with the
+    heuristic one; completing from generators up to the units of Z_(p)
+    takes it to about 0.1 s.  Seed 3 did not finish with the Euclidean gcd,
+    took 7 to 8 s with the heuristic one, too near the limit to gate, and
+    takes 2 to 3 s up to units."""
     diverged, faults = run_stream(monkeypatch, "scale4", lambda k: k == 1)
     assert faults == {}
     assert diverged == set()

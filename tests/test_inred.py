@@ -28,14 +28,18 @@ from tfan import (
     weighted_ordering,
 )
 from tfan.cli import parse_problem
-from tfan.division import sorted_basis
+from tfan.cone import GroebnerCone, cone_from_basis
+from tfan.division import sorted_basis, standard_basis_views
 from tfan.exact import extended_gcd, p_valuation
 from tfan.inred import _p_reduce_view
 from tfan.poly import (
+    Term,
     exp_divides,
     from_t_coefficients,
+    initial_forms_at,
     is_x_homogeneous,
     p_minus_t,
+    strip_unit_t_content,
     t_coefficients,
     term_divides,
     tpoly_min_beta,
@@ -384,6 +388,8 @@ def old_inred_step_by_step(ctx, G, H):
         E.append(mult)
         e_lms.append(lm)
         h, E = _split_by_lm(ord_, old_inred_same_degree(ctx, h + E), h_lms, e_lms)
+        # the cross-degree guard: each block element loses its Z[[t]]-unit content
+        h = [strip_unit_t_content(f) for f in h]
 
 
 def inred_all_at_once(ctx, G, H):
@@ -557,11 +563,19 @@ def poly_initially_reduce(basis, prime, step=old_inred_step_by_step):
     return StandardBasis(tuple(done) + (pt,), ord_)
 
 
+def completion_up_to_units(ord_, gens, prime):
+    """The completion that ``ensure_initially_reduced`` reduces, up to the
+    units of Z_(p), as a basis of polynomials."""
+    views = standard_basis_views(ord_, gens, prime=prime)
+    return StandardBasis(tuple(from_t_coefficients(v) for _, v in views), ord_)
+
+
 def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
     """At one interior weight of each maximal cone of every prime-regime
-    benchmark fan, initial reduction of the standard basis gives the same
-    basis through the view driver, from the basis and from the
-    completion's pairs, as through the polynomial driver and loop."""
+    benchmark fan, initial reduction gives the same basis through the view
+    driver as through the polynomial driver and loop on the same
+    completion: from the standard basis over Z, and from the completion's
+    pairs up to units."""
     calls = []
 
     def counted_old_inred_step_by_step(ctx, G, H):
@@ -578,7 +592,8 @@ def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
         assert len(calls) > made, (name, w)
         assert initially_reduce(sb, problem.prime).elements == old.elements, (name, w)
         new = ensure_initially_reduced(ord_, problem.gens, problem.prime)
-        assert new.elements == old.elements, (name, w)
+        units = completion_up_to_units(ord_, problem.gens, problem.prime)
+        assert new.elements == poly_initially_reduce(units, problem.prime).elements, (name, w)
         assert is_initially_reduced(ord_, new.elements), (name, w)
     assert len(cones) == 42
 
@@ -586,7 +601,8 @@ def test_view_kernel_matches_polynomial_loop_on_benchmark_cones(monkeypatch):
 def test_prime_driver_matches_polynomial_driver_on_random_ideals():
     """At the start weight and two random weights of seeded random prime
     ideals, both entries of the view driver give the polynomial driver's
-    basis."""
+    basis on the same completion: over Z from a known standard basis, up
+    to units from the generators."""
     rng = random.Random(24)
     checked = 0
     for _ in range(16):
@@ -601,7 +617,8 @@ def test_prime_driver_matches_polynomial_driver_on_random_ideals():
             old = poly_initially_reduce(sb, ideal.prime)
             assert initially_reduce(sb, ideal.prime).elements == old.elements, (ideal, w)
             new = ensure_initially_reduced(ord_, ideal.gens, ideal.prime)
-            assert new.elements == old.elements, (ideal, w)
+            units = completion_up_to_units(ord_, ideal.gens, ideal.prime)
+            assert new.elements == poly_initially_reduce(units, ideal.prime).elements, (ideal, w)
             checked += 1
     assert checked == 48
 
@@ -632,6 +649,63 @@ def test_prime_driver_matches_polynomial_driver_on_lifted_bases(monkeypatch):
                 for ideal, tiebreak in ideals.items())
     # every cone but each fan's start cone comes from a lifted basis
     assert len(checked) == cones - len(ideals)
+
+
+def cone_key(basis):
+    """The canonical key of the cone read off an initially reduced basis at
+    its ordering's first weight."""
+    w = basis.ordering.weights[0]
+    hc = cone_from_basis(basis, initial_forms_at(w, basis.elements))
+    return GroebnerCone(hc, basis).canonical_key()
+
+
+def test_completion_up_to_units_gives_the_cones_of_the_completion_over_z(monkeypatch):
+    """The cross-ring oracle of the unit rule.  At one seeded interior
+    weight of each of the 42 prime benchmark cones, and at the start weight
+    and two random weights of 16 seeded random prime ideals, the entry from
+    generators (completion up to the units of Z_(p)) and initial reduction
+    of the standard basis over Z give the same leading terms and the same
+    cone, and both bases are initially reduced.  The two completions differ
+    on some of these inputs, so neither side is the other."""
+    cases = [(problem.gens, problem.prime, MonomialOrdering((w,), problem.tiebreak))
+             for _, problem, w in prime_benchmark_cones(monkeypatch, random.Random(28))]
+    rng = random.Random(28)
+    for _ in range(16):
+        ideal = random_prime_ideal(rng)
+        n = ideal.nvars
+        weights = [(-1,) + (1,) * n] + [
+            (-rng.randint(1, 4),) + tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(2)]
+        cases.extend((ideal.gens, ideal.prime, weighted_ordering(w, n)) for w in weights)
+    assert len(cases) == 42 + 48
+    differ = 0
+    for gens, prime, ord_ in cases:
+        units = ensure_initially_reduced(ord_, gens, prime)
+        sb = standard_basis(ord_, gens)
+        over_z = initially_reduce(sb, prime)
+        assert {leading_term(ord_, g) for g in units.elements} == \
+            {leading_term(ord_, g) for g in over_z.elements}, (gens, ord_)
+        assert cone_key(units) == cone_key(over_z), (gens, ord_)
+        assert is_initially_reduced(ord_, units.elements), (gens, ord_)
+        assert is_initially_reduced(ord_, over_z.elements), (gens, ord_)
+        differ += completion_up_to_units(ord_, gens, prime).elements != sb.elements
+    assert differ > 0
+
+
+def test_unit_rule_keeps_a_unit_leading_coefficient():
+    """<3 - t, 2t*xy + t^2*xy> at (-1, 1, 1).  Over Z the GCD-pair of 3 and
+    2t*xy gives t*xy; up to the units of Z_(3) the leading coefficient 2 is
+    a unit, so the completion keeps 2t*xy and makes no GCD-pair, and the
+    Bezout step of the prime driver makes it monic.  Both routes end with
+    the leading terms t*xy and 3."""
+    o = weighted_ordering((-1, 1, 1), 2)
+    F = polys(XY, "3 - t", "2*t*x*y + t^2*x*y")
+    units = [lt for lt, _ in standard_basis_views(o, F, prime=3)]
+    over_z = [lt for lt, _ in standard_basis_views(o, F)]
+    assert units == [Term(3, (0, 0, 0)), Term(2, (1, 1, 1)), Term(5, (2, 1, 1))]
+    assert Term(1, (1, 1, 1)) in over_z and Term(1, (1, 1, 1)) not in units
+    assert ensure_initially_reduced(o, F, 3).elements == polys(XY, "t*x*y - 2*t^2*x*y", "3 - t")
+    assert initially_reduce(standard_basis(o, F), 3).elements == polys(XY, "t*x*y", "3 - t")
 
 
 def old_initially_reduce(basis, prime, egcd=extended_gcd):
