@@ -2,17 +2,18 @@
 
 An ``HCone`` stores inequality rows A (a . v >= 0) and equation rows B
 (b . v = 0) over Q^{1+n}; the halfspace v_0 <= 0 is implicit in every cone
-and never stored, so the A/B matrices read off a basis stay pure.  The
-V-side (``ConeData``) is produced by an exact double description sweep:
-rays are primitive integer vectors, the lineality basis is in reduced
-echelon form, and both are sorted, which makes ``ConeData`` a canonical form
-suitable for cone equality.  The sweep runs on integer vectors only, and it
-tests adjacency on zero-set bitmasks, one per ray, instead of re-evaluating
-dot products (Fukuda and Prodon, "Double description method revisited",
-1996).  Facets are found from the same zero-set reasoning (tight-ray sets of
-the rows) and carry their V-description from the parent, so fan traversal
-sweeps each maximal cone once (as in Fukuda, Jensen and Thomas, "Computing
-Groebner fans", 2007).
+and never stored, so the A/B matrices read off a basis stay pure.  Rows are
+made canonical (primitive int tuples, deduplicated, sorted) once: cones from
+``make_cone``, ``cone_from_basis`` and ``facets`` are marked so.  The V-side
+(``ConeData``) is produced by an exact, integer-only double description
+sweep: primitive rays and an echelon lineality basis, both sorted, so
+``ConeData`` is a canonical form suitable for cone equality.  Adjacency is
+tested on zero-set bitmasks, one per ray (Fukuda and Prodon, "Double
+description method revisited", 1996); the sweep returns them as the rays'
+tight rows, with the dimension, so ``facets`` computes no dot product and
+each facet carries its V-description from the parent: fan traversal sweeps
+each maximal cone once (as in Fukuda, Jensen and Thomas, "Computing Groebner
+fans", 2007).
 
 ``cone_from_basis`` realises the inequality/equation extraction from an
 initially reduced standard basis: for each element the exponent vectors of
@@ -25,15 +26,16 @@ lowest t-power first.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .division import StandardBasis
 from .errors import InvalidInput
-from .exact import dot, integral, kernel_basis, primitive, rank, rref, vneg, vscale, vsub
+from .exact import dot, integral, kernel_basis, primitive, rank, rref, vneg
 from .poly import Polynomial, initial_forms_at, leading_term
 
 Vec = tuple
@@ -53,6 +55,8 @@ class HCone:
     # V-description, filled in by the first dd_rays call on this instance.
     _data: ConeData | None = field(default=None, init=False, repr=False,
                                    compare=False)
+    # Rows already canonical (primitive int tuples, deduplicated, sorted).
+    _canonical: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for row in self.ineqs + self.eqs:
@@ -65,11 +69,14 @@ class HCone:
 
 @dataclass(frozen=True)
 class ConeData:
-    """Canonical V-description: sorted primitive rays, echelon lineality."""
+    """Canonical V-description: sorted primitive rays, echelon lineality;
+    bit k of ``tight[i]`` is set iff swept row k (the halfspace row, then
+    the inequalities) is tight on ``rays[i]``."""
 
     rays: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
     dim: int
+    tight: tuple[int, ...]
 
 
 class Facet(NamedTuple):
@@ -93,9 +100,18 @@ def _dedupe_rows(rows):
     return tuple(sorted(seen))
 
 
+def _canonical_cone(dim_ambient, ineqs, eqs, data=None) -> HCone:
+    """An HCone on rows that are already canonical, marked so."""
+    hc = HCone(dim_ambient, ineqs, eqs)
+    object.__setattr__(hc, "_canonical", True)
+    if data is not None:
+        object.__setattr__(hc, "_data", data)
+    return hc
+
+
 def make_cone(dim_ambient: int, ineqs=(), eqs=()) -> HCone:
     """Canonical HCone: rows primitive, deduplicated and sorted."""
-    return HCone(dim_ambient, _dedupe_rows(ineqs), _dedupe_rows(eqs))
+    return _canonical_cone(dim_ambient, _dedupe_rows(ineqs), _dedupe_rows(eqs))
 
 
 # ---------------------------------------------------------------------------
@@ -103,68 +119,81 @@ def make_cone(dim_ambient: int, ineqs=(), eqs=()) -> HCone:
 # ---------------------------------------------------------------------------
 
 
-def _dd(ineq_rows, eq_rows, dim):
-    """Core double description sweep; returns (rays, lineality_basis).
+def _dd(ineq_rows, eq_rows, dim) -> ConeData:
+    """Core double description sweep; returns the whole ``ConeData``.
 
     Starts from the solution space of the equations (all lineality) and
-    imposes inequalities one at a time.  While the current cone still has
-    lineality meeting a new halfspace, one lineality generator is traded for
-    a ray; afterwards the classical plus/zero/minus split with adjacent-pair
-    combination applies.
+    imposes inequalities, int tuples, one at a time.  While the current cone
+    still has lineality meeting a new halfspace, one lineality generator is
+    traded for a ray; afterwards the classical plus/zero/minus split with
+    adjacent-pair combination applies.
 
     The sweep is integer-only (Fukuda and Prodon, "Double description method
     revisited", 1996): kernel vectors and the lineality's echelon rows come
-    primitive from ``exact``, rational rows are scaled to integers once, and
-    the trade replaces each vector by a positive multiple
-    ``v0*l - (a.l)*l0`` of its rational projection, made primitive, so every
-    ray is primitive throughout.  Each ray carries its zero set, a bitmask
-    of the imposed rows it is tight on, so the adjacency test is the
-    combinatorial one on masks: two rays are adjacent iff no third ray's
-    zero set contains the meet of theirs.
+    primitive from ``exact``, and the trade replaces each vector the new row
+    does not vanish on by ``v0*l - (a.l)*l0``, made primitive.  Each ray
+    carries its zero set, a bitmask of the imposed rows tight on it, and two
+    rays are adjacent iff no third ray's zero set contains the meet of
+    theirs.  The masks stay exact (a trade adds a vector tight on every
+    earlier row), so they are the tight sets.  The dimension is that of the
+    equations' solution space, unless a row finds rays on its minus side and
+    none on its plus side: an implied equation, after which it is a rank.
     """
     L = kernel_basis(eq_rows, dim)
+    d = len(L)
+    implied = False
     R: list[Vec] = []
     Z: list[int] = []  # Z[i]: bit k set iff the k-th imposed row is tight on R[i]
     for k, a in enumerate(ineq_rows):
-        a = integral(a)
         bit = 1 << k
-        vals_l = [dot(a, l) for l in L]
-        i0 = next((i for i, v in enumerate(vals_l) if v != 0), None)
+        vals_l = [sum(map(mul, a, l)) for l in L]
+        i0 = next((i for i, v in enumerate(vals_l) if v), None)
         if i0 is not None:
             l0 = L[i0] if vals_l[i0] > 0 else vneg(L[i0])
             v0 = abs(vals_l[i0])
-            L = [primitive(vsub(vscale(v0, l), vscale(v, l0)))
+            L = [_combine(v0, l, v, l0) if v else l
                  for i, (l, v) in enumerate(zip(L, vals_l)) if i != i0]
-            R = [primitive(vsub(vscale(v0, r), vscale(dot(a, r), l0))) for r in R]
+            vals = [sum(map(mul, a, r)) for r in R]
+            R = [_combine(v0, r, v, l0) if v else r for r, v in zip(R, vals)]
             R.append(l0)
             Z = [z | bit for z in Z]
             Z.append(bit - 1)
         else:
-            vals = [dot(a, r) for r in R]
+            vals = [sum(map(mul, a, r)) for r in R]
             if any(v < 0 for v in vals):
                 plus = [i for i, v in enumerate(vals) if v > 0]
                 minus = [i for i, v in enumerate(vals) if v < 0]
-                new = [(R[i], Z[i]) for i in plus]
-                new += [(r, z | bit) for r, z, v in zip(R, Z, vals) if v == 0]
+                implied = implied or not plus
+                keep = [i for i, v in enumerate(vals) if v >= 0]
+                new_R = [R[i] for i in keep]
+                new_Z = [Z[i] | bit if vals[i] == 0 else Z[i] for i in keep]
+                seen = set(new_R)
                 for p in plus:
                     for m in minus:
                         common = Z[p] & Z[m]
-                        if all(z & common != common
-                               for i, z in enumerate(Z) if i != p and i != m):
-                            new.append((vsub(vscale(vals[p], R[m]),
-                                             vscale(vals[m], R[p])), common | bit))
-                R, Z = [], []
-                seen = set()
-                for r, z in new:
-                    if any(r):
-                        r = primitive(r)
-                        if r not in seen:
-                            seen.add(r)
-                            R.append(r)
-                            Z.append(z)
+                        # p and m contain the meet; adjacent iff no other ray does
+                        if [z & common for z in Z].count(common) == 2:
+                            r = _combine(vals[p], R[m], vals[m], R[p])
+                            if any(r) and r not in seen:
+                                seen.add(r)
+                                new_R.append(r)
+                                new_Z.append(common | bit)
+                R, Z = new_R, new_Z
             else:
                 Z = [z | bit if v == 0 else z for z, v in zip(Z, vals)]
-    return tuple(sorted(set(R))), rref(L)[0]
+    pairs = sorted(dict(zip(R, Z)).items())
+    rays = tuple(r for r, _ in pairs)
+    lineality = rref(L)[0]
+    if implied:
+        d = rank(rays + lineality)
+    return ConeData(rays, lineality, d, tuple(z for _, z in pairs))
+
+
+def _combine(c, u, e, w) -> Vec:
+    """c*u - e*w for int vectors, divided by the gcd of its entries."""
+    v = tuple([c * x - e * y for x, y in zip(u, w)])
+    g = gcd(*v)
+    return v if g <= 1 else tuple([x // g for x in v])
 
 
 def dd_rays(cone: HCone) -> ConeData:
@@ -172,14 +201,16 @@ def dd_rays(cone: HCone) -> ConeData:
 
     Computed once per instance and kept on it: an HCone is immutable, so
     its V-description never goes stale, and it lives only as long as the
-    HCone does.  A facet cone from ``facets`` comes with it already set, so
-    only maximal cones (and cones built directly) are swept.
+    HCone does.  One sweep gives the rays, lineality, tight rows and
+    dimension (``rank`` runs only after an implied equation).  A facet cone
+    from ``facets`` comes with all of it set, so only maximal cones (and
+    cones built directly, whose rows are made integral first) are swept.
     """
     if cone._data is None:
-        rays, lineality = _dd(list(cone.all_ineq_rows()), list(cone.eqs),
-                              cone.dim_ambient)
-        d = rank(list(rays) + list(lineality)) if (rays or lineality) else 0
-        object.__setattr__(cone, "_data", ConeData(rays, lineality, d))
+        rows = cone.all_ineq_rows()
+        if not cone._canonical:
+            rows = [integral(a) for a in rows]
+        object.__setattr__(cone, "_data", _dd(rows, cone.eqs, cone.dim_ambient))
     return cone._data
 
 
@@ -223,37 +254,44 @@ def facets(cone: HCone) -> list[Facet]:
     defines a facet exactly when its tight set is proper (rows tight on every
     ray are implied equations) and no other row's proper tight set strictly
     contains it; rows sharing a tight set duplicate the facet, and the first
-    one is kept.  Each facet cone carries its V-description, read off the
-    parent: the tight rays (still sorted), the parent's lineality and one
-    dimension less, so it is never swept.  Facets inside {0} x R^n are
-    flagged so fan traversal can skip them.
-
-    The parent's rows are made canonical once: a facet cone is the parent's
-    deduplicated inequalities with its row a added to the deduplicated
-    equations, which is ``make_cone``'s cone for it since a is one of the
-    deduplicated rows already.  The rows swept for facets are those same
-    inequalities with the implicit halfspace row put in its sorted place,
-    which is what deduplicating all of them gives: the halfspace row is
-    primitive.
+    one is kept.  The tight sets come from the sweep (``ConeData.tight``).
+    Each facet cone carries its V-description, read off the parent: the
+    tight rays (still sorted) with their tight rows, the parent's lineality
+    and one dimension less, so it is never swept.  Facets inside {0} x R^n
+    are flagged so fan traversal can skip them.  Only a cone not marked
+    canonical is rebuilt by ``make_cone``; a facet cone (row a added to the
+    equations) is canonical and has its parent's swept rows.
     """
+    if not cone._canonical:
+        cone = make_cone(cone.dim_ambient, cone.ineqs, cone.eqs)
     data = dd_rays(cone)
-    ineqs, eqs = _dedupe_rows(cone.ineqs), set(_dedupe_rows(cone.eqs))
-    rows = list(ineqs)
-    halfspace = _halfspace_row(cone.dim_ambient)
-    if halfspace not in rows:
-        insort(rows, halfspace)
-    masks = [sum(1 << i for i, r in enumerate(data.rays) if dot(a, r) == 0) for a in rows]
-    proper = set(masks) - {(1 << len(data.rays)) - 1}
-    maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
+    ineqs = cone.ineqs
+    row_masks = [0] * (len(ineqs) + 1)  # per swept row, its tight rays as a bitmask
+    for i, z in enumerate(data.tight):
+        for k in range(z.bit_length()):
+            if z >> k & 1:
+                row_masks[k] |= 1 << i
+    # in sorted order; the halfspace row once, should it be an inequality too
+    rows = sorted(set(zip(cone.all_ineq_rows(), row_masks)))
+    proper = set(row_masks) - {(1 << len(data.rays)) - 1}
+    maximal = set()
+    for m in proper:
+        for o in proper:
+            if o & m == m and o != m:
+                break
+        else:
+            maximal.add(m)
     out: list[Facet] = []
-    for a, m in zip(rows, masks):
+    for a, m in rows:
         if m not in maximal:
             continue
         maximal.discard(m)  # later rows with this tight set repeat the facet
-        tight = tuple(r for i, r in enumerate(data.rays) if m >> i & 1)
-        fc = HCone(cone.dim_ambient, ineqs, tuple(sorted(eqs | {a})))
-        object.__setattr__(fc, "_data", ConeData(tight, data.lineality, data.dim - 1))
-        out.append(Facet(fc, primitive(vneg(a)), all(r[0] == 0 for r in tight)))
+        tight = [i for i in range(len(data.rays)) if m >> i & 1]
+        rays = tuple([data.rays[i] for i in tight])
+        fc = _canonical_cone(cone.dim_ambient, ineqs, tuple(sorted(cone.eqs + (a,))),
+                             ConeData(rays, data.lineality, data.dim - 1,
+                                      tuple([data.tight[i] for i in tight])))
+        out.append(Facet(fc, tuple([-x for x in a]), all(r[0] == 0 for r in rays)))
     out.sort(key=lambda f: f.outer_normal)
     return out
 
@@ -318,23 +356,24 @@ def cone_from_basis(basis: StandardBasis, initial_forms: Sequence[Polynomial]) -
     each initial form, differences of its skeleton exponents are equation
     rows.  The skeleton exponents are read off the canonical term order
     (``_skeleton_exps``), and the leading term is the one the basis keeps.
+    The rows are built primitive, so the cone is canonical as it stands.
     """
     if len(basis.elements) != len(initial_forms):
         raise InvalidInput("basis and initial forms differ in length")
     if not basis.elements:
         raise InvalidInput("empty basis")
     d = 1 + basis.elements[0].nvars
-    ineqs: list[Vec] = []
-    eqs: list[Vec] = []
+    ineqs: set[Vec] = set()
+    eqs: set[Vec] = set()
     for g in basis.elements:
         lead = leading_term(basis.ordering, g).exp
-        ineqs += [vsub(lead, e) for e in _skeleton_exps(g) if e != lead]
+        ineqs.update(_combine(1, lead, 1, e) for e in _skeleton_exps(g) if e != lead)
     for h in initial_forms:
         if h.is_zero:
             raise InvalidInput("zero initial form")
         base, *others = _skeleton_exps(h)
-        eqs += [vsub(base, e) for e in others]
-    return make_cone(d, ineqs, eqs)
+        eqs.update(_combine(1, base, 1, e) for e in others)
+    return _canonical_cone(d, tuple(sorted(ineqs)), tuple(sorted(eqs)))
 
 
 def _skeleton_exps(f: Polynomial) -> list:
@@ -395,7 +434,7 @@ def affine_slice(cone: HCone, fixed: Sequence[tuple[int, object]]) -> SlicePolyh
     recession rays, lineality to lines.
     """
     d = cone.dim_ambient
-    ineqs = [(0,) + tuple(a) for a in cone.all_ineq_rows()]
+    ineqs = [(0,) + integral(a) for a in cone.all_ineq_rows()]
     ineqs.append((1,) + (0,) * d)
     eqs = [(0,) + tuple(b) for b in cone.eqs]
     for coord, value in fixed:
@@ -405,16 +444,16 @@ def affine_slice(cone: HCone, fixed: Sequence[tuple[int, object]]) -> SlicePolyh
         row[0] = -Fraction(value)
         row[1 + coord] = Fraction(1)
         eqs.append(tuple(row))
-    rays, lineality = _dd(ineqs, eqs, 1 + d)
+    data = _dd(ineqs, eqs, 1 + d)
     vertices = []
     recession = []
-    for r in rays:
+    for r in data.rays:
         if r[0] > 0:
             vertices.append(tuple(Fraction(x, r[0]) for x in r[1:]))
         else:
             recession.append(primitive(r[1:]))
     lines = []
-    for l in lineality:
+    for l in data.lineality:
         assert l[0] == 0, "homogenisation coordinate cannot be two-sided"
         lines.append(primitive(l[1:]))
     if not vertices:

@@ -17,7 +17,7 @@ rows and vectors they return are primitive int tuples.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul, sub
+from operator import mul
 
 from .errors import InvalidInput
 
@@ -84,16 +84,8 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def vsub(u, v):
-    return tuple(map(sub, u, v))
-
-
 def vneg(u):
     return tuple(-a for a in u)
-
-
-def vscale(c, u):
-    return tuple([c * a for a in u])
 
 
 def rref(rows):
@@ -115,6 +107,13 @@ def rref(rows):
     m = [integral(row) for row in rows]
     if not m:
         return (), ()
+    if len(m) == 1:  # one row: its pivot is its first nonzero entry
+        row = m[0]
+        pc = next((c for c, x in enumerate(row) if x), None)
+        if pc is None:
+            return (), ()
+        g = gcd(*row) if row[pc] > 0 else -gcd(*row)
+        return (row if g == 1 else tuple(x // g for x in row),), (pc,)
     ncols = len(m[0])
     if any(len(row) != ncols for row in m):
         raise InvalidInput("ragged matrix")
@@ -157,6 +156,8 @@ def kernel_basis(rows, dim: int):
     positive in that column and zero in the other free columns; with no
     rows this is the standard basis of Q^dim.
     """
+    if not rows:
+        return [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     if any(len(row) != dim for row in rows):
         raise InvalidInput("row length does not match dim")
     red, pivots = rref(rows)

@@ -35,7 +35,7 @@ from tfan import (
 from tfan.cli import parse_poly, parse_problem
 from tfan.cone import ConeData, Facet, HCone, _dedupe_rows, dd_rays
 from tfan.division import sorted_basis
-from tfan.exact import dot, extended_gcd, primitive, vneg, vsub
+from tfan.exact import dot, extended_gcd, primitive, vneg
 from tfan.poly import (
     exp_div,
     exp_x_degree,
@@ -191,10 +191,10 @@ def old_cone_from_basis(basis, initial_forms):
         lead = leading_term(basis.ordering, g).exp
         for term in t_skeleton(g).terms:
             if term.exp != lead:
-                ineqs.append(vsub(lead, term.exp))
+                ineqs.append(old_vsub(lead, term.exp))
     for h in initial_forms:
         lam = [t.exp for t in t_skeleton(h).terms]
-        eqs += [vsub(lam[0], other) for other in lam[1:]]
+        eqs += [old_vsub(lam[0], other) for other in lam[1:]]
     return make_cone(d, ineqs, eqs)
 
 
@@ -213,8 +213,10 @@ def old_facets(hc):
             continue
         maximal.discard(m)
         tight = tuple(r for i, r in enumerate(data.rays) if m >> i & 1)
+        tight_rows = tuple(z for i, z in enumerate(data.tight) if m >> i & 1)
         fc = HCone(hc.dim_ambient, ineqs, tuple(sorted(eqs | {a})))
-        object.__setattr__(fc, "_data", ConeData(tight, data.lineality, data.dim - 1))
+        object.__setattr__(fc, "_data", ConeData(tight, data.lineality, data.dim - 1,
+                                                 tight_rows))
         out.append(Facet(fc, primitive(vneg(a)), all(r[0] == 0 for r in tight)))
     out.sort(key=lambda f: f.outer_normal)
     return out

@@ -1,11 +1,13 @@
 import hashlib
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from tfan import (
+    HCone,
     InvalidInput,
     StandardBasis,
     affine_slice,
@@ -24,11 +26,12 @@ from tfan import (
     relative_interior_point,
     weighted_ordering,
 )
+import tfan.fan
 from tfan import cone
 from tfan.cli import parse_problem, render_cone
-from tfan.exact import dot, primitive, vneg, vscale, vsub
+from tfan.exact import dot, primitive, vneg
 
-from helpers import XY, XYZ, polys, prime_stream_member
+from helpers import XY, XYZ, old_vscale as vscale, old_vsub as vsub, polys, prime_stream_member
 from test_exact import kernel_oracle, rref_oracle
 
 DEMO_IDEALS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -383,6 +386,12 @@ def rand2_fan():
     return groebner_fan(ideal, tiebreak=tuple(range(ideal.nvars)))
 
 
+def swept_rays(rows, eqs, d):
+    """(rays, lineality) of one ``cone._dd`` sweep, the shape of ``dd_oracle``."""
+    data = cone._dd(rows, eqs, d)
+    return data.rays, data.lineality
+
+
 entries = st.integers(-4, 4)
 
 
@@ -393,7 +402,7 @@ def test_dd_matches_rational_oracle(data, d, scale):
     eqs = data.draw(st.lists(st.tuples(*[entries] * d), max_size=2))
     # equation rows may be rational, as affine_slice passes them
     eqs = [tuple(scale * x for x in e) for e in eqs]
-    assert cone._dd(rows, eqs, d) == dd_oracle(rows, eqs, d)
+    assert swept_rays(rows, eqs, d) == dd_oracle(rows, eqs, d)
 
 
 @pytest.mark.parametrize("name", ["fig1", "flip", "linear", "worked3"])
@@ -401,7 +410,7 @@ def test_dd_matches_rational_oracle_on_demo_facets(name):
     for mc in demo_fan(name).maximal_cones:
         for hc in [mc.hcone] + [f.cone for f in facets(mc.hcone)]:
             rows = list(hc.all_ineq_rows())
-            assert cone._dd(rows, list(hc.eqs), hc.dim_ambient) == \
+            assert swept_rays(rows, list(hc.eqs), hc.dim_ambient) == \
                 dd_oracle(rows, list(hc.eqs), hc.dim_ambient)
 
 
@@ -508,6 +517,18 @@ def test_facets_special_cones(hc):
     assert_facet_data_is_fresh_sweep(hc)
 
 
+def test_cone_built_directly_gets_canonical_facets():
+    """A cone built without ``make_cone`` (rational, repeated and zero
+    rows) is swept on integral rows, and its facets are those of its
+    canonical form."""
+    rows = ((0, 2, 0), (0, Fraction(1, 3), 0), (0, 0, 1), (0, 0, 0), (-1, 0, 0))
+    direct, canonical = HCone(3, rows), make_cone(3, rows)
+    assert not direct._canonical and canonical._canonical
+    d1, d2 = dd_rays(direct), dd_rays(canonical)
+    assert (d1.rays, d1.lineality, d1.dim) == (d2.rays, d2.lineality, d2.dim)
+    assert facet_summary(direct) == facet_summary(canonical) == facets_oracle(canonical)
+
+
 @pytest.mark.parametrize("name", ["fig1", "flip", "linear", "worked3"])
 def test_demo_facets_carry_fresh_sweep_data(name):
     for mc in demo_fan(name).maximal_cones:
@@ -517,13 +538,95 @@ def test_demo_facets_carry_fresh_sweep_data(name):
 
 @pytest.mark.parametrize("name", ["fig1", "flip", "worked3"])
 def test_one_sweep_per_maximal_cone(name, monkeypatch):
-    calls = []
-    sweep = cone._dd
+    """One sweep per maximal cone, and nothing recomputed after it: a
+    maximal cone is full-dimensional, so no sweep meets an implied equation
+    and ``rank`` never runs, and ``facets`` reads the tight sets off the
+    sweep with no dot product of its own."""
+    calls, ranks, facet_dots = [], [], []
+    sweep, real_rank, real_dot, real_facets = cone._dd, cone.rank, cone.dot, cone.facets
+    inside_facets = []
 
     def counted(*args):
         calls.append(args)
-        return sweep(*args)
+        inside_facets.append(False)  # the sweep's own work is not facets'
+        try:
+            return sweep(*args)
+        finally:
+            inside_facets.pop()
+
+    def counted_rank(rows):
+        ranks.append(rows)
+        return real_rank(rows)
+
+    def counted_dot(u, v):
+        if inside_facets and inside_facets[-1]:
+            facet_dots.append((u, v))
+        return real_dot(u, v)
+
+    def counted_facets(hc):
+        inside_facets.append(True)
+        try:
+            return real_facets(hc)
+        finally:
+            inside_facets.pop()
 
     monkeypatch.setattr(cone, "_dd", counted)
+    monkeypatch.setattr(cone, "rank", counted_rank)
+    monkeypatch.setattr(cone, "dot", counted_dot)
+    monkeypatch.setattr(tfan.fan, "facets", counted_facets)
     fan = demo_fan(name)
     assert len(calls) == len(fan.maximal_cones)
+    assert ranks == []
+    assert facet_dots == []
+    # the counters see what they count: a dot product the cone module takes
+    # inside facets, and the sweep of a cone with an implied equation
+    inside_facets.append(True)
+    contains(make_cone(3, ineqs=[(0, 1, 0)]), (-1, 0, 0))
+    inside_facets.pop()
+    dd_rays(make_cone(3, ineqs=[(0, 1, 0), (0, -1, 0)]))
+    assert len(facet_dots) == 1 and len(ranks) == 1
+
+
+def rank_calls_of_sweep(hc):
+    """``dd_rays(hc)`` and the number of ``rank`` calls its sweep made."""
+    calls = []
+    real_rank = cone.rank
+
+    def counted(rows):
+        calls.append(rows)
+        return real_rank(rows)
+
+    with mock.patch.object(cone, "rank", counted):
+        data = dd_rays(hc)
+    return data, len(calls)
+
+
+def check_dim_against_oracle(hc):
+    """The sweep's dimension is the Fraction rank of rays plus lineality,
+    and ``rank`` ran exactly when the cone is smaller than its equations'
+    solution space, that is when some inequality is an implied equation."""
+    data, ranks = rank_calls_of_sweep(hc)
+    assert data.dim == len(rref_oracle(list(data.rays) + list(data.lineality))[0])
+    implied = data.dim < len(kernel_oracle(hc.eqs, hc.dim_ambient))
+    assert ranks == implied
+    return implied
+
+
+@seed(14)
+@settings(max_examples=500, deadline=None)
+@given(hc=random_cones())
+def test_dim_matches_rank_oracle(hc):
+    check_dim_against_oracle(hc)
+
+
+@pytest.mark.parametrize("hc", [
+    make_cone(3, ineqs=[(0, 1, 0), (0, -1, 0)]),             # v_1 = 0
+    make_cone(3, ineqs=[(0, 1, 0), (0, -1, 0), (0, 0, 1)]),  # then one more row
+    make_cone(4, ineqs=[(0, 1, 0, 0), (0, 0, 1, 0), (0, -1, -1, 0)]),  # v_1 = v_2 = 0
+    make_cone(3, ineqs=[(1, 0, 0)]),                         # v_0 = 0 by the halfspace
+    make_cone(2, ineqs=[(1, 0), (0, 1), (0, -1)]),           # the origin
+    make_cone(3, ineqs=[(0, 1, 0), (0, -1, 0)], eqs=[(0, 0, 1)]),
+], ids=["implied", "implied-mid-sweep", "two-implied", "implied-halfspace",
+        "implied-origin", "implied-with-equation"])
+def test_dim_after_implied_equation(hc):
+    assert check_dim_against_oracle(hc)
