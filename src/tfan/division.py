@@ -70,7 +70,6 @@ from .poly import (
     exp_divides,
     exp_mul,
     from_t_coefficients,
-    leading_key,
     leading_term,
     record_leading_term,
     strip_unit_t_content,
@@ -216,9 +215,9 @@ def _one_like(divisors, f):
 
 
 def sorted_basis(ord_: MonomialOrdering, elems) -> StandardBasis:
-    """The one basis order: leading monomial descending, then terms.  Each
-    element's leading key is read where it is kept (``leading_key``)."""
-    elems = sorted(elems, key=lambda g: (leading_key(ord_, g), g.terms), reverse=True)
+    """The one basis order: leading monomial descending, then terms."""
+    key = ord_.key
+    elems = sorted(elems, key=lambda g: (key(leading_term(ord_, g).exp), g.terms), reverse=True)
     return StandardBasis(tuple(elems), ord_)
 
 

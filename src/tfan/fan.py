@@ -76,7 +76,6 @@ from .poly import (
     Polynomial,
     exp_mul,
     initial_forms_at,
-    leading_key,
     leading_term,
     record_leading_term,
     term_divides,
@@ -129,11 +128,11 @@ def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> Sta
     and leaves zero; so the only quotient is 1, at k, and the witness is
     G_k.  Every other element is witnessed by ``witness``.
 
-    Each lifted element keeps the leading term of its h and that term's
-    key, which are not searched for or computed again: its initial form at
-    the shared weight w is h, and ``H_new``'s ordering refines w, so its
-    leading term lies among the terms of h and is h's.  The leading terms of
-    the forms H under G's ordering are the ones ``flip`` keeps on them.
+    Each lifted element keeps the leading term of its h, which is not
+    searched for again: its initial form at the shared weight w is h, and
+    ``H_new``'s ordering refines w, so its leading term lies among the
+    terms of h and is h's.  The leading terms of the forms H under G's
+    ordering are the ones ``flip`` keeps on them.
     """
     if len(H) != len(G.elements):
         raise InvalidInput("initial forms and basis differ in length")
@@ -144,7 +143,7 @@ def lift(H_new: StandardBasis, H: Sequence[Polynomial], G: StandardBasis) -> Sta
     for h in H_new.elements:
         k = through.get(h)
         g = witness(h, H, G) if k is None else Polynomial(G.elements[k].terms)
-        out.append(record_leading_term(ord_, g, leading_term(ord_, h), leading_key(ord_, h)))
+        out.append(record_leading_term(ord_, g, leading_term(ord_, h)))
     return StandardBasis(tuple(out), ord_)
 
 
@@ -202,10 +201,10 @@ def _cone_from_adjacent(G_new: StandardBasis, prime: int | None) -> GroebnerCone
     The lifted basis is already a standard basis under its ordering, so it
     is only initially reduced, not completed again (the ideal, and with it
     p - t, is unchanged by the flip), and ``initially_reduce`` normalises
-    its elements and carries their leading terms and keys.  The cone is
-    read off with the leading terms as initial forms, and the basis
-    is re-anchored to one interior weight u, whose initial forms must be
-    those leading terms: the cone reads its weight and initial forms off u.
+    its elements and carries their leading terms.  The cone is read off
+    with the leading terms as initial forms, and the basis is re-anchored
+    to one interior weight u, whose initial forms must be those leading
+    terms: the cone reads its weight and initial forms off u.
 
     Once that is confirmed, each element keeps its leading term under the
     re-anchored ordering, so the next flip searches for none: its initial

@@ -28,20 +28,19 @@ Both regimes compute on Z[t]-coefficient views, the dicts
 key for a vanished x-monomial), each with its leading term carried beside
 it, since no reduction step moves a leading term.  ``_cross_eliminate``
 makes every combination of two views and ``_reducible_tail`` finds
-reducible skeleton tail terms, keying each exponent once per reduction.
+reducible skeleton tail terms, keying only those.
 
 One path leads into either driver: normalised (leading term, view) pairs,
 cut down by the regime's rule on leading terms (``_rule``, built on
-``division.minimal``) before any element is built, each leading key carried
-from where it is known.  ``ensure_initially_reduced``, the entry from
-generators, applies ``Ideal``'s rule that a declared prime p needs p - t
-among the generators (so membership of p - t is never decided by a normal
-form) and takes the pairs of the completion up to the units of Z_(p)
-(``standard_basis_views`` with the prime), whose leading coefficients the
-prime driver's Bezout step makes monic.
-``initially_reduce``, the entry from a known standard basis, completes
-nothing and normalises the views it makes.  A view becomes a polynomial
-once, when it is returned.  ``p_reduce``, ``inred_same_degree`` and
+``division.minimal``) before any element is built.
+``ensure_initially_reduced``, the entry from generators, applies
+``Ideal``'s rule that a declared prime p needs p - t among the generators
+(so membership of p - t is never decided by a normal form) and takes the
+pairs of the completion up to the units of Z_(p) (``standard_basis_views``
+with the prime), whose leading coefficients the prime driver's Bezout step
+makes monic.  ``initially_reduce``, the entry from a known standard basis,
+completes nothing and normalises the views it makes.  A view becomes a
+polynomial once, when it is returned.  ``p_reduce``, ``inred_same_degree`` and
 ``inred_step_by_step`` take polynomials through ``_views``, whose rule
 checks name the rule, the element's position and its leading exponent.
 """
@@ -64,7 +63,6 @@ from .poly import (
     Term,
     exp_divides,
     from_t_coefficients,
-    leading_key,
     leading_term,
     p_minus_t,
     record_leading_term,
@@ -111,19 +109,11 @@ def _views(ord_, F: Sequence[Polynomial], what: str) -> list[tuple[Term, dict]]:
     return pairs
 
 
-def _polynomials(ord_, views, lms, keys) -> list[Polynomial]:
-    """The polynomials of reduced views, keeping 1*x^lm and its key: the
-    block rules check that term, and no reduction step moves it."""
-    return [record_leading_term(ord_, from_t_coefficients(v), Term(1, lm), k)
-            for v, lm, k in zip(views, lms, keys)]
-
-
-def _key(ord_, keys: dict, e):
-    """``ord_.key(e)``, computed once per ``keys`` memo."""
-    k = keys.get(e)
-    if k is None:
-        k = keys[e] = ord_.key(e)
-    return k
+def _polynomials(ord_, views, lms) -> list[Polynomial]:
+    """The polynomials of reduced views, keeping 1*x^lm: the block rules
+    check that term, and no reduction step moves it."""
+    return [record_leading_term(ord_, from_t_coefficients(v), Term(1, lm))
+            for v, lm in zip(views, lms)]
 
 
 def _term_mul(view: dict, e) -> dict:
@@ -155,16 +145,16 @@ def _cross_eliminate(g: dict, c_g, h: dict, c_h, beta: int) -> dict:
     return out
 
 
-def _reducible_tail(ord_, view, lm, lts, keys: dict):
+def _reducible_tail(ord_, view, lm, lts):
     """Yield (key, term, j) for each skeleton tail term of a view, greatest
     first, and each ``lts[j]`` that term-divides it; ``lm`` is the view's
-    leading exponent.  Only these terms are keyed, once per ``keys`` memo."""
+    leading exponent.  Only these terms are keyed."""
     hits = []
     for a, tp in view.items():
         term = Term(tp[0][1], (tp[0][0],) + a)
         js = [j for j, lt in enumerate(lts) if term_divides(lt, term)] if a != lm[1:] else ()
         if js:
-            hits.append((_key(ord_, keys, term.exp), term, js))
+            hits.append((ord_.key(term.exp), term, js))
     hits.sort(key=itemgetter(0), reverse=True)
     for k, term, js in hits:
         for j in js:
@@ -250,14 +240,13 @@ def _check_lower(g_views, g_lms, lms) -> None:
     _check_monic("lower", g_views, g_lms)
 
 
-def _reduce_block(ctx: InredContext, views: list, lms: list, keys: list) -> list[int]:
+def _reduce_block(ctx: InredContext, views: list, lms: list) -> list[int]:
     """Reduce a block of views against itself and p - t, in place.
 
     Two triangular passes over the block ordered by decreasing leading
-    monomial (``keys[i]`` is the key of ``lms[i]``): the first eliminates the
-    x-monomial of each leading term from all later elements, the second
-    clears reducible skeleton terms of earlier elements against later
-    leading terms.  Every combination is (p - t)-reduced immediately.
+    monomial: the first eliminates the x-monomial of each leading term from
+    all later elements, the second clears reducible skeleton terms of
+    earlier elements against later leading terms.  Every combination is (p - t)-reduced immediately.
     Element i stays at position i; the returned positions list the block by
     decreasing leading monomial.
     """
@@ -265,7 +254,8 @@ def _reduce_block(ctx: InredContext, views: list, lms: list, keys: list) -> list
     p = ctx.p
     for v, lm in zip(views, lms):
         _p_reduce_view(p, v, lm[1:])
-    order = sorted(range(len(views)), key=keys.__getitem__, reverse=True)
+    key = ctx.ord.key
+    order = sorted(range(len(views)), key=lambda i: key(lms[i]), reverse=True)
     for n, i in enumerate(order):
         beta, alpha = lms[i][0], lms[i][1:]
         for j in order[n + 1:]:
@@ -286,13 +276,13 @@ def _reduce_block(ctx: InredContext, views: list, lms: list, keys: list) -> list
     return order
 
 
-def _reduce_stratum(ctx: InredContext, g_views, g_lms, views, lms, keys) -> tuple:
-    """``inred_step_by_step`` on views, leading exponents and their keys.
+def _reduce_stratum(ctx: InredContext, g_views, g_lms, views, lms) -> tuple:
+    """``inred_step_by_step`` on views and leading exponents.
 
     Each step takes the greatest skeleton tail term of the block, below the
     term the previous step handled, that a lower leading term divides (the
     first such lower element is the reducer).  That element's multiple with
-    this leading exponent and key joins the helpers, and the block is
+    this leading exponent joins the helpers, and the block is
     re-reduced, until no such term is left.  Lower leading coefficients are
     1, so only exponents matter.  Returns the block by decreasing leading
     monomial.
@@ -312,30 +302,28 @@ def _reduce_stratum(ctx: InredContext, g_views, g_lms, views, lms, keys) -> tupl
     are the elimination steps inside ``_reduce_block``: stripping there too
     cures the growth, but changes the reduced blocks of
     ``inred_same_degree`` that the paper's worked examples pin."""
-    order = _reduce_block(ctx, views, lms, keys)
+    order = _reduce_block(ctx, views, lms)
     _check_lower(g_views, g_lms, lms)
-    views, lms, keys = ([xs[i] for i in order] for xs in (views, lms, keys))
+    views, lms = [views[i] for i in order], [lms[i] for i in order]
     k = len(views)
     glts = [Term(1, g_lm) for g_lm in g_lms]
-    tail_keys: dict = {}
     below = None  # ordering key of the term the last step handled
     while True:
         hits = []
         for v, lm in zip(views[:k], lms[:k]):
-            for key, term, j in _reducible_tail(ctx.ord, v, lm, glts, tail_keys):
+            for key, term, j in _reducible_tail(ctx.ord, v, lm, glts):
                 if below is None or key < below:
                     hits.append((key, term.exp, j))
                     break
         if not hits:
-            return views[:k], lms[:k], keys[:k]
+            return views[:k], lms[:k]
         below, s, j = max(hits)
         # an ordering is multiplicative, so this multiple's leading exponent is s
         mult = _term_mul(g_views[j], tuple(map(sub, s, g_lms[j])))
         assert s not in lms[k:]
         views.append(mult)
         lms.append(s)
-        keys.append(below)
-        _reduce_block(ctx, views, lms, keys)
+        _reduce_block(ctx, views, lms)
         views[:k] = map(strip_unit_t_content_view, views[:k])
 
 
@@ -357,9 +345,8 @@ def inred_step_by_step(ctx: InredContext, G: Sequence[Polynomial],
     block, lower = _views(ord_, H, "block"), _views(ord_, G, "lower")
     if not block:
         return []
-    lms = [lt.exp for lt, _ in block]
     out = _reduce_stratum(ctx, [v for _, v in lower], [lt.exp for lt, _ in lower],
-                          [v for _, v in block], lms, [ord_.key(lm) for lm in lms])
+                          [v for _, v in block], [lt.exp for lt, _ in block])
     return _polynomials(ord_, *out)
 
 
@@ -377,16 +364,15 @@ def _rule(prime: int | None):
     return keep
 
 
-def _initially_reduce(ord_, prime: int | None, pairs, keys: dict, known: dict) -> StandardBasis:
-    """Reduce the normalised pairs that the regime's rule keeps, in place,
-    with the leading ``keys`` known so far.  Generic regime:
-    ``generic_initial_reduce``, which reads ``known``.  Prime regime: each
-    element is made monic by a*g + b*x^lm*(p - t), a*lc + b*p = 1; of equal
-    leading monomials the one whose terms sort first is kept, and the
-    x-degree strata are reduced bottom up.  Each element is built once,
-    keeping 1*x^lm and its key, and p - t is always returned."""
+def _initially_reduce(ord_, prime: int | None, pairs, known: dict) -> StandardBasis:
+    """Reduce the normalised pairs that the regime's rule keeps, in place.
+    Generic regime: ``generic_initial_reduce``, which reads ``known``.
+    Prime regime: each element is made monic by a*g + b*x^lm*(p - t),
+    a*lc + b*p = 1; of equal leading monomials the one whose terms sort
+    first is kept, and the x-degree strata are reduced bottom up.  Each
+    element is built once, keeping 1*x^lm, and p - t is always returned."""
     if prime is None:
-        return generic_initial_reduce(ord_, pairs, keys, known)
+        return generic_initial_reduce(ord_, pairs, known)
     ctx = InredContext(prime, ord_)
     monic = []
     for (lc, lm), view in pairs:
@@ -396,16 +382,15 @@ def _initially_reduce(ord_, prime: int | None, pairs, keys: dict, known: dict) -
             view = _cross_eliminate(view, ((0, -b),), pt, ((0, a),), 0)
         monic.append((Term(1, lm), view))
     kept = {lt.exp: view for lt, view in first_of_equal(monic, view_terms).items()}
-    views, lms, block_keys = [], [], []
+    views, lms = [], []
     for d in sorted({sum(lm[1:]) for lm in kept}):
         block = [lm for lm in kept if sum(lm[1:]) == d]
-        out = _reduce_stratum(ctx, views, lms, [kept[lm] for lm in block], block,
-                              [_key(ord_, keys, lm) for lm in block])
-        for done, new in zip((views, lms, block_keys), out):
-            done.extend(new)
+        new_views, new_lms = _reduce_stratum(ctx, views, lms, [kept[lm] for lm in block], block)
+        views.extend(new_views)
+        lms.extend(new_lms)
     n = ord_.nvars
     pt = record_leading_term(ord_, p_minus_t(prime, n), Term(prime, (0,) * (n + 1)))
-    return StandardBasis(tuple(_polynomials(ord_, views, lms, block_keys)) + (pt,), ord_)
+    return StandardBasis(tuple(_polynomials(ord_, views, lms)) + (pt,), ord_)
 
 
 def initially_reduce(basis: StandardBasis, prime: int | None = None) -> StandardBasis:
@@ -415,15 +400,14 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
     the result keeps; nothing is completed again.  With a declared prime the
     ideal must contain p - t, which is not checked here.  The elements need
     not be normalised: their views are stripped of unit t-content and signed
-    to a positive leading coefficient, as the completion's are, and carry
-    the elements' leading keys; an element already normalised is ``known``
-    with its view.  The kept pairs go to the driver of the regime.
+    to a positive leading coefficient, as the completion's are; an element
+    already normalised is ``known`` with its view.  The kept pairs go to
+    the driver of the regime.
     """
     if not basis.elements:
         raise InvalidInput("empty standard basis")
-    ord_, keys, known, pairs = basis.ordering, {}, {}, []
+    ord_, known, pairs = basis.ordering, {}, []
     for f, (lt, view) in zip(basis.elements, _views(ord_, basis.elements, "basis")):
-        keys[lt.exp] = leading_key(ord_, f)
         if lt.coeff < 0:
             lt, f = Term(-lt.coeff, lt.exp), None
             view = {a: [(b, -c) for b, c in tp] for a, tp in view.items()}
@@ -432,7 +416,7 @@ def initially_reduce(basis: StandardBasis, prime: int | None = None) -> Standard
             known[lt] = (view, f)
         pairs.append((lt, normal))
     keep = _rule(prime)([lt for lt, _ in pairs])
-    return _initially_reduce(ord_, prime, list(compress(pairs, keep)), keys, known)
+    return _initially_reduce(ord_, prime, list(compress(pairs, keep)), known)
 
 
 def _eliminate_tail(g: dict, term: Term, h: dict, lt_h: Term) -> dict:
@@ -476,7 +460,7 @@ def _diverged(ord_, term, lt_g, bound) -> InredDiverged:
     )
 
 
-def generic_initial_reduce(ord_: MonomialOrdering, pairs, keys: dict, known: dict) -> StandardBasis:
+def generic_initial_reduce(ord_: MonomialOrdering, pairs, known: dict) -> StandardBasis:
     """Initial reduction without a declared prime, on the pairs that
     ``minimal`` keeps, one of equal leading terms (the one whose terms sort
     first).  In the order of ``sorted_basis``, each element's greatest
@@ -491,8 +475,8 @@ def generic_initial_reduce(ord_: MonomialOrdering, pairs, keys: dict, known: dic
     kept = first_of_equal(pairs, view_terms)
     # the terms only break ties of leading monomial, which few bases have
     ties = len({lt.exp for lt in kept}) < len(kept)
-    lts = sorted(kept, key=lambda lt: (_key(ord_, keys, lt.exp), ties and view_terms(kept[lt])),
-                 reverse=True)
+    key = ord_.key
+    lts = sorted(kept, key=lambda lt: (key(lt.exp), ties and view_terms(kept[lt])), reverse=True)
     views = [kept[lt] for lt in lts]
     # Divergence in this regime shows up as unbounded t-degree growth (each
     # pass trades a tail term for higher t-powers); catching it by degree
@@ -506,7 +490,7 @@ def generic_initial_reduce(ord_: MonomialOrdering, pairs, keys: dict, known: dic
     steps = 0
     for i, lt_g in enumerate(lts):
         while hit := next(((term, j) for _, term, j in _reducible_tail(
-                ord_, views[i], lt_g.exp, lts, keys) if j != i), None):
+                ord_, views[i], lt_g.exp, lts) if j != i), None):
             term, j = hit
             v = views[i] = strip_unit_t_content_view(
                 _eliminate_tail(views[i], term, views[j], lts[j]))
@@ -527,7 +511,7 @@ def generic_initial_reduce(ord_: MonomialOrdering, pairs, keys: dict, known: dic
     for lt, v in zip(lts, views):
         view, f = known.get(lt, (None, None))
         f = f if view is v else from_t_coefficients(v)
-        elems.append(record_leading_term(ord_, f, lt, keys[lt.exp]))
+        elems.append(record_leading_term(ord_, f, lt))
     return sorted_basis(ord_, elems)
 
 
@@ -560,5 +544,4 @@ def ensure_initially_reduced(ord_: MonomialOrdering, elements: Sequence[Polynomi
     if not gens:
         raise InvalidInput("empty generating set")
     Ideal(gens, gens[0].nvars, prime)
-    return _initially_reduce(ord_, prime, standard_basis_views(ord_, gens, _rule(prime), prime),
-                             {}, {})
+    return _initially_reduce(ord_, prime, standard_basis_views(ord_, gens, _rule(prime), prime), {})

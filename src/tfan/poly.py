@@ -17,7 +17,8 @@ reduction code in this package relies on.
 
 An ordering's ``key`` reads parts computed once per ordering, on first use:
 the integer-scaled weights, an ``itemgetter`` for alpha along the tiebreak
-and the exponent width.
+and the exponent width.  It keeps each key it computes, so an exponent is
+keyed at most once per ordering object.
 """
 
 from __future__ import annotations
@@ -84,11 +85,10 @@ class Polynomial:
     """Immutable sparse polynomial over Z in t, x1..xn."""
 
     terms: tuple[Term, ...] = ()
-    # (ordering, leading term, its ordering key or None) as the last
-    # ``leading_term`` or ``record_leading_term`` left it, so one search (or
-    # none, where the builder knows the term) serves every later reader
-    # under that ordering object; ``leading_key`` fills in the key once.
-    # Equality, hashing and repr ignore it.
+    # (ordering, leading term) as the last ``leading_term`` or
+    # ``record_leading_term`` left it, so one search (or none, where the
+    # builder knows the term) serves every later reader under that ordering
+    # object.  Equality, hashing and repr ignore it.
     _lt: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -276,8 +276,8 @@ class MonomialOrdering:
     cached properties that equality, hashing and repr ignore: each weight
     vector scaled by the lcm of its denominators to an integer vector (which
     orders monomials the same way and keeps ``Fraction`` arithmetic out of
-    ``key``), an ``itemgetter`` for alpha along the tiebreak, and the
-    exponent width.
+    ``key``), an ``itemgetter`` for alpha along the tiebreak, the exponent
+    width, and the memo of the keys computed so far.
     """
 
     weights: tuple[tuple, ...]
@@ -325,16 +325,25 @@ class MonomialOrdering:
     def _width(self) -> int:
         return 1 + len(self.tiebreak)
 
+    @cached_property
+    def _keys(self) -> dict:
+        """Exponent tuple -> its ``key``, filled by ``key``."""
+        return {}
+
     def key(self, e: Exp):
         """Sort key realising the ordering: bigger key = greater monomial.
 
         The key is (the tuple of integer w-degrees, alpha along the
-        tiebreak, -beta).
+        tiebreak, -beta), computed once per exponent tuple and ordering
+        object.
         """
-        if len(e) != self._width:
-            raise InvalidInput("exponent vector has wrong length")
-        wpart = tuple([sum(map(mul, w, e)) for w in self._int_weights])
-        return (wpart, self._alpha(e), -e[0])
+        k = self._keys.get(e)
+        if k is None:
+            if len(e) != self._width:
+                raise InvalidInput("exponent vector has wrong length")
+            wpart = tuple([sum(map(mul, w, e)) for w in self._int_weights])
+            k = self._keys[e] = (wpart, self._alpha(e), -e[0])
+        return k
 
     def compare(self, e1: Exp, e2: Exp) -> int:
         """-1, 0 or +1; zero only for equal exponent vectors."""
@@ -362,11 +371,9 @@ def weighted_ordering(w, n: int, priority=None) -> MonomialOrdering:
 def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
     """The compare-greatest term of f under ``ord_``.
 
-    The answer is kept on f together with the ordering and the term's
-    ``ord_.key``, so asking again under the same ordering object (checked
-    by identity) costs no key computation, and neither does ``leading_key``;
-    a different ordering replaces the kept answer.  A miss computes one
-    ``ord_.key`` per term, through the method bound once.
+    The answer is kept on f together with the ordering, so asking again
+    under the same ordering object (checked by identity) searches nothing;
+    a different ordering replaces the kept answer.
     """
     kept = f._lt
     if kept is not None and kept[0] is ord_:
@@ -375,41 +382,23 @@ def leading_term(ord_: MonomialOrdering, f: Polynomial) -> Term:
         raise InvalidInput("leading term of the zero polynomial is undefined")
     key = ord_.key
     keys = [key(t.exp) for t in f.terms]
-    i = max(range(len(keys)), key=keys.__getitem__)
-    lt = f.terms[i]
-    object.__setattr__(f, "_lt", (ord_, lt, keys[i]))
+    lt = f.terms[max(range(len(keys)), key=keys.__getitem__)]
+    object.__setattr__(f, "_lt", (ord_, lt))
     return lt
 
 
-def leading_key(ord_: MonomialOrdering, f: Polynomial):
-    """``ord_.key`` of f's leading term under ``ord_``, computed at most once
-    per element and ordering: it is kept beside the leading term, where
-    ``leading_term`` leaves it after a search, and computed here only when
-    the term was recorded without it."""
-    kept = f._lt
-    if kept is None or kept[0] is not ord_:
-        leading_term(ord_, f)
-        kept = f._lt
-    if kept[2] is None:
-        kept = (ord_, kept[1], ord_.key(kept[1].exp))
-        object.__setattr__(f, "_lt", kept)
-    return kept[2]
-
-
-def record_leading_term(ord_: MonomialOrdering, f: Polynomial, lt: Term,
-                        key=None) -> Polynomial:
+def record_leading_term(ord_: MonomialOrdering, f: Polynomial, lt: Term) -> Polynomial:
     """f, with ``lt`` kept as its leading term under ``ord_``, as a
-    ``leading_term`` call would keep it, and ``key`` as its ``ord_.key``
-    when the caller has it (None leaves it to ``leading_key``).
+    ``leading_term`` call would keep it.
 
     For callers that already know the leading term from how they built f:
     a completion's packed maximum, a reduced view's carried term, a lift
     from the initial form it lifts, an initial form from its element, a
     re-anchored basis from its cone.  ``lt`` must be the term
-    ``leading_term`` would find, and ``key`` its key, which nothing here
-    checks; each caller's docstring gives the reason it holds.
+    ``leading_term`` would find, which nothing here checks; each caller's
+    docstring gives the reason it holds.
     """
-    object.__setattr__(f, "_lt", (ord_, lt, key))
+    object.__setattr__(f, "_lt", (ord_, lt))
     return f
 
 

@@ -39,7 +39,6 @@ from tfan.exact import dot, extended_gcd, primitive, vneg
 from tfan.poly import (
     exp_div,
     exp_x_degree,
-    leading_key,
     strip_unit_t_content,
     t_coefficients,
     t_skeleton,
@@ -109,7 +108,7 @@ def old_minimize(basis):
 
     def order(g):
         lt = leading_term(ord_, g)
-        return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), leading_key(ord_, g), g.terms)
+        return (exp_x_degree(lt.exp), lt.exp[0], abs(lt.coeff), ord_.key(lt.exp), g.terms)
 
     kept = []
     for g in sorted(basis.elements, key=order):

@@ -119,6 +119,28 @@ def test_no_function_passes_an_ordering_beside_a_basis():
     assert restated == []
 
 
+def test_no_function_passes_an_ordering_key():
+    """An ordering keeps the keys it computes, so no function takes an
+    ordering key or a memo of them: no parameter is named ``key`` or
+    ``keys``, ``MonomialOrdering.key`` takes the exponent alone, and
+    ``record_leading_term`` the ordering, the element and its term."""
+    named, signatures = [], {}
+    for fname, tree in modules():
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name if scope is tree else f"{scope.name}.{node.name}"
+                    signatures[f"{fname}:{name}"] = [a.arg for a in node.args.args]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                named += [f"{fname}:{node.lineno} {node.name}({a.arg})"
+                          for a in args if a.arg in ("key", "keys")]
+    assert named == []
+    assert signatures["poly.py:MonomialOrdering.key"] == ["self", "e"]
+    assert signatures["poly.py:record_leading_term"] == ["ord_", "f", "lt"]
+
+
 def referenced_names(node):
     """Every name and attribute a syntax tree reads."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)

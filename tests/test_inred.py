@@ -809,8 +809,8 @@ class TestDriver:
     def test_prime_entry_builds_each_returned_element_once(self, monkeypatch):
         """From generators, the prime regime builds a polynomial only for
         an element it returns, p - t aside, and searches no leading term:
-        each returned element keeps its leading term and key, and they are
-        what a search finds."""
+        each returned element keeps its leading term, and it is what a
+        search finds."""
         builds, searches = [], []
 
         def counted_build(view):
@@ -833,7 +833,6 @@ class TestDriver:
             for g in basis.elements:
                 assert g._lt[0] is ord_, (problem, w)
                 assert g._lt[1] == max(g.terms, key=lambda t: ord_.key(t.exp)), (problem, w)
-            assert all(g._lt[2] is not None for g in basis.elements[:-1]), (problem, w)
         assert searches == []
         assert len(builds) == returned
 

@@ -1,7 +1,7 @@
 import os
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -145,6 +145,35 @@ def test_key_matches_oracle(case):
         for bad in (a + (0,), a[:-1]):
             with pytest.raises(InvalidInput):
                 o.key(bad)
+
+
+@seed(30)
+@settings(max_examples=100, deadline=None)
+@given(case=orderings_and_exponents())
+def test_key_memo(case):
+    """An ordering keys each exponent once: the kept keys are the formula's
+    on the weights scaled to integers, a second call returns the kept key
+    itself, an ordering derived by ``with_weights`` starts empty, and the
+    memo changes no comparison, hash or repr of the ordering.  A
+    wrong-length exponent is rejected on every call and never kept."""
+    o, exps = case
+    fresh = MonomialOrdering(o.weights, o.tiebreak)
+    scaled = [[int(x * lcm(*(Fraction(y).denominator for y in w))) for x in w]
+              for w in o.weights]
+    first = [o.key(e) for e in exps]
+    assert first == [(tuple(sum(c * x for c, x in zip(w, e)) for w in scaled),
+                      tuple(e[1 + i] for i in o.tiebreak), -e[0]) for e in exps]
+    assert len(o._keys) == len(exps)
+    assert all(o.key(e) is k for e, k in zip(exps, first))
+    assert len(o._keys) == len(exps)
+    assert o.with_weights(*o.weights)._keys == {}
+    assert o == fresh and hash(o) == hash(fresh) and repr(o) == repr(fresh)
+    assert fresh._keys == {}
+    bad = exps[0] + (0,)
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            o.key(bad)
+    assert bad not in o._keys and len(o._keys) == len(exps)
 
 
 class TestLeadingData:
